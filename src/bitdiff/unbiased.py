@@ -25,6 +25,7 @@ __all__ = [
     "observable_estimates",
     "ChainState",
     "nmcmc_init",
+    "nmcmc_advance",
     "nmcmc_step",
     "nmcmc_run",
     "AutocorrResult",
@@ -90,6 +91,8 @@ def snis_sample(
 ) -> WeightedSamples:
     """Draw paths from the model in chunks and keep only terminal states and
     log-weights, so large sample counts stay memory-bounded."""
+    if n_samples < 1 or chunk < 1:
+        raise ValueError(f"need at least one sample and chunk row, got {n_samples}, {chunk}")
     x0_parts, lp_parts, lq_parts = [], [], []
     remaining = n_samples
     while remaining > 0:
@@ -185,23 +188,65 @@ def nmcmc_init(policy, target, schedule, n_chains: int, rng, condition=None) -> 
     )
 
 
-def nmcmc_step(chain: ChainState, policy, target, schedule, rng, condition=None) -> ChainState:
-    """One Metropolis-Hastings step per chain with an independent path proposal;
-    accepts when log u < (log p_hat' - log p_hat) + (log q - log q')."""
+# Proposal paths drawn per sampler call. Below a few hundred rows the policy
+# forward is dominated by per-call overhead; far above, the block falls out of
+# cache (4x4 MLP (64, 64), T = 20, one BLAS thread: about 5.7k paths/s at 16
+# rows, 21k at 256, 17k at 1,024).
+PROPOSAL_ROWS = 256
+
+
+def nmcmc_advance(
+    chain: ChainState, policy, target, schedule, n_steps: int, rng, observable=None, condition=None
+) -> np.ndarray | None:
+    """Advance every chain `n_steps` Metropolis-Hastings steps with independent
+    path proposals; a step accepts when
+    log u < (log p_hat' - log p_hat) + (log q - log q').
+
+    Proposals do not depend on the chain state, so each block of
+    k = max(1, PROPOSAL_ROWS // C) steps draws its k*C proposals in one sampler
+    call and runs the accept test as a scan over their cached log-weights.
+    Returns the (C, n_steps) series of `observable` of X_0 after each step, or
+    None without an observable; `observable` maps (M, N) states to (M,) values
+    row by row and sees each block's current and proposed states in one call.
+    """
     c = chain.n_chains
-    prop = sample_reverse_path(policy, schedule, c, rng, condition)
-    prop_lp = path_log_p_hat(target, schedule, prop)
-    prop_lq = prop.log_q
-    log_alpha = (prop_lp - chain.log_p_hat) + (chain.log_q - prop_lq)
-    accept = np.log(rng.random(c)) < log_alpha
-    if accept.any():
-        chain.paths.states[accept] = prop.states[accept]
-        chain.paths.step_logq[accept] = prop.step_logq[accept]
-        chain.paths.prior_logq[accept] = prop.prior_logq[accept]
-        chain.log_p_hat[accept] = prop_lp[accept]
-        chain.log_q[accept] = prop_lq[accept]
-        chain.n_accepted[accept] += 1
-    chain.n_steps += 1
+    block = max(1, PROPOSAL_ROWS // c)
+    series = None if observable is None else np.empty((c, n_steps))
+    rows = np.arange(c)
+    for start in range(0, n_steps, block):
+        k = min(block, n_steps - start)
+        prop = sample_reverse_path(policy, schedule, k * c, rng, condition)
+        # candidates are indexed into [current states; proposals of step 0..k-1]
+        lp = np.concatenate([chain.log_p_hat, path_log_p_hat(target, schedule, prop)])
+        lq = np.concatenate([chain.log_q, prop.log_q])
+        if observable is not None:
+            x0 = np.concatenate([chain.paths.x0, prop.x0])
+            obs = np.asarray(observable(x0), dtype=np.float64)
+        log_u = np.log(rng.random((k, c)))
+        picks = np.empty((k, c), dtype=np.intp)
+        cur = rows
+        for j in range(k):
+            cand = rows + (j + 1) * c
+            accept = log_u[j] < (lp[cand] - lp[cur]) + (lq[cur] - lq[cand])
+            cur = np.where(accept, cand, cur)
+            chain.n_accepted += accept
+            picks[j] = cur
+        if series is not None:
+            series[:, start : start + k] = obs[picks].T
+        moved = cur >= c
+        src = cur[moved] - c
+        chain.paths.states[moved] = prop.states[src]
+        chain.paths.step_logq[moved] = prop.step_logq[src]
+        chain.paths.prior_logq[moved] = prop.prior_logq[src]
+        chain.log_p_hat = lp[cur]
+        chain.log_q = lq[cur]
+        chain.n_steps += k
+    return series
+
+
+def nmcmc_step(chain: ChainState, policy, target, schedule, rng, condition=None) -> ChainState:
+    """One Metropolis-Hastings step per chain: `nmcmc_advance` with one step."""
+    nmcmc_advance(chain, policy, target, schedule, 1, rng, None, condition)
     return chain
 
 
@@ -217,15 +262,15 @@ def nmcmc_run(
 ) -> tuple[np.ndarray, ChainState]:
     """Advance chains and record an observable of X_0 (default: energy).
 
-    Returns (series, chain) with series of shape (n_chains, n_steps).
+    Returns (series, chain) with series of shape (n_chains, n_steps). Raises
+    ValueError unless both counts are at least 1.
     """
+    if n_chains < 1 or n_steps < 1:
+        raise ValueError(f"need at least one chain and one step, got {n_chains} x {n_steps}")
     if observable is None:
         observable = lambda x: np.asarray(target.model.energy(x), dtype=np.float64)
     chain = nmcmc_init(policy, target, schedule, n_chains, rng, condition)
-    series = np.empty((n_chains, n_steps))
-    for s in range(n_steps):
-        nmcmc_step(chain, policy, target, schedule, rng, condition)
-        series[:, s] = observable(chain.paths.x0)
+    series = nmcmc_advance(chain, policy, target, schedule, n_steps, rng, observable, condition)
     return series, chain
 
 
@@ -241,7 +286,7 @@ def autocorr_time(series, c: float = 5.0) -> AutocorrResult:
     """Integrated autocorrelation time with a self-consistent truncation window.
 
     tau(K) = 1 + 2 * sum_{lag<=K} rho(lag) where rho is the biased-normalization
-    autocorrelation estimate; K grows until K >= c * tau(K). A chain with
+    autocorrelation estimate; K is the first lag with K >= c * tau(K). A chain with
     (numerically) zero variance is flagged degenerate. The raw value is
     reported even if below 1 (anticorrelated chains).
     """
@@ -254,16 +299,18 @@ def autocorr_time(series, c: float = 5.0) -> AutocorrResult:
     c0 = float(d @ d) / n
     if c0 < 1e-14 * max(1.0, mu * mu):
         return AutocorrResult(None, 0, np.empty(0), degenerate=True)
-    rhos = []
-    tau = 1.0
-    max_lag = n - 2
-    for lag in range(1, max_lag + 1):
-        cov = float(d[:-lag] @ d[lag:]) / (n - lag)
-        rhos.append(cov / c0)
-        tau = 1.0 + 2.0 * float(np.sum(rhos))
-        if lag >= c * tau:
-            return AutocorrResult(tau, lag, np.array(rhos))
-    raise ConvergenceError("no self-consistent autocorrelation window within the series")
+    # all lag sums d[:-lag] @ d[lag:] at once; zero padding to >= 2n - 1
+    # keeps the circular correlation from wrapping
+    size = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(d, size)
+    lags = np.arange(1, n - 1)
+    rho = np.fft.irfft(spec * spec.conj(), size)[1 : n - 1] / (n - lags) / c0
+    tau = 1.0 + 2.0 * np.cumsum(rho)
+    fits = np.flatnonzero(lags >= c * tau)
+    if len(fits) == 0:
+        raise ConvergenceError("no self-consistent autocorrelation window within the series")
+    k = fits[0]
+    return AutocorrResult(float(tau[k]), int(lags[k]), rho[: k + 1])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PathBatch, bernoulli_logpmf, path_log_p_hat, stationary_logprob
 from bitdiff.energies import int_to_bits
+from bitdiff.unbiased import AutocorrResult, ConvergenceError
 
 
 def rel_err(got, want) -> float:
@@ -159,3 +160,25 @@ def exact_policy_gradient(policy, target, schedule, temperature: float, conditio
         total = term if total is None else total + term
     total.backward()
     return {k: -g for k, g in ad.collect_grads(leaves).items()}
+
+
+def autocorr_time_direct(series, c: float = 5.0) -> AutocorrResult:
+    """`autocorr_time` by its definition, one lag at a time: rho(lag) is
+    d[:-lag] @ d[lag:] / (n - lag) / c0 and the window is the first lag K with
+    K >= c * (1 + 2 * sum_{lag<=K} rho(lag))."""
+    x = np.asarray(series, dtype=np.float64).reshape(-1)
+    n = len(x)
+    if n < 10 * c:
+        raise ValueError(f"series too short for a window search (need >= {int(10 * c)})")
+    mu = x.mean()
+    d = x - mu
+    c0 = float(d @ d) / n
+    if c0 < 1e-14 * max(1.0, mu * mu):
+        return AutocorrResult(None, 0, np.empty(0), degenerate=True)
+    rhos = []
+    for lag in range(1, n - 1):
+        rhos.append(float(d[:-lag] @ d[lag:]) / (n - lag) / c0)
+        tau = 1.0 + 2.0 * float(np.sum(rhos))
+        if lag >= c * tau:
+            return AutocorrResult(tau, lag, np.array(rhos))
+    raise ConvergenceError("no self-consistent autocorrelation window within the series")

@@ -268,6 +268,18 @@ class TestCli:
                        "--chains", "2", "--chain-steps", "90", "--seed", "1"])
         assert rc == 4
 
+    @pytest.mark.parametrize("counts", [
+        ["--method", "nmcmc", "--chains", "0"],
+        ["--method", "nmcmc", "--chain-steps", "0"],
+        ["--method", "snis", "--n-samples", "0"],
+    ])
+    def test_exit_code_non_positive_estimate_counts(self, tmp_path, capsys, counts):
+        cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0,
+                                            out_dir=tmp_path / "ising0"))
+        out = train(cfg)
+        assert cli.main(["estimate", "--checkpoint", out["checkpoint"], *counts]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_exit_code_numerical(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,

@@ -13,6 +13,7 @@ from bitdiff.energies import (
     enumerate_observables,
 )
 from bitdiff.unbiased import (
+    PROPOSAL_ROWS,
     ConvergenceError,
     autocorr_time,
     effective_sample_size,
@@ -27,7 +28,7 @@ from bitdiff.unbiased import (
     snis_weights_from_logs,
 )
 
-from oracles import all_paths, teacher_forced_batch
+from oracles import all_paths, autocorr_time_direct, teacher_forced_batch
 from toy_policies import ConstantPolicy, KernelPolicy
 
 
@@ -240,6 +241,27 @@ class TestNmcmc:
         tv = abs(occupancy - p1)  # two-state TV distance
         assert tv < 0.01
 
+    def test_block_bookkeeping_with_ragged_blocks(self):
+        # 7 chains do not divide the proposal block and 1,001 steps end on a
+        # partial block
+        n_chains, n_steps = 7, 1001
+        assert PROPOSAL_ROWS % n_chains and n_steps % (PROPOSAL_ROWS // n_chains)
+        policy = ConstantPolicy(3, 2, 0.6)
+        sched = exp_schedule(2)
+        target = BoltzmannTarget(SpinCouplingModel(3, [(0, 1), (1, 2)], [1.0, -0.5]), 0.7)
+        observable = lambda x: np.asarray(target.model.energy(x), dtype=np.float64)
+        series, chain = nmcmc_run(
+            policy, target, sched, n_chains, n_steps, np.random.default_rng(16), observable
+        )
+        chain.verify_cache(policy, target, sched)
+        assert np.allclose(chain.paths.log_q, chain.log_q, rtol=0, atol=1e-12)
+        assert series.shape == (n_chains, n_steps)
+        assert np.array_equal(series[:, -1], observable(chain.paths.x0))
+        changes = (np.diff(series, axis=1) != 0).sum(axis=1)
+        assert np.all(changes <= chain.n_accepted)
+        assert chain.n_steps == n_steps
+        assert 0 < chain.n_accepted.min() and chain.n_accepted.max() < n_steps
+
     def test_detailed_balance_enumerable(self):
         # build the full 4x4 transition matrix over single-bit, single-step
         # paths and check the target path distribution is stationary
@@ -282,6 +304,33 @@ class TestAutocorr:
         res = autocorr_time(np.full(1000, 3.7))
         assert res.degenerate
         assert res.tau is None
+
+    @pytest.mark.parametrize("kind", ["iid", "ar1", "constant"])
+    def test_fft_matches_direct_definition(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "iid":
+            series = rng.standard_normal(20000)
+        elif kind == "ar1":
+            series = scipy.signal.lfilter([1.0], [1.0, -0.9], rng.standard_normal(20000))
+        else:
+            series = np.full(500, -2.5)
+        got, want = autocorr_time(series), autocorr_time_direct(series)
+        assert got.degenerate == want.degenerate
+        assert got.window == want.window
+        if want.tau is None:
+            assert got.tau is None
+        else:
+            assert got.tau == pytest.approx(want.tau, rel=1e-9)
+            assert np.allclose(got.rho, want.rho, rtol=0, atol=1e-12)
+
+    def test_no_window_raises_like_direct_definition(self):
+        # a non-finite sample leaves every tau(K) undefined, so no lag satisfies
+        # K >= c * tau(K)
+        series = np.r_[np.random.default_rng(18).standard_normal(99), np.nan]
+        with pytest.raises(ConvergenceError):
+            autocorr_time(series)
+        with pytest.raises(ConvergenceError):
+            autocorr_time_direct(series)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
