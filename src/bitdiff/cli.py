@@ -17,13 +17,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .decode import conditional_expectation
 from .diffusion import exp_schedule, sample_reverse_path
-from .energies import (
-    BoltzmannTarget,
-    EAInstance,
-    IsingLattice2D,
-    enumerate_observables,
-    read_instance_text,
-)
+from .energies import BoltzmannTarget, build_lattice, enumerate_observables
 from .graphs import BaConfig, Graph, RbConfig, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
 from .nets import GraphCondition
 from .train import load_checkpoint, load_dataset, train
@@ -105,19 +99,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _rebuild_problem(problem_meta: dict):
-    kind = problem_meta["kind"]
-    if kind == "ising":
-        model = IsingLattice2D(problem_meta["lattice_size"], problem_meta["coupling"])
-    elif kind == "ea":
-        model = read_instance_text(problem_meta["instance_text"])
-        if not isinstance(model, EAInstance):
-            raise ConfigError("bad coupling instance embedded in checkpoint")
-    else:
-        raise ConfigError(f"estimate requires a lattice checkpoint, got {kind!r}")
-    return model, BoltzmannTarget(model, problem_meta["beta"])
-
-
 def cmd_solve(args) -> int:
     policy, cfg, *_rest, problem_meta = load_checkpoint(args.checkpoint)
     if problem_meta["kind"] != "co":
@@ -176,8 +157,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    policy, cfg, *_rest, problem_meta = load_checkpoint(args.checkpoint)
-    model, target = _rebuild_problem(problem_meta)
+    policy, cfg, *_rest, meta = load_checkpoint(args.checkpoint)
+    model = build_lattice(meta["kind"], meta.get("lattice_size"), meta.get("coupling", 1.0),
+                          instance_text=meta.get("instance_text", ""))
+    target = BoltzmannTarget(model, meta["beta"])
     schedule = exp_schedule(policy.n_steps)
     n_sites = model.n_sites
     payload = {
@@ -226,13 +209,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.problem == "ising" or args.problem == "ea":
-        if args.problem == "ising":
-            model = IsingLattice2D(args.lattice_size, args.coupling)
-        elif args.instance:
-            model = read_instance_text(Path(args.instance).read_text(encoding="utf-8"))
-        else:
-            maker = EAInstance.normal if args.ea_dist == "normal" else EAInstance.uniform
-            model = maker(args.lattice_size, args.ea_seed)
+        text = ""
+        if args.problem == "ea" and args.instance:
+            text = Path(args.instance).read_text(encoding="utf-8")
+        model = build_lattice(args.problem, args.lattice_size, args.coupling, args.ea_dist,
+                              args.ea_seed, text)
         target = BoltzmannTarget(model, args.beta)
         obs = enumerate_observables(target, with_probabilities=False)
         n = model.n_sites

@@ -5,6 +5,7 @@ front. Unknown sections or keys are errors, as are inconsistent field values
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -76,6 +77,9 @@ class RunConfig:
     epochs_per_buffer: int = 2
 
     def validate(self) -> "RunConfig":
+        for name in sorted(_FLOAT_FIELDS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
         if self.kind == "co":
@@ -92,6 +96,10 @@ class RunConfig:
                 raise ConfigError("lattice_size must be >= 3")
             if self.beta <= 0:
                 raise ConfigError("beta must be > 0")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigError("model.hidden must list one or more widths, each >= 1")
+        if self.n_hidden < 1:
+            raise ConfigError("model.n_hidden must be >= 1")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"train.objective must be one of {OBJECTIVES}")
         if self.t_steps < 1:
@@ -100,6 +108,8 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
+        if self.n_instances < 1:
+            raise ConfigError("n_instances must be >= 1")
         if not 1 <= self.t_minibatch <= self.t_steps:
             raise ConfigError("t_minibatch must be in 1..t_steps")
         if self.path_minibatch < 1:

@@ -19,16 +19,15 @@ __all__ = [
     "IsingLattice2D",
     "SpinCouplingModel",
     "EAInstance",
-    "QuboInstance",
     "CoProblem",
     "CO_PROBLEMS",
     "BoltzmannTarget",
-    "log_unnormalized_boltzmann",
     "ExactObservables",
     "enumerate_observables",
     "lattice_bonds",
     "write_instance_text",
     "read_instance_text",
+    "build_lattice",
     "parse_edge_list",
     "format_edge_list",
 ]
@@ -177,61 +176,8 @@ class EAInstance:
     def bonds(self) -> np.ndarray:
         return lattice_bonds(self.side_length)
 
-    def as_spin_model(self) -> SpinCouplingModel:
-        return SpinCouplingModel(self.n_sites, self.bonds(), self.couplings)
-
     def energy(self, x) -> np.ndarray:
-        return self.as_spin_model().energy(x)
-
-
-@dataclass(frozen=True)
-class QuboInstance:
-    """Quadratic binary energy H(x) = sum_{i<=j} Q_ij x_i x_j from a sparse term list.
-
-    Diagonal terms (i == i) act as linear coefficients since x_i^2 = x_i.
-    """
-
-    n_sites: int
-    terms: np.ndarray  # (n_terms, 3) rows (i, j, weight) with i <= j
-    penalty_a: float = 1.0
-    penalty_b: float = 1.1
-
-    def __post_init__(self):
-        terms = np.asarray(self.terms, dtype=np.float64).reshape(-1, 3)
-        idx = terms[:, :2].astype(np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.n_sites:
-                raise ValueError("QUBO term index out of range")
-            # fold lower-triangular entries into upper-triangular form
-            lo = np.minimum(idx[:, 0], idx[:, 1])
-            hi = np.maximum(idx[:, 0], idx[:, 1])
-            terms = np.column_stack([lo, hi, terms[:, 2]])
-        if not np.isfinite(terms).all():
-            raise ValueError("QUBO weights must be finite")
-        if not self.penalty_a < self.penalty_b:
-            raise ValueError("penalty_a must be < penalty_b")
-        terms.setflags(write=False)
-        object.__setattr__(self, "terms", terms)
-
-    def energy(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n_sites:
-            raise ValueError(f"state has {x.shape[-1]} bits, expected {self.n_sites}")
-        i = self.terms[:, 0].astype(np.int64)
-        j = self.terms[:, 1].astype(np.int64)
-        w = self.terms[:, 2]
-        return (w * x[..., i] * x[..., j]).sum(axis=-1)
-
-    def to_text(self) -> str:
-        return format_edge_list(
-            self.n_sites, [(int(i), int(j), w) for i, j, w in self.terms]
-        )
-
-    @classmethod
-    def from_text(cls, text: str, penalty_a: float = 1.0, penalty_b: float = 1.1):
-        n, triples = parse_edge_list(text)
-        return cls(n, np.array(triples, dtype=np.float64).reshape(-1, 3),
-                   penalty_a, penalty_b)
+        return SpinCouplingModel(self.n_sites, self.bonds(), self.couplings).energy(x)
 
 
 CO_PROBLEMS = ("mis", "mds", "maxcl", "maxcut")
@@ -350,11 +296,6 @@ class BoltzmannTarget:
         if not np.isfinite(e).all():
             raise ValueError("energy is not finite")
         return -self.beta * e
-
-
-def log_unnormalized_boltzmann(target: BoltzmannTarget, x) -> np.ndarray:
-    """log of the unnormalized Boltzmann weight, -beta * H(x)."""
-    return target.log_unnormalized(x)
 
 
 @dataclass(frozen=True)
@@ -533,3 +474,21 @@ def read_instance_text(text: str):
             couplings[k] = w
         return EAInstance(L, couplings, int(fields.get("seed", 0)))
     raise ValueError(f"unknown instance kind {kind!r}")
+
+
+def build_lattice(kind: str, side_length: int, coupling: float = 1.0, ea_dist: str = "normal",
+                  ea_seed: int = 0, instance_text: str = ""):
+    """The lattice model a run or command names: the ferromagnet for `ising`;
+    for `ea`, the instance in `instance_text` if given, else couplings drawn
+    from `ea_dist` ("normal" or "uniform") with `ea_seed`."""
+    if kind == "ising":
+        return IsingLattice2D(side_length, coupling)
+    if kind != "ea":
+        raise ValueError(f"expected a lattice problem (ising or ea), got {kind!r}")
+    if not instance_text:
+        maker = EAInstance.normal if ea_dist == "normal" else EAInstance.uniform
+        return maker(side_length, ea_seed)
+    model = read_instance_text(instance_text)
+    if not isinstance(model, EAInstance):
+        raise ValueError(f"instance text holds a {type(model).__name__}, not an EA instance")
+    return model

@@ -114,7 +114,6 @@ class RbConfig:
     clique_size: int
     interconnect: float
     seed: int
-    size_bounds: tuple | None = None  # (min_nodes, max_nodes) for dataset resampling
 
     def __post_init__(self):
         if self.n_cliques < 2:

@@ -36,6 +36,8 @@ __all__ = [
     "param_count",
     "init_params",
     "make_policy",
+    "bernoulli_log_q",
+    "bernoulli_entropy",
     "flatten_params",
     "unflatten_params",
 ]
@@ -217,15 +219,17 @@ def _check_probs_shape(x_t, n_bits):
 
 
 @dataclass
-class MlpPolicy:
-    """Fully-connected reverse-step network for fixed-size binary states.
+class _Policy:
+    """What both architectures share: construction, parameter views, and the
+    forward passes around each architecture's `_trunk` (per-bit features),
+    `_head` (per-bit logits) and `_pool` (the value head's input rows).
 
     With `spec.kernel_start` the output logits ride on the exact reverse of
     the exponential-schedule flip kernel, so a zero-initialized head starts at
     the infinite-temperature optimum instead of the uniform policy.
     """
 
-    spec: MlpSpec
+    spec: object
     n_steps: int
     params: dict
 
@@ -235,14 +239,10 @@ class MlpPolicy:
         )
 
     @classmethod
-    def init(cls, spec: MlpSpec, n_steps: int, seed: int) -> "MlpPolicy":
+    def init(cls, spec, n_steps: int, seed: int):
         return cls(spec, n_steps, init_params(spec, seed))
 
-    @property
-    def n_bits(self) -> int:
-        return self.spec.n_bits
-
-    def with_steps(self, n_steps: int) -> "MlpPolicy":
+    def with_steps(self, n_steps: int):
         return replace(self, n_steps=n_steps)
 
     def clone_params(self) -> dict:
@@ -255,7 +255,67 @@ class MlpPolicy:
     def set_flat(self, flat: np.ndarray) -> None:
         self.params = unflatten_params(flat, param_shapes(self.spec))
 
-    def _trunk(self, P, x_t, t):
+    def _logits(self, P, h, x_t, t):
+        logits = self._head(P, h, x_t)
+        if self.kernel_betas is not None:
+            logits = logits + _kernel_logits(self.kernel_betas, x_t, t, self.n_steps)
+        return logits
+
+    def _probs(self, P, h, x_t, t):
+        """Per-bit probabilities: the sigmoid of the logits, refused if
+        non-finite, then clipped to [PROB_CLIP, 1 - PROB_CLIP]."""
+        # one expression, so the logits are freed before the check and the
+        # clip allocate: each large array is its own mapping (perfbench/README.md),
+        # and holding the logits longer shifts the page faults of what follows
+        out = sigmoid(self._logits(P, h, x_t, t))
+        if not np.isfinite(ad.as_array(out)).all():
+            raise FloatingPointError("policy forward produced non-finite activations")
+        return clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
+
+    def _value(self, P, h, condition, n_rows):
+        g = self._pool(h, condition, n_rows)
+        v = tanh(matmul(g, P["wv0"]) + P["bv0"])
+        v = tanh(matmul(v, P["wv1"]) + P["bv1"])
+        v = matmul(v, P["wv2"]) + P["bv2"]
+        return v.reshape((-1,)) if isinstance(v, ad.Tensor) else np.asarray(v).reshape(-1)
+
+    def probs_from(self, P, x_t, t, condition=None):
+        x_t = np.asarray(x_t)
+        return self._probs(P, self._trunk(P, x_t, t, condition), x_t, t)
+
+    def probs(self, x_t, t, condition=None) -> np.ndarray:
+        return self.probs_from(self.params, x_t, t, condition)
+
+    def value_from(self, P, x_t, t, condition=None):
+        if not self.spec.value_head:
+            raise ValueError("policy has no value head")
+        x_t = np.asarray(x_t)
+        return self._value(P, self._trunk(P, x_t, t, condition), condition, x_t.shape[0])
+
+    def value(self, x_t, t, condition=None) -> np.ndarray:
+        return self.value_from(self.params, x_t, t, condition)
+
+    def probs_and_value_from(self, P, x_t, t, condition=None):
+        if not self.spec.value_head:
+            raise ValueError("policy has no value head")
+        x_t = np.asarray(x_t)
+        h = self._trunk(P, x_t, t, condition)
+        return self._probs(P, h, x_t, t), self._value(P, h, condition, x_t.shape[0])
+
+
+class MlpPolicy(_Policy):
+    """Fully-connected reverse-step network for fixed-size binary states."""
+
+    # Each policy class holds its own forward entries, so a wrapper set on one
+    # class (perfbench/spans.py times them per class) leaves the other alone.
+    probs_from, probs = _Policy.probs_from, _Policy.probs
+    value, probs_and_value_from = _Policy.value, _Policy.probs_and_value_from
+
+    @property
+    def n_bits(self) -> int:
+        return self.spec.n_bits
+
+    def _trunk(self, P, x_t, t, condition):
         x_t = _check_probs_shape(x_t, self.spec.n_bits)
         inp = np.concatenate(
             [x_t.astype(np.float64), _tfrac_column(t, x_t.shape[0], self.n_steps)], axis=1
@@ -265,47 +325,14 @@ class MlpPolicy:
             h = tanh(matmul(h, P[f"w{k}"]) + P[f"b{k}"])
         return h
 
-    def _logits(self, P, h, x_t, t):
-        logits = matmul(h, P["w_out"]) + P["b_out"]
-        if self.kernel_betas is not None:
-            logits = logits + _kernel_logits(self.kernel_betas, np.asarray(x_t), t,
-                                             self.n_steps)
-        return logits
+    def _head(self, P, h, x_t):
+        return matmul(h, P["w_out"]) + P["b_out"]
 
-    def probs_from(self, P, x_t, t, condition=None):
-        h = self._trunk(P, x_t, t)
-        out = sigmoid(self._logits(P, h, x_t, t))
-        if not np.isfinite(ad.as_array(out)).all():
-            raise FloatingPointError("policy forward produced non-finite activations")
-        return clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
-
-    def probs(self, x_t, t, condition=None) -> np.ndarray:
-        return self.probs_from(self.params, x_t, t, condition)
-
-    def _value_head(self, P, h):
-        v = tanh(matmul(h, P["wv0"]) + P["bv0"])
-        v = tanh(matmul(v, P["wv1"]) + P["bv1"])
-        v = matmul(v, P["wv2"]) + P["bv2"]
-        return v.reshape((-1,)) if isinstance(v, ad.Tensor) else np.asarray(v).reshape(-1)
-
-    def value_from(self, P, x_t, t, condition=None):
-        if not self.spec.value_head:
-            raise ValueError("policy has no value head")
-        return self._value_head(P, self._trunk(P, x_t, t))
-
-    def value(self, x_t, t, condition=None) -> np.ndarray:
-        return self.value_from(self.params, x_t, t, condition)
-
-    def probs_and_value_from(self, P, x_t, t, condition=None):
-        if not self.spec.value_head:
-            raise ValueError("policy has no value head")
-        h = self._trunk(P, x_t, t)
-        probs = clip(sigmoid(self._logits(P, h, x_t, t)), PROB_CLIP, 1.0 - PROB_CLIP)
-        return probs, self._value_head(P, h)
+    def _pool(self, h, condition, n_rows):
+        return h
 
 
-@dataclass
-class GnnPolicy:
+class GnnPolicy(_Policy):
     """Message-passing reverse-step network conditioned on a problem graph.
 
     Node features are [x_i, t/T]; each round transforms node embeddings,
@@ -314,37 +341,14 @@ class GnnPolicy:
     of (graph, x_t); the value head pools nodes per sample, so it is invariant.
     """
 
-    spec: GnnSpec
-    n_steps: int
-    params: dict
-
-    def __post_init__(self):
-        self.kernel_betas = (
-            exp_schedule(self.n_steps).betas if self.spec.kernel_start else None
-        )
-
-    @classmethod
-    def init(cls, spec: GnnSpec, n_steps: int, seed: int) -> "GnnPolicy":
-        return cls(spec, n_steps, init_params(spec, seed))
+    probs_from, probs = _Policy.probs_from, _Policy.probs
+    value, probs_and_value_from = _Policy.value, _Policy.probs_and_value_from
 
     @property
     def n_bits(self):
         raise ValueError("GnnPolicy is graph-conditioned; state size comes from the condition")
 
-    def with_steps(self, n_steps: int) -> "GnnPolicy":
-        return replace(self, n_steps=n_steps)
-
-    def clone_params(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
-
-    @property
-    def flat(self) -> np.ndarray:
-        return flatten_params(self.params)
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.params = unflatten_params(flat, param_shapes(self.spec))
-
-    def _trunk(self, P, x_t, t, condition: GraphCondition):
+    def _trunk(self, P, x_t, t, condition):
         if condition is None:
             raise ValueError("GnnPolicy requires a GraphCondition")
         x_t = _check_probs_shape(x_t, condition.n_bits)
@@ -363,69 +367,44 @@ class GnnPolicy:
             h = h + u
         return h
 
-    def _logits(self, P, h, x_t, t):
+    def _head(self, P, h, x_t):
         m, n = x_t.shape
         z = tanh(matmul(h, P["wh0"]) + P["bh0"])
         z = tanh(matmul(z, P["wh1"]) + P["bh1"])
-        logits = (matmul(z, P["w_out"]) + P["b_out"]).reshape((m, n))
-        if self.kernel_betas is not None:
-            t_arr = np.asarray(t)
-            logits = logits + _kernel_logits(self.kernel_betas, x_t, t_arr, self.n_steps)
-        return logits
+        return (matmul(z, P["w_out"]) + P["b_out"]).reshape((m, n))
 
-    def probs_from(self, P, x_t, t, condition=None):
-        x_t = np.asarray(x_t)
-        h = self._trunk(P, x_t, t, condition)
-        out = sigmoid(self._logits(P, h, x_t, t))
-        if not np.isfinite(ad.as_array(out)).all():
-            raise FloatingPointError("policy forward produced non-finite activations")
-        return clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
-
-    def probs(self, x_t, t, condition=None) -> np.ndarray:
-        return self.probs_from(self.params, x_t, t, condition)
-
-    def _value_head(self, P, h, condition, n_copies):
-        g = spmm(condition.pool(n_copies), h)
-        v = tanh(matmul(g, P["wv0"]) + P["bv0"])
-        v = tanh(matmul(v, P["wv1"]) + P["bv1"])
-        v = matmul(v, P["wv2"]) + P["bv2"]
-        return v.reshape((-1,)) if isinstance(v, ad.Tensor) else np.asarray(v).reshape(-1)
-
-    def value_from(self, P, x_t, t, condition=None):
-        if not self.spec.value_head:
-            raise ValueError("policy has no value head")
-        x_t = np.asarray(x_t)
-        h = self._trunk(P, x_t, t, condition)
-        return self._value_head(P, h, condition, x_t.shape[0])
-
-    def value(self, x_t, t, condition=None) -> np.ndarray:
-        return self.value_from(self.params, x_t, t, condition)
-
-    def probs_and_value_from(self, P, x_t, t, condition=None):
-        if not self.spec.value_head:
-            raise ValueError("policy has no value head")
-        x_t = np.asarray(x_t)
-        h = self._trunk(P, x_t, t, condition)
-        probs = clip(sigmoid(self._logits(P, h, x_t, t)), PROB_CLIP, 1.0 - PROB_CLIP)
-        return probs, self._value_head(P, h, condition, x_t.shape[0])
+    def _pool(self, h, condition, n_rows):
+        return spmm(condition.pool(n_rows), h)
 
 
-def make_policy(spec, n_steps: int, seed: int):
-    if spec.kind == "mlp":
-        return MlpPolicy.init(spec, n_steps, seed)
-    if spec.kind == "gnn":
-        return GnnPolicy.init(spec, n_steps, seed)
-    raise ValueError(f"unknown architecture {spec.kind!r}")
+def make_policy(spec, n_steps: int, seed: int = 0, params: dict | None = None):
+    """The one policy constructor: the class `spec.kind` names, with fresh
+    parameters from `seed`, or with `params` when given."""
+    classes = {"mlp": MlpPolicy, "gnn": GnnPolicy}
+    if spec.kind not in classes:
+        raise ValueError(f"unknown architecture {spec.kind!r}")
+    if params is None:
+        return classes[spec.kind].init(spec, n_steps, seed)
+    return classes[spec.kind](spec, n_steps, params)
 
 
-def step_log_q_from(policy, P, x_prev, x_t, t, condition=None):
-    """log q(x_prev | x_t) per row; traced when P holds leaf tensors."""
-    q = policy.probs_from(P, x_t, t, condition)
+def bernoulli_log_q(x_prev, q):
+    """Tape log q(x_prev | q) per row of factorized Bernoulli probabilities
+    `q` (traced when `q` is a tensor)."""
     bits = np.asarray(x_prev, dtype=np.float64)
     return tsum(bits * ad.log(q) + (1.0 - bits) * ad.log(1.0 - q), axis=-1)
 
 
+def bernoulli_entropy(q):
+    """Tape Shannon entropy per row of factorized Bernoulli probabilities `q`."""
+    return tsum(-(q * ad.log(q)) - (1.0 - q) * ad.log(1.0 - q), axis=-1)
+
+
+def step_log_q_from(policy, P, x_prev, x_t, t, condition=None):
+    """log q(x_prev | x_t) per row; traced when P holds leaf tensors."""
+    return bernoulli_log_q(x_prev, policy.probs_from(P, x_t, t, condition))
+
+
 def step_entropy_from(policy, P, x_t, t, condition=None):
     """Shannon entropy of the factorized Bernoulli step distribution, per row."""
-    q = policy.probs_from(P, x_t, t, condition)
-    return tsum(-(q * ad.log(q)) - (1.0 - q) * ad.log(1.0 - q), axis=-1)
+    return bernoulli_entropy(policy.probs_from(P, x_t, t, condition))

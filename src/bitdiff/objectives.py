@@ -32,10 +32,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import minimum, tsum
 from .diffusion import NoiseSchedule, PathBatch, forward_kernel_logprob, path_log_p_hat
+from .nets import bernoulli_entropy, bernoulli_log_q, step_log_q_from
+from .unbiased import WeightedSamples, snis_weights_from_logs
 
 __all__ = [
     "AnnealSchedule",
-    "anneal_temperature",
     "PpoConfig",
     "RewardNormalizer",
     "rl_rewards",
@@ -78,10 +79,6 @@ class AnnealSchedule:
         if self.kind == "linear_to_zero":
             return self.t_start * max(0.0, 1.0 - epoch / self.n_epochs)
         return self.target_temperature / (1.0 - 0.998 ** (self.decay_rate * (epoch + 1)))
-
-
-def anneal_temperature(schedule: AnnealSchedule, epoch: int) -> float:
-    return schedule.temperature(epoch)
 
 
 @dataclass(frozen=True)
@@ -278,12 +275,6 @@ def minibatch_plan(n_paths: int, t_steps: int, n_path_mb: int, n_t_mb: int, rng)
     return plan
 
 
-def _row_log_q(policy, leaves, x_prev, x_t, t_rows, condition):
-    probs = policy.probs_from(leaves, x_t, t_rows, condition)
-    bits = np.asarray(x_prev, dtype=np.float64)
-    return tsum(bits * ad.log(probs) + (1.0 - bits) * ad.log(1.0 - probs), axis=-1)
-
-
 def _gather_rows(buffer: TrajectoryBuffer, path_idx, t_idx):
     t_steps = buffer.t_steps
     tau = t_idx.shape[1]
@@ -320,8 +311,7 @@ def ppo_minibatch_grad(
 
     leaves = ad.leaves(policy.params)
     probs, value = policy.probs_and_value_from(leaves, x_t, rt, condition)
-    bits = np.asarray(x_prev, dtype=np.float64)
-    logq = tsum(bits * ad.log(probs) + (1.0 - bits) * ad.log(1.0 - probs), axis=-1)
+    logq = bernoulli_log_q(x_prev, probs)
     ratio = ad.exp(logq - lqo)
     ratio_data = ad.as_array(ratio)
     if not np.isfinite(ratio_data).all():
@@ -346,17 +336,9 @@ def ppo_minibatch_grad(
 
 def fkl_importance_weights(
     paths: PathBatch, logq_old: np.ndarray, target, schedule: NoiseSchedule
-) -> tuple[np.ndarray, np.ndarray]:
+) -> WeightedSamples:
     """Self-normalized weights of stored paths: softmax of log p_hat - log q_old."""
-    log_w = path_log_p_hat(target, schedule, paths) - np.asarray(logq_old)
-    if not np.isfinite(log_w).all():
-        raise FloatingPointError("non-finite importance log-weight")
-    shifted = log_w - log_w.max()
-    w = np.exp(shifted)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise FloatingPointError("importance weights underflowed to zero")
-    return log_w, w / total
+    return snis_weights_from_logs(paths.x0, path_log_p_hat(target, schedule, paths), logq_old)
 
 
 def fkl_mc_grad(
@@ -376,7 +358,7 @@ def fkl_mc_grad(
     """
     t_steps = paths.n_steps
     m = paths.n_paths
-    _, weights = fkl_importance_weights(paths, logq_old, target, schedule)
+    weights = fkl_importance_weights(paths, logq_old, target, schedule).weights
     if t_idx is None:
         t_idx = np.tile(np.arange(1, t_steps + 1), (m, 1))
     t_idx = np.asarray(t_idx)
@@ -388,7 +370,7 @@ def fkl_mc_grad(
     wrow = np.repeat(weights, tau) / tau
 
     leaves = ad.leaves(policy.params)
-    logq = _row_log_q(policy, leaves, x_prev, x_t, rt, condition)
+    logq = step_log_q_from(policy, leaves, x_prev, x_t, rt, condition)
     loss = (-float(t_steps)) * tsum(logq * wrow)
     loss.backward()
     return float(ad.as_array(loss)), ad.collect_grads(leaves), weights
@@ -424,9 +406,8 @@ def diffuco_loss_grad(
     logp_fwd = np.zeros(m)
     for t in range(t_steps, 0, -1):
         probs = policy.probs_from(leaves, paths.states[:, t], t, condition)
-        bits = np.asarray(paths.states[:, t - 1], dtype=np.float64)
-        logq_t = tsum(bits * ad.log(probs) + (1.0 - bits) * ad.log(1.0 - probs), axis=-1)
-        ent_t = tsum(-(probs * ad.log(probs)) - (1.0 - probs) * ad.log(1.0 - probs), axis=-1)
+        logq_t = bernoulli_log_q(paths.states[:, t - 1], probs)
+        ent_t = bernoulli_entropy(probs)
         logq_acc = logq_t if logq_acc is None else logq_acc + logq_t
         ent_acc = ent_t if ent_acc is None else ent_acc + ent_t
         logp_fwd += forward_kernel_logprob(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,15 +26,9 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .diffusion import exp_schedule, sample_reverse_path
-from .energies import (
-    BoltzmannTarget,
-    EAInstance,
-    IsingLattice2D,
-    read_instance_text,
-    write_instance_text,
-)
+from .energies import BoltzmannTarget, build_lattice, write_instance_text
 from .graphs import Graph
-from .nets import GnnPolicy, GnnSpec, GraphCondition, MlpPolicy, MlpSpec, param_shapes
+from .nets import GnnSpec, GraphCondition, MlpSpec, make_policy, param_shapes
 from .objectives import (
     AnnealSchedule,
     PpoConfig,
@@ -46,6 +41,7 @@ from .objectives import (
     ppo_minibatch_grad,
 )
 from .optim import AdamState, LrSchedule, adam_step
+from .unbiased import effective_sample_size
 
 __all__ = [
     "Instance",
@@ -73,18 +69,12 @@ class Instance:
     name: str = ""
 
 
-def build_lattice_model(cfg: RunConfig):
-    if cfg.kind == "ising":
-        return IsingLattice2D(cfg.lattice_size, cfg.coupling)
-    if cfg.instance_file:
+def _lattice_model(cfg: RunConfig):
+    text = ""
+    if cfg.kind == "ea" and cfg.instance_file:
         with open(cfg.instance_file, "r", encoding="utf-8") as fh:
-            model = read_instance_text(fh.read())
-        if not isinstance(model, EAInstance):
-            raise ConfigError(f"{cfg.instance_file} does not hold a coupling instance")
-        return model
-    if cfg.ea_dist == "normal":
-        return EAInstance.normal(cfg.lattice_size, cfg.ea_seed)
-    return EAInstance.uniform(cfg.lattice_size, cfg.ea_seed)
+            text = fh.read()
+    return build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed, text)
 
 
 def load_dataset(dataset_dir: str) -> list[Graph]:
@@ -107,7 +97,7 @@ def load_dataset(dataset_dir: str) -> list[Graph]:
 
 def build_instances(cfg: RunConfig) -> list[Instance]:
     if cfg.kind in ("ising", "ea"):
-        return [Instance(build_lattice_model(cfg), None, cfg.kind)]
+        return [Instance(_lattice_model(cfg), None, cfg.kind)]
     graphs = load_dataset(cfg.dataset_dir)
     out = []
     for i, g in enumerate(graphs):
@@ -165,7 +155,7 @@ def _problem_meta(cfg: RunConfig) -> dict:
         meta.update(lattice_size=cfg.lattice_size, coupling=cfg.coupling)
     elif cfg.kind == "ea":
         meta.update(lattice_size=cfg.lattice_size,
-                    instance_text=write_instance_text(build_lattice_model(cfg)))
+                    instance_text=write_instance_text(_lattice_model(cfg)))
     else:
         meta.update(problem=cfg.problem, penalty_a=cfg.penalty_a,
                     penalty_b=cfg.penalty_b, dataset_dir=cfg.dataset_dir)
@@ -198,30 +188,36 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Returns (policy, cfg, adam, normalizer, rng, epoch_next, problem_meta)."""
-    with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(str(blob["meta"]))
-        arrays = {k: blob[k] for k in blob.files if k != "meta"}
-    cfg = RunConfig(**meta["config"])
-    cfg.hidden = tuple(cfg.hidden)
-    spec = build_policy_spec(cfg)
+    """Returns (policy, cfg, adam, normalizer, rng, epoch_next, problem_meta).
+
+    Raises ConfigError when the file cannot be read, or lacks a metadata
+    field or an array the architecture needs."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            meta = json.loads(str(blob["meta"]))
+            arrays = {k: blob[k] for k in blob.files if k != "meta"}
+        cfg = RunConfig(**meta["config"])
+        cfg.hidden = tuple(cfg.hidden)
+        spec = build_policy_spec(cfg)
+        adam = AdamState.from_arrays(
+            {k: v for k, v in arrays.items() if k.startswith(("m::", "v::"))},
+            step=meta["adam_step"],
+        )
+        normalizer = RewardNormalizer.from_state(meta["normalizer"])
+        rng = np.random.default_rng(0)
+        state = meta["rng_state"]
+        state["state"] = {k: int(v) for k, v in state["state"].items()}
+        rng.bit_generator.state = state
+        n_steps, epoch_next, problem = meta["t_steps"], meta["epoch_next"], meta["problem"]
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
     params = {k[len("param::"):]: arrays[k] for k in arrays if k.startswith("param::")}
-    if set(params) != set(param_shapes(spec)):
-        raise ValueError("checkpoint parameters do not match the architecture")
-    if cfg.arch == "mlp":
-        policy = MlpPolicy(spec, meta["t_steps"], params)
-    else:
-        policy = GnnPolicy(spec, meta["t_steps"], params)
-    adam = AdamState.from_arrays(
-        {k: v for k, v in arrays.items() if k.startswith(("m::", "v::"))},
-        step=meta["adam_step"],
-    )
-    normalizer = RewardNormalizer.from_state(meta["normalizer"])
-    rng = np.random.default_rng(0)
-    state = meta["rng_state"]
-    state["state"] = {k: int(v) for k, v in state["state"].items()}
-    rng.bit_generator.state = state
-    return policy, cfg, adam, normalizer, rng, meta["epoch_next"], meta["problem"]
+    shapes = param_shapes(spec)
+    moments_ok = set(adam.m) == set(adam.v) == set(shapes)
+    if {k: v.shape for k, v in params.items()} != shapes or not moments_ok:
+        raise ConfigError(f"checkpoint {path} does not hold the arrays its architecture needs")
+    policy = make_policy(spec, n_steps, params=params)
+    return policy, cfg, adam, normalizer, rng, epoch_next, problem
 
 
 def _select_instances(instances, n: int, rng) -> list:
@@ -235,56 +231,67 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
-    grads_acc, loss_acc, energy_acc, ent_acc = None, 0.0, 0.0, 0.0
+def _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng, energies=True):
+    """Fresh on-policy paths for each instance in batch order: a list of
+    (instance, tempered target, paths), and the batch sums of the mean
+    energy (0.0 without `energies`) and the entropy estimate."""
+    rollouts, energy_acc, ent_acc = [], 0.0, 0.0
     for inst in inst_batch:
         target = BoltzmannTarget(inst.energy_model, beta_eff)
         paths = sample_reverse_path(policy, schedule, cfg.n_paths, rng, inst.condition)
-        loss, grads, stats = diffuco_loss_grad(
+        rollouts.append((inst, target, paths))
+        if energies:
+            energy_acc += float(np.mean(inst.energy_model.energy(paths.x0)))
+        ent_acc += -float(paths.log_q.mean())
+    return rollouts, energy_acc, ent_acc
+
+
+def _mean_grads(per_instance: list) -> dict:
+    """Mean of per-instance gradient dicts, summed in instance order."""
+    total = per_instance[0]
+    for grads in per_instance[1:]:
+        total = {k: total[k] + grads[k] for k in grads}
+    return {k: v / len(per_instance) for k, v in total.items()}
+
+
+def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
+    # the mean energy comes from the gradient's own weighted energy mean
+    rollouts, _, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng,
+                                     energies=False)
+    grads, loss_acc, energy_acc = [], 0.0, 0.0
+    for inst, target, paths in rollouts:
+        loss, g, stats = diffuco_loss_grad(
             policy, target, schedule, paths, temperature, inst.condition
         )
         loss_acc += loss
         energy_acc += stats["mean_energy"]
-        ent_acc += -float(paths.log_q.mean())
-        grads_acc = grads if grads_acc is None else {
-            k: grads_acc[k] + grads[k] for k in grads
-        }
+        grads.append(g)
+    adam_step(policy.params, _mean_grads(grads), adam, lr())
     n = len(inst_batch)
-    grads_acc = {k: v / n for k, v in grads_acc.items()}
-    adam_step(policy.params, grads_acc, adam, lr())
     return {"loss": loss_acc / n, "mean_energy": energy_acc / n,
             "entropy": ent_acc / n, "ess": None}
 
 
 def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
-    buffers = []
+    rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
+    ess_acc = 0.0
+    for _, target, paths in rollouts:
+        ess_acc += effective_sample_size(
+            fkl_importance_weights(paths, paths.log_q, target, schedule)
+        )
     loss_acc, n_updates = 0.0, 0
-    energy_acc, ent_acc, ess_acc = 0.0, 0.0, 0.0
-    for inst in inst_batch:
-        target = BoltzmannTarget(inst.energy_model, beta_eff)
-        paths = sample_reverse_path(policy, schedule, cfg.n_paths, rng, inst.condition)
-        logq_old = paths.log_q
-        buffers.append((inst, target, paths, logq_old))
-        energy_acc += float(np.mean(inst.energy_model.energy(paths.x0)))
-        ent_acc += -float(logq_old.mean())
-        _, weights = fkl_importance_weights(paths, logq_old, target, schedule)
-        m = len(weights)
-        ess_acc += min(1.0, max(1.0 / m, 1.0 / (m * float(weights @ weights))))
     plan = minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)
     for group, k_idx in plan:
         t_idx = cfg.t_steps - k_idx  # episode index -> diffusion time
-        grads_acc = None
-        for inst, target, paths, logq_old in buffers:
-            loss, grads, _ = fkl_mc_grad(
-                policy, paths.select(group), logq_old[group], target, schedule,
+        grads = []
+        for inst, target, paths in rollouts:
+            loss, g, _ = fkl_mc_grad(
+                policy, paths.select(group), paths.log_q[group], target, schedule,
                 t_idx, inst.condition,
             )
             loss_acc += loss
-            grads_acc = grads if grads_acc is None else {
-                k: grads_acc[k] + grads[k] for k in grads
-            }
-        grads_acc = {k: v / len(buffers) for k, v in grads_acc.items()}
-        adam_step(policy.params, grads_acc, adam, lr())
+            grads.append(g)
+        adam_step(policy.params, _mean_grads(grads), adam, lr())
         n_updates += 1
     n = len(inst_batch)
     return {"loss": loss_acc / max(1, n_updates * n), "mean_energy": energy_acc / n,
@@ -293,32 +300,25 @@ def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
 
 def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, ppo_cfg,
                normalizer, adam, lr, rng):
-    buffers = []
-    energy_acc, ent_acc = 0.0, 0.0
-    for inst in inst_batch:
-        target = BoltzmannTarget(inst.energy_model, beta_eff)
-        paths = sample_reverse_path(policy, schedule, cfg.n_paths, rng, inst.condition)
-        buf = build_buffer(policy, paths, target, schedule, temperature, ppo_cfg,
-                           normalizer, inst.condition)
-        buffers.append((inst, buf))
-        energy_acc += float(np.mean(inst.energy_model.energy(paths.x0)))
-        ent_acc += -float(paths.log_q.mean())
+    rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
+    buffers = [
+        (inst, build_buffer(policy, paths, target, schedule, temperature, ppo_cfg,
+                            normalizer, inst.condition))
+        for inst, target, paths in rollouts
+    ]
     loss_acc, n_updates = 0.0, 0
     for _ in range(ppo_cfg.epochs_per_buffer):
         plan = minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch,
                               cfg.t_minibatch, rng)
         for group, k_idx in plan:
-            grads_acc = None
+            grads = []
             for inst, buf in buffers:
-                loss, grads, _ = ppo_minibatch_grad(
+                loss, g, _ = ppo_minibatch_grad(
                     policy, buf, ppo_cfg, group, k_idx, inst.condition
                 )
                 loss_acc += loss
-                grads_acc = grads if grads_acc is None else {
-                    k: grads_acc[k] + grads[k] for k in grads
-                }
-            grads_acc = {k: v / len(buffers) for k, v in grads_acc.items()}
-            adam_step(policy.params, grads_acc, adam, lr())
+                grads.append(g)
+            adam_step(policy.params, _mean_grads(grads), adam, lr())
             n_updates += 1
     n = len(inst_batch)
     return {"loss": loss_acc / max(1, n_updates * n), "mean_energy": energy_acc / n,
@@ -350,11 +350,7 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
         if dataclasses.asdict(loaded_cfg) != dataclasses.asdict(cfg):
             raise ConfigError("resume checkpoint was produced by a different config")
     else:
-        spec = build_policy_spec(cfg)
-        if cfg.arch == "mlp":
-            policy = MlpPolicy.init(spec, cfg.t_steps, cfg.seed)
-        else:
-            policy = GnnPolicy.init(spec, cfg.t_steps, cfg.seed)
+        policy = make_policy(build_policy_spec(cfg), cfg.t_steps, cfg.seed)
         adam = AdamState.for_params(policy.params)
         normalizer = RewardNormalizer(cfg.reward_ma_rate)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))

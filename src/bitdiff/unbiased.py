@@ -41,18 +41,6 @@ class ConvergenceError(RuntimeError):
     """A Markov chain did not satisfy its convergence criterion in budget."""
 
 
-# Reference per-site observables of the 24x24 periodic lattice at the critical
-# inverse temperature (beta = 0.4407, J = 1). Documentation constants for
-# comparing large-scale runs; not reproducible by the desk-scale enumeration
-# oracle, which caps at 26 sites.
-REFERENCE_24X24_CRITICAL = {
-    "beta": 0.4407,
-    "F_per_site": -2.11215,
-    "U_per_site": -1.44025,
-    "S_per_site": 0.29611,
-}
-
-
 @dataclass
 class WeightedSamples:
     """Paths' terminal states with self-normalized importance weights."""
@@ -172,9 +160,13 @@ class ChainState:
         return self.n_accepted / self.n_steps
 
     def verify_cache(self, policy, target, schedule, condition=None, atol: float = 1e-10) -> None:
+        """Recompute both cached log-probabilities from the chains' states, and
+        check the stored per-step likelihoods still sum to the cached log q."""
         lq = path_log_q(policy, self.paths, condition)
         lp = path_log_p_hat(target, schedule, self.paths)
-        if not (np.allclose(lq, self.log_q, atol=atol) and np.allclose(lp, self.log_p_hat, atol=atol)):
+        if not (np.allclose(lq, self.log_q, atol=atol)
+                and np.allclose(self.paths.log_q, self.log_q, atol=atol)
+                and np.allclose(lp, self.log_p_hat, atol=atol)):
             raise RuntimeError("cached chain log-probabilities are inconsistent")
 
 

@@ -10,13 +10,11 @@ from bitdiff.energies import (
     CoProblem,
     EAInstance,
     IsingLattice2D,
-    QuboInstance,
     SpinCouplingModel,
     all_states,
     enumerate_observables,
     format_edge_list,
     lattice_bonds,
-    log_unnormalized_boltzmann,
     parse_edge_list,
     read_instance_text,
     write_instance_text,
@@ -136,34 +134,36 @@ class TestCoEnergies:
             expected = probs @ co.energy(states)
             assert co.energy(v) == pytest.approx(expected, abs=1e-12)
 
-    def test_qubo_matches_mis(self):
+    def test_mis_matches_quadratic_form(self):
+        # x^T Q x with -A on the diagonal (x_i^2 = x_i) and B on each edge
         edges = [(0, 1), (1, 2)]
         co = CoProblem("mis", 3, edges, 1.0, 1.1)
-        terms = [(i, i, -1.0) for i in range(3)] + [(i, j, 1.1) for i, j in edges]
-        qubo = QuboInstance(3, terms)
-        for x in all_states(3):
-            assert qubo.energy(x) == pytest.approx(co.energy(x), abs=1e-12)
+        q = -np.eye(3)
+        for i, j in edges:
+            q[i, j] = 1.1
+        for x in all_states(3).astype(np.float64):
+            assert x @ q @ x == pytest.approx(co.energy(x), abs=1e-12)
 
-    def test_qubo_requires_ordered_penalties(self):
+    def test_mis_requires_ordered_penalties(self):
         with pytest.raises(ValueError):
-            QuboInstance(2, [(0, 1, 1.0)], penalty_a=1.1, penalty_b=1.0)
+            CoProblem("mis", 2, [(0, 1)], penalty_a=1.1, penalty_b=1.0)
 
 
 class TestBoltzmann:
     def test_beta_zero(self):
         t = BoltzmannTarget(IsingLattice2D(3), 0.0)
         states = np.stack([np.zeros(9, dtype=np.int8), np.ones(9, dtype=np.int8)])
-        assert np.all(log_unnormalized_boltzmann(t, states) == 0.0)
+        assert np.all(t.log_unnormalized(states) == 0.0)
 
     def test_sign(self):
         t = BoltzmannTarget(IsingLattice2D(3), 1.0)
-        assert log_unnormalized_boltzmann(t, np.ones(9, dtype=np.int8)) == 18.0
+        assert t.log_unnormalized(np.ones(9, dtype=np.int8)) == 18.0
 
     def test_monotone_in_energy(self):
         t = BoltzmannTarget(IsingLattice2D(3), 0.7)
         states = all_states(9)[:64]
         e = t.model.energy(states)
-        lw = log_unnormalized_boltzmann(t, states)
+        lw = t.log_unnormalized(states)
         order = np.argsort(e)
         assert np.all(np.diff(lw[order]) <= 1e-12)
 
@@ -254,9 +254,6 @@ class TestTextFormats:
         assert back.side_length == 3
         assert np.array_equal(back.couplings, ea.couplings)
 
-    def test_qubo_text_roundtrip(self):
-        qubo = QuboInstance(3, [(0, 0, -1.0), (1, 1, -1.0), (0, 1, 1.1), (1, 2, 1.1)])
-        back = QuboInstance.from_text(qubo.to_text())
-        assert back.n_sites == 3
-        states = all_states(3)
-        assert np.allclose(back.energy(states), qubo.energy(states), atol=0)
+    def test_edge_list_roundtrip_self_pairs(self):
+        triples = [(0, 0, -1.0), (1, 1, -1.0), (0, 1, 1.1), (1, 2, 0.1 + 0.2)]
+        assert parse_edge_list(format_edge_list(3, triples)) == (3, triples)

@@ -12,7 +12,6 @@ from bitdiff.objectives import (
     AnnealSchedule,
     PpoConfig,
     RewardNormalizer,
-    anneal_temperature,
     build_buffer,
     diffuco_loss_grad,
     fkl_importance_weights,
@@ -62,22 +61,22 @@ def identity_normalizer():
 class TestAnneal:
     def test_linear_hits_zero(self):
         s = AnnealSchedule("linear_to_zero", n_epochs=10, t_start=3.0)
-        assert anneal_temperature(s, 10) == 0.0
-        assert anneal_temperature(s, 15) == 0.0
-        assert anneal_temperature(s, 0) == 3.0
+        assert s.temperature(10) == 0.0
+        assert s.temperature(15) == 0.0
+        assert s.temperature(0) == 3.0
 
     def test_ising_decay_limit(self):
         beta_c = 0.4407
         s = AnnealSchedule("ising_decay", n_epochs=100, decay_rate=5.0,
                            target_temperature=1.0 / beta_c)
-        assert anneal_temperature(s, 10 ** 7) == pytest.approx(1.0 / beta_c, rel=1e-9)
+        assert s.temperature(10 ** 7) == pytest.approx(1.0 / beta_c, rel=1e-9)
 
     def test_ising_decay_hand_value_at_zero(self):
         # T(n) = target / (1 - 0.998^(h*(n+1))): at n=0, h=1 the exponent is 1
         beta_c = 0.5
         s = AnnealSchedule("ising_decay", n_epochs=10, decay_rate=1.0,
                            target_temperature=1.0 / beta_c)
-        assert anneal_temperature(s, 0) == pytest.approx((1 / beta_c) / (1 - 0.998))
+        assert s.temperature(0) == pytest.approx((1 / beta_c) / (1 - 0.998))
 
     def test_temperature_non_increasing(self):
         s = AnnealSchedule("ising_decay", n_epochs=50, decay_rate=3.0, target_temperature=2.0)
@@ -335,7 +334,7 @@ class TestFklMc:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         paths = sample_reverse_path(policy, sched, 64, np.random.default_rng(0))
-        _, w = fkl_importance_weights(paths, paths.log_q, target, sched)
+        w = fkl_importance_weights(paths, paths.log_q, target, sched).weights
         assert np.allclose(w, 1.0 / 64, atol=1e-12)
 
     def test_two_weight_softmax(self):
@@ -358,7 +357,7 @@ class TestFklMc:
         target = BoltzmannTarget(Tilt(), math.log(3.0))
         paths.states[0, 0, 0] = 1
         paths.states[1, 0, 0] = 0
-        _, w = fkl_importance_weights(paths, paths.log_q, target, sched)
+        w = fkl_importance_weights(paths, paths.log_q, target, sched).weights
         assert np.allclose(w, [0.25, 0.75], atol=1e-12)
 
     def test_full_batch_equals_direct_weighted_gradient(self):

@@ -6,6 +6,7 @@ import pytest
 
 from bitdiff import cli
 from bitdiff.config import ConfigError, parse_config
+from bitdiff.energies import IsingLattice2D, write_instance_text
 from bitdiff.graphs import Graph
 from bitdiff.train import load_checkpoint, train
 
@@ -85,6 +86,19 @@ class TestConfig:
     def test_co_requires_dataset(self):
         with pytest.raises(ConfigError):
             parse_config("[problem]\nkind = co\n[model]\narch = gnn\n")
+
+    @pytest.mark.parametrize("text", [
+        "[train]\nlr_max = nan\n",
+        "[problem]\nbeta = inf\n",
+        "[model]\nhidden = 0\n",
+        "[model]\nhidden = 64 0\n",
+        "[model]\nhidden =\n",
+        "[model]\nn_hidden = 0\n",
+        "[train]\nn_instances = 0\n",
+    ])
+    def test_out_of_range_values_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
 
     def test_valid_round_trip(self):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,
@@ -259,6 +273,32 @@ class TestCli:
 
     def test_exit_code_missing_file(self):
         assert cli.main(["train", "--config", "/does/not/exist.cfg"]) == 2
+
+    def test_exit_code_non_finite_config_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,
+                                             out_dir=tmp_path / "r").replace("3e-3", "nan"))
+        assert cli.main(["train", "--config", str(cfg_file)]) == 2
+        assert "lr_max must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "snis", "--n-samples", "10"],
+        ["train"],
+    ])
+    def test_exit_code_truncated_checkpoint(self, tmp_path, capsys, argv):
+        cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0,
+                                            out_dir=tmp_path / "run"))
+        ckpt = Path(train(cfg)["checkpoint"])
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        flag = "--checkpoint" if argv[0] == "estimate" else "--resume"
+        assert cli.main([*argv, flag, str(ckpt)]) == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
+
+    def test_exit_code_ea_oracle_on_ising_instance(self, tmp_path, capsys):
+        inst = tmp_path / "ising.txt"
+        inst.write_text(write_instance_text(IsingLattice2D(3)))
+        assert cli.main(["oracle", "--problem", "ea", "--instance", str(inst)]) == 2
+        assert "not an EA instance" in capsys.readouterr().err
 
     def test_exit_code_convergence(self, tmp_path):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,

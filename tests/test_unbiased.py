@@ -225,6 +225,17 @@ class TestNmcmc:
         with pytest.raises(RuntimeError):
             chain.verify_cache(policy, target, sched)
 
+    def test_cache_verification_catches_stale_step_log_q(self):
+        # a chain whose stored per-step likelihoods no longer sum to its cached
+        # log q, while its states and cached values still agree
+        policy = ConstantPolicy(3, 2, 0.6)
+        sched = exp_schedule(2)
+        target = BoltzmannTarget(SpinCouplingModel(3, [(0, 1)], [1.0]), 0.7)
+        chain = nmcmc_init(policy, target, sched, 4, np.random.default_rng(9))
+        chain.paths.step_logq[1, 0] -= 0.5
+        with pytest.raises(RuntimeError):
+            chain.verify_cache(policy, target, sched)
+
     def test_two_state_chain_matches_target_distribution(self):
         # biased frozen proposal against a tilted single-bit target
         policy = ConstantPolicy(1, 1, 0.8)
