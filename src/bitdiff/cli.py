@@ -216,20 +216,22 @@ def cmd_oracle(args) -> int:
                               args.ea_seed, text)
         target = BoltzmannTarget(model, args.beta)
         obs = enumerate_observables(target, with_probabilities=False)
-        n = model.n_sites
+        per = obs.per_site()
         payload = {
             "problem": args.problem,
             "beta": args.beta,
-            "n_sites": n,
+            "n_sites": model.n_sites,
             "log_z": obs.log_z,
             "F": obs.free_energy,
             "U": obs.internal_energy,
             "S": obs.entropy,
-            "F_per_site": None if obs.free_energy is None else obs.free_energy / n,
-            "U_per_site": obs.internal_energy / n,
-            "S_per_site": obs.entropy / n,
+            "F_per_site": per["F"],
+            "U_per_site": per["U"],
+            "S_per_site": per["S"],
         }
     else:
+        if not args.graph:
+            raise ConfigError(f"oracle --problem {args.problem} requires --graph")
         graph = Graph.from_text(Path(args.graph).read_text(encoding="utf-8"))
         res = brute_force_co(args.problem, graph, args.penalty_a, args.penalty_b,
                              allow_large=args.allow_large)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
@@ -77,9 +77,9 @@ class RunConfig:
     epochs_per_buffer: int = 2
 
     def validate(self) -> "RunConfig":
-        for name in sorted(_FLOAT_FIELDS):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
         if self.kind == "co":
@@ -133,15 +133,20 @@ class RunConfig:
         return self
 
 
-_INT_FIELDS = {
-    "lattice_size", "ea_seed", "t_steps", "epochs", "n_paths", "n_instances",
-    "t_minibatch", "path_minibatch", "seed", "n_hidden", "message_passing",
-    "epochs_per_buffer",
-}
-_FLOAT_FIELDS = {
-    "coupling", "beta", "penalty_a", "penalty_b", "lr_max", "t_start", "anneal_h",
-    "clip", "value_weight", "trace_decay", "reward_ma_rate",
-}
+def _parse_widths(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.replace(",", " ").split())
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.strip().lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.strip().lower() == "true"
+
+
+# a key's parser follows its RunConfig field type (annotations are strings here)
+_PARSERS = {"int": int, "float": float, "str": str.strip, "tuple": _parse_widths,
+            "bool": _parse_bool}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -158,19 +163,7 @@ def parse_config(text: str) -> RunConfig:
             if key not in _KNOWN[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                if key == "hidden":
-                    value = tuple(int(v) for v in raw.replace(",", " ").split())
-                elif key == "kernel_start":
-                    if raw.strip().lower() not in ("true", "false"):
-                        raise ValueError(raw)
-                    value = raw.strip().lower() == "true"
-
-                elif key in _INT_FIELDS:
-                    value = int(raw)
-                elif key in _FLOAT_FIELDS:
-                    value = float(raw)
-                else:
-                    value = raw.strip()
+                value = _PARSERS[_FIELD_TYPES[key]](raw)
             except ValueError as err:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from err
             setattr(cfg, key, value)

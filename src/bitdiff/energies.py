@@ -25,6 +25,7 @@ __all__ = [
     "ExactObservables",
     "enumerate_observables",
     "lattice_bonds",
+    "undirected_edges",
     "write_instance_text",
     "read_instance_text",
     "build_lattice",
@@ -68,21 +69,44 @@ def lattice_bonds(side_length: int) -> np.ndarray:
     and down neighbor, giving 2*L^2 bonds total.
     """
     L = side_length
-    bonds = []
-    for i in range(L):
-        for j in range(L):
-            site = i * L + j
-            bonds.append((site, i * L + (j + 1) % L))
-            bonds.append((site, ((i + 1) % L) * L + j))
-    return np.array(bonds, dtype=np.int64)
+    if L < 3:
+        # L=2 periodic wrap duplicates every bond; reject rather than double-count.
+        raise ValueError("side_length must be >= 3")
+    site = np.arange(L * L, dtype=np.int64)
+    i, j = np.divmod(site, L)
+    right = i * L + (j + 1) % L
+    down = (i + 1) % L * L + j
+    return np.stack([np.repeat(site, 2), np.column_stack([right, down]).ravel()], axis=1)
 
 
-@dataclass(frozen=True)
+def _checked_edges(edges, n_nodes: int) -> np.ndarray:
+    """Edges as an (M, 2) int64 array, every index in 0..n_nodes-1."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+        raise ValueError("edge index out of range")
+    return edges
+
+
+def undirected_edges(edges, n_nodes: int) -> np.ndarray:
+    """The simple-graph edge rule: each pair as (lo, hi), sorted and
+    deduplicated, read-only; self-loops are rejected."""
+    edges = _checked_edges(edges, n_nodes)
+    if edges.size:
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        if (lo == hi).any():
+            raise ValueError("self-loops are not allowed")
+        edges = np.unique(np.column_stack([lo, hi]), axis=0)
+    edges.setflags(write=False)
+    return edges
+
+
+@dataclass(frozen=True, eq=False)
 class SpinCouplingModel:
-    """Generic pairwise spin model H(x) = -sum_b J_b * sigma_i(b) * sigma_j(b).
+    """Pairwise spin model H(x) = -sum_b J_b * sigma_i(b) * sigma_j(b).
 
     `edges` holds each undirected pair exactly once; `couplings` is aligned
-    with `edges`.
+    with `edges`. Both are checked and made read-only at construction.
     """
 
     n_sites: int
@@ -90,70 +114,48 @@ class SpinCouplingModel:
     couplings: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = _checked_edges(self.edges, self.n_sites)
         couplings = np.asarray(self.couplings, dtype=np.float64).reshape(-1)
         if len(edges) != len(couplings):
-            raise ValueError("edges and couplings must have equal length")
-        if edges.size and (edges.min() < 0 or edges.max() >= self.n_sites):
-            raise ValueError("edge index out of range")
+            raise ValueError(f"expected {len(edges)} couplings, got {len(couplings)}")
         if not np.isfinite(couplings).all():
             raise ValueError("couplings must be finite")
+        edges.setflags(write=False)
+        couplings.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "couplings", couplings)
 
     def energy(self, x) -> np.ndarray:
         x = as_bits(x, self.n_sites)
         s = spins(x)
-        e = -(self.couplings * s[..., self.edges[:, 0]] * s[..., self.edges[:, 1]]).sum(axis=-1)
-        return e
+        # spins are exactly +-1, so a bond term is exactly +-J_b in any product order
+        terms = s[..., self.edges[:, 0]]
+        terms *= s[..., self.edges[:, 1]]
+        terms *= self.couplings
+        return -terms.sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class IsingLattice2D:
+class IsingLattice2D(SpinCouplingModel):
     """Ferromagnet on a periodic LxL grid: H = -J sum_<ij> sigma_i sigma_j."""
 
-    side_length: int
-    coupling: float = 1.0
-    periodic: bool = True
+    def __init__(self, side_length: int, coupling: float = 1.0):
+        bonds = lattice_bonds(side_length)
+        object.__setattr__(self, "side_length", side_length)
+        object.__setattr__(self, "coupling", coupling)
+        super().__init__(side_length ** 2, bonds, np.full(len(bonds), coupling, dtype=np.float64))
 
-    def __post_init__(self):
-        if not self.periodic:
-            raise ValueError("only periodic lattices are supported")
-        if self.side_length < 3:
-            # L=2 periodic wrap duplicates every bond; reject rather than double-count.
-            raise ValueError("side_length must be >= 3")
-
-    @property
-    def n_sites(self) -> int:
-        return self.side_length ** 2
-
-    def bonds(self) -> np.ndarray:
-        return lattice_bonds(self.side_length)
-
-    def energy(self, x) -> np.ndarray:
-        x = as_bits(x, self.n_sites)
-        s = spins(x)
-        b = self.bonds()
-        return -self.coupling * (s[..., b[:, 0]] * s[..., b[:, 1]]).sum(axis=-1)
+    # perfbench/spans.py wraps `energy` separately on each class
+    energy = SpinCouplingModel.energy
 
 
-@dataclass(frozen=True)
-class EAInstance:
+class EAInstance(SpinCouplingModel):
     """Edwards-Anderson spin glass: periodic LxL grid with random bond couplings."""
 
-    side_length: int
-    couplings: np.ndarray
-    rng_seed: int
-
-    def __post_init__(self):
-        if self.side_length < 3:
-            raise ValueError("side_length must be >= 3")
-        couplings = np.asarray(self.couplings, dtype=np.float64).reshape(-1)
-        n_bonds = 2 * self.side_length ** 2
-        if len(couplings) != n_bonds:
-            raise ValueError(f"expected {n_bonds} couplings, got {len(couplings)}")
-        couplings.setflags(write=False)
-        object.__setattr__(self, "couplings", couplings)
+    def __init__(self, side_length: int, couplings, rng_seed: int):
+        bonds = lattice_bonds(side_length)
+        object.__setattr__(self, "side_length", side_length)
+        object.__setattr__(self, "rng_seed", rng_seed)
+        super().__init__(side_length ** 2, bonds, couplings)
 
     @classmethod
     def normal(cls, side_length: int, seed: int) -> "EAInstance":
@@ -169,15 +171,8 @@ class EAInstance:
         n_bonds = 2 * side_length ** 2
         return cls(side_length, rng.uniform(-1.0, 1.0, n_bonds), seed)
 
-    @property
-    def n_sites(self) -> int:
-        return self.side_length ** 2
-
-    def bonds(self) -> np.ndarray:
-        return lattice_bonds(self.side_length)
-
-    def energy(self, x) -> np.ndarray:
-        return SpinCouplingModel(self.n_sites, self.bonds(), self.couplings).energy(x)
+    # perfbench/spans.py wraps `energy` separately on each class
+    energy = SpinCouplingModel.energy
 
 
 CO_PROBLEMS = ("mis", "mds", "maxcl", "maxcut")
@@ -205,36 +200,19 @@ class CoProblem:
     def __post_init__(self):
         if self.kind not in CO_PROBLEMS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= self.n_nodes:
-                raise ValueError("edge index out of range")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            if (lo == hi).any():
-                raise ValueError("self-loops are not allowed")
-            edges = np.unique(np.column_stack([lo, hi]), axis=0)
+        edges = undirected_edges(self.edges, self.n_nodes)
         if self.kind in ("mis", "mds", "maxcl") and not self.penalty_a < self.penalty_b:
             raise ValueError("penalty_a must be < penalty_b")
         object.__setattr__(self, "edges", edges)
 
-        nbrs = [[] for _ in range(self.n_nodes)]
-        present = set()
-        for a, b in edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-            present.add((int(a), int(b)))
-        object.__setattr__(
-            self, "_neighbors", tuple(np.array(sorted(v), dtype=np.int64) for v in nbrs)
-        )
+        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
+        adj[edges[:, 0], edges[:, 1]] = True
+        adj |= adj.T
+        object.__setattr__(self, "_neighbors", tuple(np.flatnonzero(row) for row in adj))
         if self.kind == "maxcl":
-            non = [
-                (a, b)
-                for a in range(self.n_nodes)
-                for b in range(a + 1, self.n_nodes)
-                if (a, b) not in present
-            ]
-            non_edges = np.array(non, dtype=np.int64).reshape(-1, 2)
+            a, b = np.triu_indices(self.n_nodes, 1)
+            keep = ~adj[a, b]
+            non_edges = np.column_stack([a[keep], b[keep]])
         else:
             non_edges = np.empty((0, 2), dtype=np.int64)
         object.__setattr__(self, "_non_edges", non_edges)
@@ -249,12 +227,9 @@ class CoProblem:
             raise ValueError(f"state has {x.shape[-1]} bits, expected {self.n_nodes}")
         A, B = self.penalty_a, self.penalty_b
         total = x.sum(axis=-1)
-        if self.kind == "mis":
-            e = self.edges
-            pen = (x[..., e[:, 0]] * x[..., e[:, 1]]).sum(axis=-1) if len(e) else 0.0
-            return -A * total + B * pen
-        if self.kind == "maxcl":
-            e = self._non_edges
+        if self.kind in ("mis", "maxcl"):
+            # MIS penalizes chosen pairs that are edges, MaxCl pairs that are not
+            e = self.edges if self.kind == "mis" else self._non_edges
             pen = (x[..., e[:, 0]] * x[..., e[:, 1]]).sum(axis=-1) if len(e) else 0.0
             return -A * total + B * pen
         if self.kind == "maxcut":
@@ -370,19 +345,9 @@ def enumerate_observables(
         np.exp(probs - log_z, out=probs)
 
     z = math.exp(log_z) if log_z < 700 else math.inf
-    if beta == 0.0:
-        return ExactObservables(
-            beta=beta,
-            n_sites=n,
-            log_z=log_z,
-            z=z,
-            internal_energy=u,
-            entropy=n * math.log(2),
-            free_energy=None,
-            probabilities=probs,
-        )
-    f = -log_z / beta
-    s = beta * (u - f)
+    # at beta = 0 F diverges and the distribution is uniform over all 2^n states
+    f = None if beta == 0.0 else -log_z / beta
+    s = n * math.log(2) if f is None else beta * (u - f)
     return ExactObservables(
         beta=beta,
         n_sites=n,
@@ -439,35 +404,43 @@ def write_instance_text(model) -> str:
     if isinstance(model, EAInstance):
         rows = ["kind ea", f"L {model.side_length}", f"seed {model.rng_seed}",
                 f"bonds {len(model.couplings)}"]
-        bonds = model.bonds()
-        for (i, j), cij in zip(bonds, model.couplings):
+        for (i, j), cij in zip(model.edges, model.couplings):
             rows.append(f"{i} {j} {cij:.17g}")
         return "\n".join(rows) + "\n"
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
 def read_instance_text(text: str):
-    """Inverse of write_instance_text."""
+    """Inverse of write_instance_text. Raises ValueError on malformed text."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     fields = {}
     body = []
     for ln in lines:
         parts = ln.split()
         if parts[0] in ("kind", "L", "J", "seed", "bonds"):
+            if len(parts) != 2:
+                raise ValueError(f"header line {ln!r} must be '<field> <value>'")
             fields[parts[0]] = parts[1]
         else:
             body.append(parts)
     kind = fields.get("kind")
+    missing = {"ising": {"L"}, "ea": {"L", "bonds"}}.get(kind, set()) - set(fields)
+    if missing:
+        raise ValueError(f"{kind} instance text lacks the {sorted(missing)} field(s)")
     if kind == "ising":
         return IsingLattice2D(int(fields["L"]), float(fields.get("J", 1.0)))
     if kind == "ea":
         L = int(fields["L"])
         n_bonds = int(fields["bonds"])
+        if n_bonds != 2 * L * L:
+            raise ValueError(f"an L={L} lattice has {2 * L * L} bonds, not {n_bonds}")
         if len(body) != n_bonds:
             raise ValueError(f"expected {n_bonds} bond lines, found {len(body)}")
         expected = lattice_bonds(L)
         couplings = np.empty(n_bonds)
         for k, parts in enumerate(body):
+            if len(parts) != 3:
+                raise ValueError(f"bond line {' '.join(parts)!r} must be 'i j J'")
             i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
             if (i, j) != tuple(expected[k]):
                 raise ValueError(f"bond {k} is ({i},{j}), expected {tuple(expected[k])}")

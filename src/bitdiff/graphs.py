@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import CO_PROBLEMS, CoProblem, format_edge_list, int_to_bits, parse_edge_list
+from .energies import (CO_PROBLEMS, CoProblem, format_edge_list, int_to_bits, parse_edge_list,
+                       undirected_edges)
 
 __all__ = [
     "Graph",
@@ -40,17 +41,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= self.n_nodes:
-                raise ValueError("edge index out of range")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            if (lo == hi).any():
-                raise ValueError("self-loops are not allowed")
-            edges = np.unique(np.column_stack([lo, hi]), axis=0)
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", undirected_edges(self.edges, self.n_nodes))
 
     @property
     def n_edges(self) -> int:
@@ -58,13 +49,6 @@ class Graph:
 
     def edge_set(self) -> set:
         return {(int(a), int(b)) for a, b in self.edges}
-
-    def neighbors(self) -> list:
-        nbrs = [[] for _ in range(self.n_nodes)]
-        for a, b in self.edges:
-            nbrs[int(a)].append(int(b))
-            nbrs[int(b)].append(int(a))
-        return [sorted(v) for v in nbrs]
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)

@@ -149,13 +149,15 @@ def updates_per_epoch(cfg: RunConfig) -> int:
     return per_pass * cfg.epochs_per_buffer
 
 
-def _problem_meta(cfg: RunConfig) -> dict:
+def _problem_meta(cfg: RunConfig, model=None) -> dict:
+    """What a checkpoint records of the problem; an EA run records the
+    instance it trained on (`model`, else the one `cfg` names)."""
     meta = {"kind": cfg.kind, "beta": cfg.beta}
     if cfg.kind == "ising":
         meta.update(lattice_size=cfg.lattice_size, coupling=cfg.coupling)
     elif cfg.kind == "ea":
         meta.update(lattice_size=cfg.lattice_size,
-                    instance_text=write_instance_text(_lattice_model(cfg)))
+                    instance_text=write_instance_text(model or _lattice_model(cfg)))
     else:
         meta.update(problem=cfg.problem, penalty_a=cfg.penalty_a,
                     penalty_b=cfg.penalty_b, dataset_dir=cfg.dataset_dir)
@@ -170,6 +172,7 @@ def save_checkpoint(
     normalizer: RewardNormalizer,
     rng,
     epoch_next: int,
+    problem: dict | None = None,
 ) -> None:
     meta = {
         "version": 1,
@@ -180,7 +183,7 @@ def save_checkpoint(
         "normalizer": normalizer.state(),
         "rng_state": rng.bit_generator.state,
         "config": dataclasses.asdict(cfg),
-        "problem": _problem_meta(cfg),
+        "problem": _problem_meta(cfg) if problem is None else problem,
     }
     arrays = {f"param::{k}": v for k, v in policy.params.items()}
     arrays.update(adam.state_arrays())
@@ -358,7 +361,8 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
 
     end_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, start_epoch + stop_after)
     mode = "a" if (resume is not None and metrics_path.exists()) else "w"
-    save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, start_epoch)
+    problem = _problem_meta(cfg, instances[0].energy_model)
+    save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, start_epoch, problem)
     last_row = None
     with open(metrics_path, mode, encoding="utf-8") as metrics:
         if mode == "w":
@@ -387,7 +391,7 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
                 f"{_fmt(row['mean_energy'])},{_fmt(row['entropy'])},{ess_txt}\n"
             )
             metrics.flush()
-            save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, epoch + 1)
+            save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, epoch + 1, problem)
             last_row = row
     return {
         "checkpoint": str(ckpt_path),

@@ -182,3 +182,33 @@ def autocorr_time_direct(series, c: float = 5.0) -> AutocorrResult:
         if lag >= c * tau:
             return AutocorrResult(tau, lag, np.array(rhos))
     raise ConvergenceError("no self-consistent autocorrelation window within the series")
+
+
+def lattice_bonds_direct(side_length: int) -> np.ndarray:
+    """`lattice_bonds` site by site: each row-major site (i, j) gives its
+    right neighbor, then its down neighbor, with periodic wrap."""
+    L = side_length
+    bonds = []
+    for i in range(L):
+        for j in range(L):
+            site = i * L + j
+            bonds.append((site, i * L + (j + 1) % L))
+            bonds.append((site, ((i + 1) % L) * L + j))
+    return np.array(bonds, dtype=np.int64)
+
+
+def neighbors_direct(n_nodes: int, edges) -> tuple:
+    """Sorted neighbor array of every node, one edge at a time."""
+    nbrs = [[] for _ in range(n_nodes)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return tuple(np.array(sorted(v), dtype=np.int64) for v in nbrs)
+
+
+def non_edges_direct(n_nodes: int, edges) -> np.ndarray:
+    """Every pair a < b that is not an edge, in (a, b) lexicographic order."""
+    present = {(int(a), int(b)) for a, b in edges}
+    non = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)
+           if (a, b) not in present]
+    return np.array(non, dtype=np.int64).reshape(-1, 2)

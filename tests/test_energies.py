@@ -20,6 +20,8 @@ from bitdiff.energies import (
     write_instance_text,
 )
 
+from oracles import lattice_bonds_direct, neighbors_direct, non_edges_direct
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -59,6 +61,20 @@ class TestIsingEnergy:
         bonds = lattice_bonds(4)
         assert len({tuple(sorted(b)) for b in bonds}) == 32  # each bond once
 
+    @pytest.mark.parametrize("side", range(3, 9))
+    def test_bonds_match_direct_order(self, side):
+        got = lattice_bonds(side)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, lattice_bonds_direct(side))
+
+    def test_model_arrays_are_fixed(self):
+        lat = IsingLattice2D(3, 0.5)
+        assert np.array_equal(lat.edges, lattice_bonds(3))
+        assert np.array_equal(lat.couplings, np.full(18, 0.5))
+        for arr in (lat.edges, lat.couplings):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 class TestEAEnergy:
     def test_unit_couplings_match_ising(self):
@@ -82,7 +98,7 @@ class TestEAEnergy:
         states = all_states(9)
         energies = ea.energy(states)
         # independent check: explicit python loop over bonds
-        bonds = ea.bonds()
+        bonds = ea.edges
         best = math.inf
         for s in states:
             sig = 2.0 * s - 1.0
@@ -143,6 +159,20 @@ class TestCoEnergies:
             q[i, j] = 1.1
         for x in all_states(3).astype(np.float64):
             assert x @ q @ x == pytest.approx(co.energy(x), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adjacency_arrays_match_direct(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        co = CoProblem("maxcl", n, pairs)
+        want = neighbors_direct(n, co.edges)
+        assert len(co._neighbors) == n
+        for got, ref in zip(co._neighbors, want):
+            assert got.dtype == np.int64 and np.array_equal(got, ref)
+        assert co._non_edges.dtype == np.int64
+        assert np.array_equal(co._non_edges, non_edges_direct(n, co.edges))
 
     def test_mis_requires_ordered_penalties(self):
         with pytest.raises(ValueError):
@@ -245,7 +275,9 @@ class TestTextFormats:
     def test_instance_roundtrip_ising(self):
         lat = IsingLattice2D(4, 1.5)
         back = read_instance_text(write_instance_text(lat))
-        assert back == lat
+        assert isinstance(back, IsingLattice2D)
+        assert (back.side_length, back.coupling) == (lat.side_length, lat.coupling)
+        assert np.array_equal(back.couplings, lat.couplings)
 
     def test_instance_roundtrip_ea(self):
         ea = EAInstance.uniform(3, seed=9)

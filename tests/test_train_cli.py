@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bitdiff.train
 from bitdiff import cli
 from bitdiff.config import ConfigError, parse_config
-from bitdiff.energies import IsingLattice2D, write_instance_text
+from bitdiff.energies import EAInstance, IsingLattice2D, write_instance_text
 from bitdiff.graphs import Graph
 from bitdiff.train import load_checkpoint, train
 
@@ -300,6 +301,26 @@ class TestCli:
         assert cli.main(["oracle", "--problem", "ea", "--instance", str(inst)]) == 2
         assert "not an EA instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "kind ea\nbonds 0\n",
+        "kind\n",
+        "kind ea\nL 3\nbonds 18\n" + "0 1\n" * 18,
+        "kind ea\nL 3\nbonds 18\n" + "0 1 x\n" * 18,
+        "kind ea\nL 3\nbonds 19\n" + "0 1 1.0\n" * 19,
+        "kind ea\nL 100000\nbonds 1\n0 1 1.0\n",  # rejected before building its bonds
+    ], ids=["no_L", "bare_header", "short_bond", "non_numeric_bond", "too_many_bonds",
+            "huge_L"])
+    def test_exit_code_malformed_instance(self, tmp_path, capsys, text):
+        inst = tmp_path / "ea.txt"
+        inst.write_text(text)
+        assert cli.main(["oracle", "--problem", "ea", "--instance", str(inst)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["mis", "mds", "maxcl", "maxcut"])
+    def test_exit_code_co_oracle_without_graph(self, capsys, problem):
+        assert cli.main(["oracle", "--problem", problem]) == 2
+        assert "requires --graph" in capsys.readouterr().err
+
     def test_exit_code_convergence(self, tmp_path):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,
                                             out_dir=tmp_path / "ising3"))
@@ -375,3 +396,24 @@ anneal_h = 10
                        "--n-samples", "500", "--out", str(report)])
         assert rc == 0
         assert json.loads(report.read_text())["beta"] == 1.0
+
+    def test_checkpoint_keeps_the_trained_instance(self, tmp_path, monkeypatch):
+        inst = tmp_path / "ea.txt"
+        first = write_instance_text(EAInstance.normal(3, seed=1))
+        inst.write_text(first)
+        cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,
+                                            out_dir=tmp_path / "r")
+                           .replace("kind = ising", f"kind = ea\ninstance_file = {inst}"))
+        saves = []
+        save = bitdiff.train.save_checkpoint
+
+        def save_then_edit(*args, **kwargs):
+            save(*args, **kwargs)
+            saves.append(args)
+            inst.write_text(write_instance_text(EAInstance.normal(3, seed=len(saves) + 1)))
+
+        monkeypatch.setattr(bitdiff.train, "save_checkpoint", save_then_edit)
+        train(cfg)
+        assert len(saves) == 3 + 1
+        *_, problem = load_checkpoint(tmp_path / "r" / "checkpoint.npz")
+        assert problem["instance_text"] == first
