@@ -25,6 +25,7 @@ __all__ = [
     "collect_grads",
     "activation_records",
     "reset_activation_records",
+    "affine",
     "tanh",
     "sigmoid",
     "exp",
@@ -161,7 +162,11 @@ class Tensor:
             if isinstance(self, Tensor):
                 grads.append(_unbroadcast(g / b, a.shape))
             if isinstance(other, Tensor):
-                grads.append(_unbroadcast(-g * a / (b * b), b.shape))
+                # -g*a/(b*b) with one array of g's size: IEEE negation is
+                # exact, so moving it onto b*b gives the same bits
+                gb = g * a
+                gb /= -(b * b)
+                grads.append(_unbroadcast(gb, b.shape))
             return grads
 
         return Tensor._make(out, parents, vjp)
@@ -171,7 +176,7 @@ class Tensor:
         out = a / self.data
 
         def vjp(g):
-            return [-g * a / (self.data * self.data)]
+            return [_unbroadcast(-g * a / (self.data * self.data), self.data.shape)]
 
         return Tensor._make(out, (self,), vjp)
 
@@ -220,13 +225,25 @@ class Tensor:
 
     def tanh(self):
         out = np.tanh(self.data)
-        return Tensor._make(out, (self,), lambda g: [g * (1.0 - out * out)])
+
+        def vjp(g):
+            # g * (1 - out*out) in one array
+            d = np.multiply(out, out, out=np.empty_like(out))
+            np.subtract(1.0, d, out=d)
+            return [np.multiply(g, d, out=d)]
+
+        return Tensor._make(out, (self,), vjp)
 
     def sigmoid(self):
-        z = self.data
-        out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                       np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        return Tensor._make(out, (self,), lambda g: [g * out * (1.0 - out)])
+        out = _sigmoid(self.data)
+
+        def vjp(g):
+            # (g*out) * (1 - out) in two arrays
+            d = g * out
+            d *= 1.0 - out
+            return [d]
+
+        return Tensor._make(out, (self,), vjp)
 
     def sqrt(self):
         out = np.sqrt(self.data)
@@ -288,11 +305,22 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.asarray(1.0)
+        # A node's first gradient may be an array another node still holds
+        # (the add VJP hands `g` to both operands, a reshape VJP a view of
+        # it), so it is never written. The second contribution allocates the
+        # sum, which the node then owns and adds later contributions into.
+        owned = set()
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is None:
+                    parent.grad = g
+                elif id(parent) in owned:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    owned.add(id(parent))
 
 
 def minimum(a, b):
@@ -323,7 +351,31 @@ def spmm(sparse, x):
     return Tensor._make(sparse @ x.data, (x,), lambda g: [sparse_t @ g])
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic: 1/(1+e) for z >= 0 and e/(1+e) below, with
+    e = exp(-|z|) computed once."""
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
 # -- dispatching wrappers (Tensor or ndarray) --------------------------------
+
+
+def affine(x, w, b, squash: bool = False):
+    """x @ w + b, through tanh when `squash`. Traced, it records the same
+    matmul, add and tanh nodes as writing the expression out; untraced, it
+    does the same arithmetic in one fresh array."""
+    if not any(isinstance(v, Tensor) for v in (x, w, b)):
+        out = x @ w
+        out += b
+        return np.tanh(out, out=out) if squash else out
+    out = matmul(x, w) + b
+    return tanh(out) if squash else out
 
 
 def tanh(x):
@@ -331,11 +383,7 @@ def tanh(x):
 
 
 def sigmoid(x):
-    if isinstance(x, Tensor):
-        return x.sigmoid()
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(np.asarray(x, dtype=np.float64))
 
 
 def exp(x):

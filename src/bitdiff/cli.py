@@ -193,11 +193,12 @@ def cmd_estimate(args) -> int:
             policy, target, schedule,
             n_chains=args.chains, n_steps=args.chain_steps, rng=rng,
         )
+        per = res.per_site(n_sites)
         payload.update(
             chains=args.chains,
             chain_steps=args.chain_steps,
-            U_per_site=res.estimate / n_sites,
-            U_stderr_per_site=None if res.stderr is None else res.stderr / n_sites,
+            U_per_site=per["estimate"],
+            U_stderr_per_site=per["stderr"],
             tau=res.tau,
             burn_in=res.burn_in,
             acceptance_rate=res.acceptance_rate,

@@ -133,10 +133,12 @@ class PathBatch:
 
 
 def bernoulli_logpmf(bits, probs) -> np.ndarray:
-    """Sum over the last axis of log Bernoulli(bits; probs)."""
-    bits = np.asarray(bits, dtype=np.float64)
+    """Sum over the last axis of log Bernoulli(bits; probs): log p where a bit
+    is 1 and log1p(-p) where it is 0."""
     probs = np.asarray(probs, dtype=np.float64)
-    return (bits * np.log(probs) + (1.0 - bits) * np.log1p(-probs)).sum(axis=-1)
+    log_off = np.negative(probs)
+    np.log1p(log_off, out=log_off)
+    return np.where(np.asarray(bits, dtype=bool), np.log(probs), log_off).sum(axis=-1)
 
 
 def forward_kernel_logprob(x_t, x_prev, beta_t: float) -> np.ndarray:

@@ -39,8 +39,14 @@ def as_bits(x, n_sites: int) -> np.ndarray:
     arr = np.asarray(x)
     if arr.shape[-1] != n_sites:
         raise ValueError(f"state has {arr.shape[-1]} bits, expected {n_sites}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError("state entries must be 0 or 1")
+    if arr.size:
+        # for integer and bool states a range check is exact and far cheaper than isin
+        if arr.dtype.kind in "biu":
+            binary = arr.min() >= 0 and arr.max() <= 1
+        else:
+            binary = np.isin(arr, (0, 1)).all()
+        if not binary:
+            raise ValueError("state entries must be 0 or 1")
     return arr.astype(np.int8, copy=False)
 
 

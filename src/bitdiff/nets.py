@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import clip, matmul, sigmoid, spmm, sqrt, tanh, tmean, tsum
+from .autodiff import affine, clip, sigmoid, spmm, sqrt, tmean, tsum
 from .diffusion import PROB_CLIP, exp_schedule
 from .graphs import Graph
 
@@ -264,19 +264,22 @@ class _Policy:
     def _probs(self, P, h, x_t, t):
         """Per-bit probabilities: the sigmoid of the logits, refused if
         non-finite, then clipped to [PROB_CLIP, 1 - PROB_CLIP]."""
-        # one expression, so the logits are freed before the check and the
-        # clip allocate: each large array is its own mapping (perfbench/README.md),
-        # and holding the logits longer shifts the page faults of what follows
+        # one expression, so the logits are freed before the check allocates:
+        # each large array is its own mapping (perfbench/README.md), and
+        # holding the logits longer shifts the page faults of what follows
         out = sigmoid(self._logits(P, h, x_t, t))
         if not np.isfinite(ad.as_array(out)).all():
             raise FloatingPointError("policy forward produced non-finite activations")
-        return clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
+        if isinstance(out, ad.Tensor):
+            return clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
+        # the untraced sigmoid returned a fresh array: clip it in place
+        return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP, out=out)
 
     def _value(self, P, h, condition, n_rows):
         g = self._pool(h, condition, n_rows)
-        v = tanh(matmul(g, P["wv0"]) + P["bv0"])
-        v = tanh(matmul(v, P["wv1"]) + P["bv1"])
-        v = matmul(v, P["wv2"]) + P["bv2"]
+        v = affine(g, P["wv0"], P["bv0"], squash=True)
+        v = affine(v, P["wv1"], P["bv1"], squash=True)
+        v = affine(v, P["wv2"], P["bv2"])
         return v.reshape((-1,)) if isinstance(v, ad.Tensor) else np.asarray(v).reshape(-1)
 
     def probs_from(self, P, x_t, t, condition=None):
@@ -322,11 +325,11 @@ class MlpPolicy(_Policy):
         )
         h = inp
         for k in range(len(self.spec.hidden)):
-            h = tanh(matmul(h, P[f"w{k}"]) + P[f"b{k}"])
+            h = affine(h, P[f"w{k}"], P[f"b{k}"], squash=True)
         return h
 
     def _head(self, P, h, x_t):
-        return matmul(h, P["w_out"]) + P["b_out"]
+        return affine(h, P["w_out"], P["b_out"])
 
     def _pool(self, h, condition, n_rows):
         return h
@@ -358,20 +361,20 @@ class GnnPolicy(_Policy):
         tcol = _tfrac_column(np.repeat(t, n) if t.ndim else t, m * n, self.n_steps)
         inp = np.concatenate([flat_x, tcol], axis=1)
         agg_op = condition.agg(m)
-        h = tanh(matmul(inp, P["w_embed"]) + P["b_embed"])
+        h = affine(inp, P["w_embed"], P["b_embed"], squash=True)
         for s in range(self.spec.n_message_passing):
-            msg = matmul(h, P[f"mp{s}_wm"]) + P[f"mp{s}_bm"]
+            msg = affine(h, P[f"mp{s}_wm"], P[f"mp{s}_bm"])
             agg = _standardize(spmm(agg_op, msg))
-            u = tanh(matmul(agg, P[f"mp{s}_wn0"]) + P[f"mp{s}_bn0"])
-            u = tanh(matmul(u, P[f"mp{s}_wn1"]) + P[f"mp{s}_bn1"])
+            u = affine(agg, P[f"mp{s}_wn0"], P[f"mp{s}_bn0"], squash=True)
+            u = affine(u, P[f"mp{s}_wn1"], P[f"mp{s}_bn1"], squash=True)
             h = h + u
         return h
 
     def _head(self, P, h, x_t):
         m, n = x_t.shape
-        z = tanh(matmul(h, P["wh0"]) + P["bh0"])
-        z = tanh(matmul(z, P["wh1"]) + P["bh1"])
-        return (matmul(z, P["w_out"]) + P["b_out"]).reshape((m, n))
+        z = affine(h, P["wh0"], P["bh0"], squash=True)
+        z = affine(z, P["wh1"], P["bh1"], squash=True)
+        return affine(z, P["w_out"], P["b_out"]).reshape((m, n))
 
     def _pool(self, h, condition, n_rows):
         return spmm(condition.pool(n_rows), h)

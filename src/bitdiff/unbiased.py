@@ -315,6 +315,13 @@ class NmcmcEstimate:
     n_chains_used: int
     n_flagged: int  # chains that never accepted, excluded from the average
 
+    def per_site(self, n_sites: int) -> dict:
+        """The estimate and its standard error per site of the target."""
+        return {
+            "estimate": self.estimate / n_sites,
+            "stderr": None if self.stderr is None else self.stderr / n_sites,
+        }
+
 
 def estimate_from_series(
     series: np.ndarray,

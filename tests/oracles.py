@@ -212,3 +212,59 @@ def non_edges_direct(n_nodes: int, edges) -> np.ndarray:
     non = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)
            if (a, b) not in present]
     return np.array(non, dtype=np.int64).reshape(-1, 2)
+
+
+# -- the tape's numerics as first written: exact references for the rewrites
+# that compute the same floating-point operations with fewer arrays
+
+
+def sigmoid_direct(z) -> np.ndarray:
+    """Logistic with exp(-|z|) evaluated three times and both branches in full."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
+def tanh_vjp_direct(g, out) -> np.ndarray:
+    return g * (1.0 - out * out)
+
+
+def sigmoid_vjp_direct(g, out) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def truediv_vjp_direct(g, a, b) -> tuple:
+    """Gradients of a / b for the numerator and the denominator, before
+    reduction to their shapes."""
+    return g / b, -g * a / (b * b)
+
+
+def bernoulli_logpmf_direct(bits, probs) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    return (bits * np.log(probs) + (1.0 - bits) * np.log1p(-probs)).sum(axis=-1)
+
+
+def backward_direct(root) -> None:
+    """`Tensor.backward` with every contribution summed into a fresh array
+    (same traversal, so the same summation order)."""
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.asarray(1.0)
+    for node in reversed(topo):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            parent.grad = g if parent.grad is None else parent.grad + g

@@ -4,7 +4,18 @@ import pytest
 from bitdiff import autodiff as ad
 from bitdiff.autodiff import Tensor, minimum, spmm, tsum
 
-from oracles import finite_diff_grads, grads_to_vec, rel_err
+from oracles import (
+    backward_direct,
+    finite_diff_grads,
+    grads_to_vec,
+    rel_err,
+    sigmoid_direct,
+    sigmoid_vjp_direct,
+    tanh_vjp_direct,
+    truediv_vjp_direct,
+)
+
+SPECIAL_Z = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 750.0, -750.0]
 
 
 def scalar_fd(f, x, h=1e-6):
@@ -47,6 +58,15 @@ class TestBasicOps:
         loss = tsum(1.0 / x + x ** 3)
         loss.backward()
         assert np.allclose(x.grad, -1.0 / x.data ** 2 + 3 * x.data ** 2)
+
+    def test_reflected_division_broadcast_gradient(self):
+        # a constant numerator wider than the tensor: the gradient still has
+        # the tensor's shape (in-place accumulation relies on it)
+        x = Tensor(np.array([2.0, 4.0]))
+        loss = tsum(np.ones((3, 2)) / x) + tsum(x)
+        loss.backward()
+        assert x.grad.shape == (2,)
+        assert np.allclose(x.grad, 1.0 - 3.0 / x.data ** 2)
 
     def test_matmul_grads(self):
         rng = np.random.default_rng(0)
@@ -180,3 +200,117 @@ class TestActivationRecords:
             y = y * 2.0
         fifty = ad.activation_records()
         assert fifty == 5 * ten
+
+
+def special_and_random(n, seed):
+    """The special inputs followed by random values of mixed scale, n in all."""
+    rng = np.random.default_rng(seed)
+    rand = rng.standard_normal(n) * rng.choice([0.1, 3.0, 30.0], n)
+    return np.concatenate([SPECIAL_Z, rand])[:n]
+
+
+def tape_grads(root) -> list:
+    """The gradient of every node of a tape, in traversal order."""
+    out, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node.grad)
+        stack.extend(node._parents)
+    return out
+
+
+class TestExactRewrites:
+    """The lean numerics give the same bits as the formulas they replaced
+    (tests/oracles.py), at lengths that end vectorized loops at several
+    offsets."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 13, 64, 1001])
+    def test_sigmoid_matches_direct(self, n):
+        z = special_and_random(n, n)
+        want = sigmoid_direct(z)
+        assert np.array_equal(ad.sigmoid(z), want)
+        assert np.array_equal(Tensor(z).sigmoid().data, want)
+        assert np.array_equal(ad.sigmoid(z.reshape(n, 1)), want.reshape(n, 1))
+
+    @pytest.mark.parametrize("z", SPECIAL_Z)
+    def test_sigmoid_scalar_matches_direct(self, z):
+        want = sigmoid_direct(z)
+        for got in (ad.sigmoid(z), Tensor(np.asarray(z)).sigmoid().data):
+            assert np.array_equal(got, want)
+            assert np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 37, 1001])
+    def test_pointwise_vjps_match_direct(self, n):
+        rng = np.random.default_rng(n)
+        x = special_and_random(n, n + 1)
+        g = rng.standard_normal(n)
+        for name, direct, fwd in (("tanh", tanh_vjp_direct, np.tanh),
+                                  ("sigmoid", sigmoid_vjp_direct, sigmoid_direct)):
+            t = Tensor(x)
+            tsum(getattr(t, name)() * g).backward()  # d(sum(y*g))/dy is g exactly
+            assert np.array_equal(t.grad, direct(g, fwd(x))), name
+
+    @pytest.mark.parametrize("shape_b", [(9, 5), (9, 1), ()])
+    def test_truediv_vjp_matches_direct(self, shape_b):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 5))
+        b = rng.uniform(0.5, 2.0, shape_b) * np.where(rng.random(shape_b) < 0.5, -1.0, 1.0)
+        g = rng.standard_normal((9, 5))
+        ta, tb = Tensor(a), Tensor(b)
+        tsum((ta / tb) * g).backward()
+        grad_a, grad_b = truediv_vjp_direct(g, a, b)
+        assert np.array_equal(ta.grad, grad_a)
+        axes = tuple(i for i, s in enumerate(np.shape(b)) if s == 1)
+        want_b = grad_b.sum() if b.ndim == 0 else grad_b.sum(axis=axes, keepdims=True)
+        assert np.array_equal(tb.grad, want_b)
+
+    @pytest.mark.parametrize("tape", ["x+x", "a*a", "residual", "bias", "reshape", "add_shared"])
+    def test_backward_accumulation_matches_direct(self, tape):
+        def build():
+            rng = np.random.default_rng(7)
+            x = Tensor(rng.standard_normal((6, 4)))
+            w = Tensor(rng.standard_normal((4, 4)) / 2)
+            b = Tensor(rng.standard_normal(4))
+            g = rng.standard_normal((6, 4))
+            if tape == "x+x":
+                loss = tsum((x + x) * g)
+            elif tape == "a*a":
+                loss = tsum((x * x) * x * g)
+            elif tape == "residual":
+                h = ad.tanh(ad.matmul(x, w) + b)
+                for _ in range(2):
+                    h = h + ad.tanh(ad.matmul(h, w) + b)
+                loss = tsum(h * g)
+            elif tape == "bias":
+                loss = tsum(ad.tanh(ad.matmul(x, w) + b) * g) + tsum(b * b)
+            elif tape == "reshape":
+                v = (x * w.sum(axis=0)).reshape((24,))
+                loss = tsum(v * g.reshape(24)) + tsum(x * x * g)
+            else:
+                # the add VJP hands the same array to both operands; x then
+                # gathers more, which must not reach the sum's other operand
+                y = x * g
+                loss = tsum((x + y) * g) + tsum(x * x)
+            return loss
+
+        new_root, old_root = build(), build()
+        new_root.backward()
+        backward_direct(old_root)
+        for got, want in zip(tape_grads(new_root), tape_grads(old_root), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("squash", [False, True])
+    def test_affine_matches_expression(self, squash):
+        rng = np.random.default_rng(11)
+        x, w, b = rng.standard_normal((37, 5)), rng.standard_normal((5, 9)), rng.standard_normal(9)
+        want = x @ w + b
+        if squash:
+            want = np.tanh(want)
+        assert np.array_equal(ad.affine(x, w, b, squash), want)
+        ad.reset_activation_records()
+        traced = ad.affine(x, Tensor(w), Tensor(b), squash)
+        assert np.array_equal(traced.data, want)
+        assert ad.activation_records() == (3 if squash else 2)

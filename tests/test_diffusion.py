@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bitdiff.diffusion import (
+    PROB_CLIP,
     NoiseSchedule,
     PathBatch,
+    bernoulli_logpmf,
     exp_schedule,
     forward_kernel_logprob,
     path_log_p_hat,
@@ -16,7 +18,7 @@ from bitdiff.diffusion import (
 )
 from bitdiff.energies import BoltzmannTarget, SpinCouplingModel
 
-from oracles import all_paths, teacher_forced_batch
+from oracles import all_paths, bernoulli_logpmf_direct, teacher_forced_batch
 from toy_policies import ConstantPolicy
 
 
@@ -112,6 +114,23 @@ class TestForwardPath:
                 )
                 total += math.exp(lp)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBernoulliLogpmf:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (33, 16), (1000, 13)])
+    def test_matches_product_form_exactly(self, shape):
+        """Selecting log p or log1p(-p) per bit gives the same bits as
+        bits*log p + (1-bits)*log1p(-p) on clipped probabilities."""
+        rng = np.random.default_rng(shape[0])
+        probs = rng.uniform(0.0, 1.0, shape)
+        probs.flat[::5] = PROB_CLIP
+        probs.flat[1::7] = 1.0 - PROB_CLIP
+        probs.flat[2::11] = 0.5
+        probs = np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
+        bits = rng.integers(0, 2, shape, dtype=np.int8)
+        want = bernoulli_logpmf_direct(bits, probs)
+        for given in (bits, bits.astype(bool), bits.astype(np.float64)):
+            assert np.array_equal(bernoulli_logpmf(given, probs), want)
 
 
 class TestStationary:

@@ -12,6 +12,7 @@ from bitdiff.energies import (
     IsingLattice2D,
     SpinCouplingModel,
     all_states,
+    as_bits,
     enumerate_observables,
     format_edge_list,
     lattice_bonds,
@@ -51,6 +52,19 @@ class TestIsingEnergy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             IsingLattice2D(3).energy(np.ones(8, dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [np.int8(2), np.int8(-1), 0.5])
+    def test_non_binary_entries_rejected(self, bad):
+        x = np.ones(9, dtype=np.asarray(bad).dtype)
+        x[4] = bad
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            as_bits(x, 9)
+
+    def test_bool_and_float_states_accepted(self):
+        x = np.arange(9) % 2
+        for state in (x.astype(bool), x.astype(np.float64), x.astype(np.uint8)):
+            assert np.array_equal(as_bits(state, 9), x.astype(np.int8))
+            assert IsingLattice2D(3).energy(state) == IsingLattice2D(3).energy(x)
 
     def test_small_lattice_rejected(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,11 @@ from bitdiff.nets import (
     GraphCondition,
     MlpPolicy,
     MlpSpec,
+    bernoulli_entropy,
+    bernoulli_log_q,
     flatten_params,
     init_params,
+    make_policy,
     param_count,
     param_shapes,
     step_entropy_from,
@@ -20,7 +23,7 @@ from bitdiff.nets import (
     unflatten_params,
 )
 
-from oracles import finite_diff_grads, grads_to_vec, rel_err
+from oracles import backward_direct, finite_diff_grads, grads_to_vec, rel_err
 
 
 def perturb(policy, scale=0.3, seed=0):
@@ -206,3 +209,47 @@ class TestGradients:
         got = ad.collect_grads(leaves)
         want = finite_diff_grads(loss_value, policy.params)
         assert rel_err(grads_to_vec(got), grads_to_vec(want)) < 1e-4
+
+
+class TestTracedUntracedAgree:
+    """The untraced forward does its arithmetic in place; the traced one
+    records nodes. Both give the same bits, and a whole policy tape gives
+    the same gradients as out-of-place accumulation."""
+
+    CASES = {
+        "mlp": (MlpSpec(n_bits=6, hidden=(16, 16), value_head=True, kernel_start=True), None),
+        "gnn": (GnnSpec(n_hidden=8, n_message_passing=2, value_head=True), 7),
+    }
+
+    def _setup(self, kind):
+        spec, n_nodes = self.CASES[kind]
+        policy = perturb(make_policy(spec, 5, seed=21), 0.5, seed=22)
+        cond = None if n_nodes is None else _ba_condition(seed=23, n=n_nodes)
+        n_bits = spec.n_bits if n_nodes is None else n_nodes
+        rng = np.random.default_rng(24)
+        x_t = rng.integers(0, 2, (33, n_bits))
+        x_prev = rng.integers(0, 2, (33, n_bits))
+        t = rng.integers(1, 6, 33)
+        return policy, cond, x_t, x_prev, t
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_forward_bits_match(self, kind):
+        policy, cond, x_t, _, t = self._setup(kind)
+        leaves = ad.leaves(policy.params)
+        probs, value = policy.probs_and_value_from(leaves, x_t, t, cond)
+        assert np.array_equal(policy.probs(x_t, t, cond), probs.data)
+        assert np.array_equal(policy.value(x_t, t, cond), value.data)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_policy_tape_gradients_match_direct(self, kind):
+        policy, cond, x_t, x_prev, t = self._setup(kind)
+        grads = []
+        for run in (lambda root: root.backward(), backward_direct):
+            leaves = ad.leaves(policy.params)
+            probs, value = policy.probs_and_value_from(leaves, x_t, t, cond)
+            loss = tsum(bernoulli_log_q(x_prev, probs) * value) + tsum(
+                bernoulli_entropy(probs))
+            run(loss)
+            grads.append(ad.collect_grads(leaves))
+        for k in grads[0]:
+            assert np.array_equal(grads[0][k], grads[1][k]), k

@@ -365,6 +365,7 @@ class TestNmcmcEstimate:
         assert res.stderr is not None
         assert abs(res.estimate - exact.internal_energy) < 3 * res.stderr
         assert res.acceptance_rate > 0.05
+        assert res.per_site(9) == {"estimate": res.estimate / 9, "stderr": res.stderr / 9}
 
     def test_constant_observable_degenerate_flag(self):
         policy = ConstantPolicy(2, 1, 0.5)
@@ -377,6 +378,7 @@ class TestNmcmcEstimate:
         assert res.estimate == pytest.approx(4.2)
         assert res.stderr is None
         assert res.tau is None
+        assert res.per_site(2) == {"estimate": res.estimate / 2, "stderr": None}
 
     def test_burn_in_overflow_raises(self):
         policy = ConstantPolicy(2, 1, 0.5)
