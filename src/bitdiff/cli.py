@@ -100,6 +100,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.n_samples < 1:
+        raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
     policy, cfg, *_rest, problem_meta = load_checkpoint(args.checkpoint)
     if problem_meta["kind"] != "co":
         raise ConfigError("solve requires a checkpoint trained on a co problem")
@@ -116,11 +118,7 @@ def cmd_solve(args) -> int:
         co = g.co_problem(problem, pa, pb)
         cond = GraphCondition(g)
         paths = sample_reverse_path(policy, schedule, args.n_samples, rng, cond)
-        if args.ce:
-            probs = policy.probs(paths.states[:, 1], 1, cond)
-            solutions = np.array([conditional_expectation(p, co.energy) for p in probs])
-        else:
-            solutions = paths.x0
+        solutions = conditional_expectation(paths.x0_probs, co.energy) if args.ce else paths.x0
         feasible = np.array([is_feasible(problem, g, s) for s in solutions])
         energies = co.energy(solutions.astype(np.float64))
         entry = {

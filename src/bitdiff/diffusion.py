@@ -75,13 +75,18 @@ class PathBatch:
     states: np.ndarray  # (M, T+1, N) int8, axis 1 indexed by diffusion time t
     step_logq: np.ndarray  # (M, T), [:, t-1] = log q(X_{t-1} | X_t)
     prior_logq: np.ndarray  # (M,), log q(X_T)
+    # (M, N) policy marginals of X_0 given X_1, kept by `sample_reverse_path`
+    # for decoding; None where the paths were built another way
+    x0_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        m, t1, _ = self.states.shape
+        m, t1, n = self.states.shape
         if self.step_logq.shape != (m, t1 - 1):
             raise ValueError("step_logq shape does not match states")
         if self.prior_logq.shape != (m,):
             raise ValueError("prior_logq shape does not match states")
+        if self.x0_probs is not None and self.x0_probs.shape != (m, n):
+            raise ValueError("x0_probs shape does not match states")
         if not (np.isfinite(self.step_logq).all() and np.isfinite(self.prior_logq).all()):
             raise ValueError("path log-probabilities must be finite")
 
@@ -111,7 +116,8 @@ class PathBatch:
         return self.prior_logq + self.step_logq.sum(axis=1)
 
     def select(self, idx) -> "PathBatch":
-        return PathBatch(self.states[idx], self.step_logq[idx], self.prior_logq[idx])
+        probs = None if self.x0_probs is None else self.x0_probs[idx]
+        return PathBatch(self.states[idx], self.step_logq[idx], self.prior_logq[idx], probs)
 
     def to_npz(self, path) -> None:
         m, t1, n = self.states.shape
@@ -193,7 +199,8 @@ def _checked_probs(policy, x_t, t, condition):
 def sample_reverse_path(
     policy, schedule: NoiseSchedule, n_paths: int, rng, condition=None
 ) -> PathBatch:
-    """Draw paths from the reverse process: X_T uniform, then X_{t-1} ~ policy."""
+    """Draw paths from the reverse process: X_T uniform, then X_{t-1} ~ policy.
+    The batch keeps the last step's probabilities as `x0_probs`."""
     n = policy.n_bits if condition is None else condition.n_bits
     t_steps = schedule.n_steps
     states = np.empty((n_paths, t_steps + 1, n), dtype=np.int8)
@@ -205,7 +212,7 @@ def sample_reverse_path(
         states[:, t - 1] = bits
         step_logq[:, t - 1] = bernoulli_logpmf(bits, probs)
     prior = stationary_logprob(states[:, t_steps])
-    return PathBatch(states, step_logq, prior)
+    return PathBatch(states, step_logq, prior, probs)
 
 
 def path_log_q(policy, path: PathBatch, condition=None) -> np.ndarray:

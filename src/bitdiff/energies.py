@@ -193,6 +193,11 @@ class CoProblem:
     returns the exact expectation under the product distribution with those
     marginals. Edge sums count each undirected pair once; MaxCl penalizes
     non-adjacent pairs excluding self-pairs.
+
+    `energy` takes one state (N,) or a batch (..., N), and a row's energy does
+    not depend on its batch: it is bit-equal to the energy of that row alone.
+    Conditional-expectation decoding relies on this when it compares the
+    energies of many rows at once.
     """
 
     kind: str
@@ -228,7 +233,11 @@ class CoProblem:
         return self.n_nodes
 
     def energy(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        # Rows stay C-contiguous (gathers use np.take), so each row sums
+        # pairwise as a lone row does: `x[..., idx]` on a matrix returns an
+        # F-ordered array whose rows add sequentially, and a fractional row's
+        # energy would then depend on the batch it came in.
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape[-1] != self.n_nodes:
             raise ValueError(f"state has {x.shape[-1]} bits, expected {self.n_nodes}")
         A, B = self.penalty_a, self.penalty_b
@@ -236,13 +245,15 @@ class CoProblem:
         if self.kind in ("mis", "maxcl"):
             # MIS penalizes chosen pairs that are edges, MaxCl pairs that are not
             e = self.edges if self.kind == "mis" else self._non_edges
-            pen = (x[..., e[:, 0]] * x[..., e[:, 1]]).sum(axis=-1) if len(e) else 0.0
+            pen = 0.0
+            if len(e):
+                pen = (np.take(x, e[:, 0], axis=-1) * np.take(x, e[:, 1], axis=-1)).sum(axis=-1)
             return -A * total + B * pen
         if self.kind == "maxcut":
             e = self.edges
             if not len(e):
                 return np.zeros(x.shape[:-1])
-            xi, xj = x[..., e[:, 0]], x[..., e[:, 1]]
+            xi, xj = np.take(x, e[:, 0], axis=-1), np.take(x, e[:, 1], axis=-1)
             # cut indicator (1 - sigma_i sigma_j)/2 expanded in bits
             return -(xi + xj - 2.0 * xi * xj).sum(axis=-1)
         # mds: A * |set| + B * sum_i (1-x_i) prod_{j in N(i)} (1-x_j)
@@ -252,7 +263,7 @@ class CoProblem:
             nb = self._neighbors[i]
             term = comp[..., i]
             if len(nb):
-                term = term * comp[..., nb].prod(axis=-1)
+                term = term * np.take(comp, nb, axis=-1).prod(axis=-1)
             pen = pen + term
         return A * total + B * pen
 

@@ -82,7 +82,11 @@ def load_dataset(dataset_dir: str) -> list[Graph]:
     manifest = root / "manifest.json"
     if manifest.exists():
         with open(manifest, "r", encoding="utf-8") as fh:
-            files = json.load(fh)["files"]
+            meta = json.load(fh)
+        files = meta.get("files") if isinstance(meta, dict) else None
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise ConfigError(f"{manifest} must be an object whose 'files' is a list of "
+                              "graph file names")
         paths = [root / f for f in files]
     else:
         paths = sorted(root.glob("graph_*.txt"))

@@ -230,6 +230,7 @@ def nmcmc_advance(
         chain.paths.states[moved] = prop.states[src]
         chain.paths.step_logq[moved] = prop.step_logq[src]
         chain.paths.prior_logq[moved] = prop.prior_logq[src]
+        chain.paths.x0_probs[moved] = prop.x0_probs[src]
         chain.log_p_hat = lp[cur]
         chain.log_q = lq[cur]
         chain.n_steps += k

@@ -268,3 +268,26 @@ def backward_direct(root) -> None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def conditional_expectation_direct(v, energy_fn) -> np.ndarray:
+    """Conditional-expectation rounding of one marginal vector, two one-row
+    energy calls per fractional coordinate: the reference for the batched
+    `bitdiff.decode.conditional_expectation`."""
+    work = np.array(v, dtype=np.float64).reshape(-1)
+    if work.size == 0:
+        raise ValueError("empty probability vector")
+    if not np.isfinite(work).all() or (work < 0).any() or (work > 1).any():
+        raise ValueError("marginals must lie in [0, 1]")
+    order = np.argsort(-work, kind="stable")
+    for i in order:
+        if work[i] == 0.0 or work[i] == 1.0:
+            continue
+        work[i] = 0.0
+        e0 = float(energy_fn(work))
+        work[i] = 1.0
+        e1 = float(energy_fn(work))
+        if not (np.isfinite(e0) and np.isfinite(e1)):
+            raise FloatingPointError("non-finite energy during rounding")
+        work[i] = 1.0 if e1 <= e0 else 0.0
+    return work.astype(np.int8)

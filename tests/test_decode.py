@@ -5,6 +5,22 @@ from bitdiff.decode import conditional_expectation
 from bitdiff.energies import CoProblem, all_states
 from bitdiff.graphs import BaConfig, gen_ba, is_feasible
 
+from oracles import conditional_expectation_direct
+
+KINDS = ("mis", "mds", "maxcl", "maxcut")
+
+
+def ba_marginals(seed: int, n_rows: int):
+    """A 10-14 node BA graph (m = 4, so most have a hub of degree >= 8) and
+    marginals with injected 0.5 ties and exact 0/1 entries."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 15))
+    g = gen_ba(BaConfig(n, 4, seed=seed))
+    v = rng.uniform(0, 1, (n_rows, n))
+    for value in (0.5, 0.0, 1.0):
+        v[rng.random(v.shape) < 0.1] = value
+    return g, v
+
 
 class TestConditionalExpectation:
     def test_binary_input_is_fixed_point(self):
@@ -77,3 +93,53 @@ class TestConditionalExpectation:
         a = conditional_expectation(v, co.energy)
         b = conditional_expectation(v.copy(), co.energy)
         assert np.array_equal(a, b)
+
+
+class TestBatchedMatchesDirect:
+    """The batched decode rounds every row exactly as the one-row reference."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_match_reference(self, kind):
+        hubs = 0
+        for seed in range(30):
+            g, v = ba_marginals(seed, 30)
+            hubs += np.bincount(g.edges.ravel(), minlength=g.n_nodes).max() >= 8
+            co = g.co_problem(kind, 1.0, 1.1)
+            want = np.array([conditional_expectation_direct(row, co.energy) for row in v])
+            got = conditional_expectation(v, co.energy)
+            assert got.dtype == np.int8 and got.shape == v.shape
+            assert np.array_equal(got, want), (kind, seed)
+        assert hubs >= 20
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_row_and_vector(self, kind):
+        g, v = ba_marginals(7, 1)
+        co = g.co_problem(kind, 1.0, 1.1)
+        want = conditional_expectation_direct(v[0], co.energy)
+        one_row = conditional_expectation(v, co.energy)
+        assert one_row.shape == v.shape and np.array_equal(one_row[0], want)
+        vector = conditional_expectation(v[0], co.energy)
+        assert vector.shape == v[0].shape and np.array_equal(vector, want)
+
+    def test_binary_matrix_is_fixed_point(self):
+        g, _ = ba_marginals(3, 1)
+        bits = np.random.default_rng(3).integers(0, 2, (8, g.n_nodes)).astype(np.float64)
+        for kind in KINDS:
+            out = conditional_expectation(bits, g.co_problem(kind, 1.0, 1.1).energy)
+            assert np.array_equal(out, bits)
+
+    def test_non_finite_energy_in_any_row_raises(self):
+        co = CoProblem("mis", 3, [(0, 1), (1, 2)])
+        v = np.full((4, 3), 0.5)
+
+        def energy(x):
+            e = co.energy(x)
+            return np.where(np.arange(len(e)) == len(e) - 1, np.nan, e)
+
+        with pytest.raises(FloatingPointError):
+            conditional_expectation(v, energy)
+
+    def test_rejects_higher_rank_marginals(self):
+        co = CoProblem("mis", 2, [(0, 1)])
+        with pytest.raises(ValueError):
+            conditional_expectation(np.full((2, 2, 2), 0.5), co.energy)

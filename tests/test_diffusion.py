@@ -171,6 +171,17 @@ class TestReversePath:
         recomputed = path_log_q(policy, paths)
         assert np.allclose(recomputed, paths.log_q, atol=1e-12)
 
+    def test_keeps_last_step_probabilities(self):
+        from bitdiff.nets import MlpPolicy, MlpSpec
+
+        policy = MlpPolicy.init(MlpSpec(n_bits=5, hidden=(8, 8)), 6, seed=0)
+        policy.params["w_out"] = np.random.default_rng(4).standard_normal(
+            policy.params["w_out"].shape)
+        paths = sample_reverse_path(policy, exp_schedule(6), 16, np.random.default_rng(5))
+        assert np.array_equal(paths.x0_probs, policy.probs(paths.states[:, 1], 1))
+        idx = np.array([3, 0, 3])
+        assert np.array_equal(paths.select(idx).x0_probs, paths.x0_probs[idx])
+
     def test_policy_emitting_invalid_probability(self):
         class BadPolicy(ConstantPolicy):
             def probs(self, x_t, t, condition=None):

@@ -21,6 +21,8 @@ from bitdiff.energies import (
     write_instance_text,
 )
 
+from bitdiff.graphs import BaConfig, gen_ba
+
 from oracles import lattice_bonds_direct, neighbors_direct, non_edges_direct
 
 DATA = Path(__file__).parent / "data"
@@ -187,6 +189,18 @@ class TestCoEnergies:
             assert got.dtype == np.int64 and np.array_equal(got, ref)
         assert co._non_edges.dtype == np.int64
         assert np.array_equal(co._non_edges, non_edges_direct(n, co.edges))
+
+    @pytest.mark.parametrize("kind", ["mis", "mds", "maxcl", "maxcut"])
+    def test_row_energy_does_not_depend_on_batch(self, kind):
+        # decoding compares energies of near-equal fractional rows, so a row
+        # evaluated in a batch must give the bits it gives alone
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 15))
+            co = gen_ba(BaConfig(n, 4, seed=seed)).co_problem(kind, 1.0, 1.1)
+            x = rng.uniform(0, 1, (30, n))
+            batch = co.energy(x)
+            assert all(batch[i] == co.energy(x[i]) for i in range(len(x))), seed
 
     def test_mis_requires_ordered_penalties(self):
         with pytest.raises(ValueError):

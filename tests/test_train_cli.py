@@ -7,9 +7,13 @@ import pytest
 import bitdiff.train
 from bitdiff import cli
 from bitdiff.config import ConfigError, parse_config
+from bitdiff.diffusion import exp_schedule, sample_reverse_path
 from bitdiff.energies import EAInstance, IsingLattice2D, write_instance_text
-from bitdiff.graphs import Graph
-from bitdiff.train import load_checkpoint, train
+from bitdiff.graphs import Graph, is_feasible, solution_size
+from bitdiff.nets import GraphCondition
+from bitdiff.train import load_checkpoint, load_dataset, train
+
+from oracles import conditional_expectation_direct
 
 ISING_CFG = """
 [problem]
@@ -341,6 +345,33 @@ class TestCli:
         assert cli.main(["estimate", "--checkpoint", out["checkpoint"], *counts]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_samples", ["0", "-3"])
+    def test_exit_code_non_positive_solve_samples(self, tmp_path, capsys, n_samples):
+        ds = write_single_edge_dataset(tmp_path)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(co_cfg(ds, tmp_path / "run", epochs=0))
+        assert cli.main(["train", "--config", str(cfg_file)]) == 0
+        for ce in ("--ce", "--no-ce"):
+            assert cli.main(["solve", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                             "--dataset", str(ds), "--n-samples", n_samples, ce]) == 2
+            assert "--n-samples must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        "{}", "[]", '"graph_00000.txt"', '{"files": "graph_00000.txt"}',
+        '{"files": [1]}', '{"files": null}',
+    ], ids=["empty_object", "list", "string", "files_string", "files_int", "files_null"])
+    def test_exit_code_malformed_manifest(self, tmp_path, capsys, manifest):
+        ds = write_single_edge_dataset(tmp_path)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(co_cfg(ds, tmp_path / "run", epochs=0))
+        assert cli.main(["train", "--config", str(cfg_file)]) == 0
+        (ds / "manifest.json").write_text(manifest, encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg_file)]) == 2
+        assert "manifest.json must be an object" in capsys.readouterr().err
+        assert cli.main(["solve", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                         "--dataset", str(ds)]) == 2
+        assert "manifest.json must be an object" in capsys.readouterr().err
+
     def test_exit_code_numerical(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,
@@ -417,3 +448,48 @@ anneal_h = 10
         assert len(saves) == 3 + 1
         *_, problem = load_checkpoint(tmp_path / "r" / "checkpoint.npz")
         assert problem["instance_text"] == first
+
+
+def solve_instances_direct(checkpoint, dataset, n_samples: int, seed: int) -> list:
+    """`solve --ce` instance entries assembled graph by graph: a separate t = 1
+    forward for the marginals and the one-row decoding reference."""
+    policy, *_rest, meta = load_checkpoint(checkpoint)
+    problem = meta["problem"]
+    schedule = exp_schedule(policy.n_steps)
+    rng = np.random.default_rng(seed)
+    entries = []
+    for gi, g in enumerate(load_dataset(dataset)):
+        co = g.co_problem(problem, meta["penalty_a"], meta["penalty_b"])
+        cond = GraphCondition(g)
+        paths = sample_reverse_path(policy, schedule, n_samples, rng, cond)
+        probs = policy.probs(paths.states[:, 1], 1, cond)
+        sols = np.array([conditional_expectation_direct(p, co.energy) for p in probs])
+        feasible = np.array([is_feasible(problem, g, s) for s in sols])
+        entry = {"instance": gi, "n_samples": n_samples, "n_feasible": int(feasible.sum()),
+                 "flagged_infeasible_only": not feasible.any()}
+        if feasible.any():
+            energies = np.array([float(co.energy(s.astype(np.float64))) for s in sols[feasible]])
+            sizes = np.array([solution_size(problem, g, s) for s in sols[feasible]])
+            best = int(np.argmin(energies))
+            entry.update(best_energy=float(energies[best]), best_size=int(sizes[best]),
+                         mean_size=float(sizes.mean()))
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("problem", ["mis", "mds", "maxcl", "maxcut"])
+def test_solve_ce_matches_per_graph_reference(tmp_path, problem):
+    ds = tmp_path / "graphs"
+    assert cli.main(["gen-graphs", "--kind", "ba", "--out", str(ds), "--count", "6",
+                     "--min-nodes", "10", "--max-nodes", "14", "--ba-m", "4",
+                     "--seed", "3"]) == 0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(co_cfg(ds, tmp_path / "run", objective="fkl_mc", epochs=2)
+                        .replace("problem = mis", f"problem = {problem}"))
+    assert cli.main(["train", "--config", str(cfg_file)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.npz"
+    out = tmp_path / "solve.json"
+    assert cli.main(["solve", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                     "--n-samples", "12", "--ce", "--seed", "4", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["instances"]
+    assert got == solve_instances_direct(ckpt, ds, 12, 4)

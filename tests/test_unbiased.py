@@ -213,6 +213,8 @@ class TestNmcmc:
         for _ in range(50):
             nmcmc_step(chain, policy, target, sched, rng)
         assert np.all(chain.n_accepted == 50)
+        # a move carries the proposal's last-step probabilities with its states
+        assert np.array_equal(chain.paths.x0_probs, policy.probs(chain.paths.states[:, 1], 1))
 
     def test_cache_verification(self):
         policy = ConstantPolicy(3, 2, 0.6)
