@@ -281,9 +281,6 @@ class Tensor:
         old = self.data.shape
         return Tensor._make(self.data.reshape(shape), (self,), lambda g: [g.reshape(old)])
 
-    def detach(self) -> np.ndarray:
-        return self.data
-
     # -- backward ---------------------------------------------------------
 
     def backward(self):

@@ -21,7 +21,6 @@ __all__ = [
     "PathBatch",
     "exp_schedule",
     "forward_kernel_logprob",
-    "sample_forward_path",
     "stationary_logprob",
     "sample_reverse_path",
     "path_log_q",
@@ -107,10 +106,6 @@ class PathBatch:
         return self.states[:, 0, :]
 
     @property
-    def x_final(self) -> np.ndarray:
-        return self.states[:, -1, :]
-
-    @property
     def log_q(self) -> np.ndarray:
         """Joint reverse log-likelihood log q(X_{0:T}) per path."""
         return self.prior_logq + self.step_logq.sum(axis=1)
@@ -119,23 +114,6 @@ class PathBatch:
         probs = None if self.x0_probs is None else self.x0_probs[idx]
         return PathBatch(self.states[idx], self.step_logq[idx], self.prior_logq[idx], probs)
 
-    def to_npz(self, path) -> None:
-        m, t1, n = self.states.shape
-        np.savez_compressed(
-            path,
-            version=1,
-            shape=np.array([m, t1, n], dtype=np.int64),
-            packed=np.packbits(self.states.astype(np.uint8), axis=-1),
-            step_logq=self.step_logq,
-            prior_logq=self.prior_logq,
-        )
-
-    @classmethod
-    def from_npz(cls, path) -> "PathBatch":
-        with np.load(path) as blob:
-            m, t1, n = blob["shape"]
-            states = np.unpackbits(blob["packed"], axis=-1)[..., :n].astype(np.int8)
-            return cls(states.reshape(m, t1, n), blob["step_logq"], blob["prior_logq"])
 
 
 def bernoulli_logpmf(bits, probs) -> np.ndarray:
@@ -158,26 +136,6 @@ def forward_kernel_logprob(x_t, x_prev, beta_t: float) -> np.ndarray:
     flips = (x_t != x_prev).sum(axis=-1).astype(np.float64)
     n = x_t.shape[-1]
     return flips * math.log(beta_t) + (n - flips) * math.log1p(-beta_t)
-
-
-def sample_forward_path(schedule: NoiseSchedule, x0, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Noise x0 forward through the schedule.
-
-    Returns (states, logp) with states of shape (M, T+1, N), states[:, 0] = x0,
-    and logp the exact log p(X_{1:T} | X_0) of the drawn trajectory.
-    """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.int8))
-    m, n = x0.shape
-    t_steps = schedule.n_steps
-    states = np.empty((m, t_steps + 1, n), dtype=np.int8)
-    states[:, 0] = x0
-    logp = np.zeros(m)
-    for t in range(1, t_steps + 1):
-        beta = schedule.beta(t)
-        flip = rng.random((m, n)) < beta
-        states[:, t] = np.where(flip, 1 - states[:, t - 1], states[:, t - 1])
-        logp += forward_kernel_logprob(states[:, t], states[:, t - 1], beta)
-    return states, logp
 
 
 def stationary_logprob(x) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "CO_PROBLEMS",
     "BoltzmannTarget",
     "ExactObservables",
+    "sweep_energies",
     "enumerate_observables",
     "lattice_bonds",
     "undirected_edges",
@@ -313,10 +314,23 @@ class ExactObservables:
         return out
 
 
+MAX_ENUMERATION_BITS = 26  # a sweep visits all 2^N states
+
+
+def sweep_energies(model, chunk_bits: int):
+    """Yield (states, energies) over all 2^N states of `model` in ascending
+    state order, 2^chunk_bits states at a time (fewer in the last chunk)."""
+    n = model.n_sites
+    total = 1 << n
+    chunk = 1 << min(chunk_bits, n)
+    for start in range(0, total, chunk):
+        states = int_to_bits(np.arange(start, min(start + chunk, total)), n)
+        yield states, np.asarray(model.energy(states), dtype=np.float64)
+
+
 def enumerate_observables(
     target: BoltzmannTarget,
     *,
-    max_bits: int = 26,
     chunk_bits: int = 16,
     with_probabilities: bool = True,
 ) -> ExactObservables:
@@ -324,25 +338,21 @@ def enumerate_observables(
 
     Uses a streaming log-sum-exp over fixed-size chunks processed in ascending
     state order, so the result is deterministic regardless of how callers might
-    shard the work. N is hard-capped (2^N sweep).
+    shard the work. N is capped at MAX_ENUMERATION_BITS.
     """
     n = target.n_sites
-    if n > max_bits:
-        raise ValueError(f"enumeration capped at {max_bits} bits, got {n}")
-    total = 1 << n
-    chunk = 1 << min(chunk_bits, n)
+    if n > MAX_ENUMERATION_BITS:
+        raise ValueError(f"enumeration capped at {MAX_ENUMERATION_BITS} bits, got {n}")
     beta = target.beta
 
-    probs = np.empty(total, dtype=np.float64) if with_probabilities else None
+    probs = np.empty(1 << n, dtype=np.float64) if with_probabilities else None
 
     # running log-sum-exp state: logsumexp so far = shift + log(acc_w)
     shift = -np.inf
     acc_w = 0.0  # sum of exp(logw - shift)
     acc_wh = 0.0  # sum of H * exp(logw - shift)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        states = int_to_bits(idx, n)
-        e = np.asarray(target.model.energy(states), dtype=np.float64)
+    start = 0
+    for _, e in sweep_energies(target.model, chunk_bits):
         logw = -beta * e
         m = float(logw.max())
         if m > shift:
@@ -354,7 +364,8 @@ def enumerate_observables(
         acc_w += float(w.sum())
         acc_wh += float((w * e).sum())
         if probs is not None:
-            probs[idx] = logw  # normalized after the sweep
+            probs[start: start + len(e)] = logw  # normalized after the sweep
+        start += len(e)
 
     log_z = shift + math.log(acc_w)
     u = acc_wh / acc_w

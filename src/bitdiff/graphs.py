@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import (CO_PROBLEMS, CoProblem, format_edge_list, int_to_bits, parse_edge_list,
-                       undirected_edges)
+from .energies import (CO_PROBLEMS, MAX_ENUMERATION_BITS, CoProblem, format_edge_list,
+                       parse_edge_list, sweep_energies, undirected_edges)
 
 __all__ = [
     "Graph",
@@ -43,10 +43,6 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "edges", undirected_edges(self.edges, self.n_nodes))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def edge_set(self) -> set:
         return {(int(a), int(b)) for a, b in self.edges}
 
@@ -56,11 +52,6 @@ class Graph:
             np.add.at(deg, self.edges[:, 0], 1)
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
-
-    def permuted(self, perm) -> "Graph":
-        """Relabel nodes: new index of old node i is perm[i]."""
-        perm = np.asarray(perm, dtype=np.int64)
-        return Graph(self.n_nodes, perm[self.edges])
 
     def to_text(self) -> str:
         return format_edge_list(self.n_nodes, [(int(a), int(b), 1.0) for a, b in self.edges])
@@ -226,33 +217,33 @@ class BruteForceResult:
     optimal_size: int  # constraint-checked quantity of the minimizers
 
 
+BRUTE_FORCE_NODES = 14  # node cap without `allow_large`
+
+
 def brute_force_co(
     problem: str,
     graph: Graph,
     penalty_a: float = 1.0,
     penalty_b: float = 1.1,
     *,
-    node_cap: int = 14,
     allow_large: bool = False,
 ) -> BruteForceResult:
-    """Exhaustive optimum of the penalty energy over all 2^N states."""
+    """Exhaustive optimum of the penalty energy over all 2^N states.
+
+    One sweep: each chunk keeps its states within 1e-9 of the running
+    minimum, and the kept states are filtered by the final minimum."""
     n = graph.n_nodes
-    cap = 26 if allow_large else node_cap
+    cap = MAX_ENUMERATION_BITS if allow_large else BRUTE_FORCE_NODES
     if n > cap:
         raise ValueError(f"brute force capped at {cap} nodes, got {n}")
     co = graph.co_problem(problem, penalty_a, penalty_b)
-    chunk = 1 << min(16, n)
     best_e = math.inf
-    for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << n))
-        best_e = min(best_e, float(co.energy(int_to_bits(idx, n)).min()))
-    collected = []
-    for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << n))
-        states = int_to_bits(idx, n)
-        e = co.energy(states)
-        collected.append(states[e <= best_e + 1e-9])
-    best_states = np.vstack(collected)
+    kept = []
+    for states, e in sweep_energies(co, 16):
+        best_e = min(best_e, float(e.min()))
+        near = e <= best_e + 1e-9
+        kept.append((states[near], e[near]))
+    best_states = np.vstack([states[e <= best_e + 1e-9] for states, e in kept])
     sizes = {solution_size(problem, graph, s) for s in best_states}
     if len(sizes) != 1:
         raise RuntimeError(f"energy minimizers disagree on solution size: {sorted(sizes)}")

@@ -33,13 +33,10 @@ __all__ = [
     "GnnPolicy",
     "GraphCondition",
     "param_shapes",
-    "param_count",
     "init_params",
     "make_policy",
     "bernoulli_log_q",
     "bernoulli_entropy",
-    "flatten_params",
-    "unflatten_params",
 ]
 
 
@@ -102,10 +99,6 @@ def param_shapes(spec) -> dict:
     return shapes
 
 
-def param_count(spec) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(spec).values())
-
-
 def init_params(spec, seed: int) -> dict:
     """Fan-in-scaled random weights; output layers start at zero so the policy
     begins at the uniform distribution and the value head at zero."""
@@ -119,28 +112,12 @@ def init_params(spec, seed: int) -> dict:
     return params
 
 
-def flatten_params(params: dict) -> np.ndarray:
-    return np.concatenate([np.asarray(params[k]).ravel() for k in sorted(params)])
-
-
-def unflatten_params(flat: np.ndarray, shapes: dict) -> dict:
-    out = {}
-    pos = 0
-    for name in sorted(shapes):
-        size = int(np.prod(shapes[name]))
-        out[name] = np.asarray(flat[pos: pos + size]).reshape(shapes[name]).copy()
-        pos += size
-    if pos != len(flat):
-        raise ValueError(f"flat vector has {len(flat)} entries, expected {pos}")
-    return out
-
-
-def _standardize(h, eps: float = 1e-5):
+def _standardize(h):
     """Per-node feature standardization (stand-in for a graph norm layer)."""
     m = tmean(h, axis=1, keepdims=True)
     c = h - m
     v = tmean(c * c, axis=1, keepdims=True)
-    return c / sqrt(v + eps)
+    return c / sqrt(v + 1e-5)
 
 
 def _kernel_logits(betas: np.ndarray, x_flat: np.ndarray, t, n_steps: int) -> np.ndarray:
@@ -244,16 +221,6 @@ class _Policy:
 
     def with_steps(self, n_steps: int):
         return replace(self, n_steps=n_steps)
-
-    def clone_params(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
-
-    @property
-    def flat(self) -> np.ndarray:
-        return flatten_params(self.params)
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.params = unflatten_params(flat, param_shapes(self.spec))
 
     def _logits(self, P, h, x_t, t):
         logits = self._head(P, h, x_t)

@@ -31,13 +31,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import minimum, tsum
+from .config import RunConfig
 from .diffusion import NoiseSchedule, PathBatch, forward_kernel_logprob, path_log_p_hat
 from .nets import bernoulli_entropy, bernoulli_log_q, step_log_q_from
 from .unbiased import WeightedSamples, snis_weights_from_logs
 
 __all__ = [
     "AnnealSchedule",
-    "PpoConfig",
     "RewardNormalizer",
     "rl_rewards",
     "td_lambda_targets",
@@ -79,28 +79,6 @@ class AnnealSchedule:
         if self.kind == "linear_to_zero":
             return self.t_start * max(0.0, 1.0 - epoch / self.n_epochs)
         return self.target_temperature / (1.0 - 0.998 ** (self.decay_rate * (epoch + 1)))
-
-
-@dataclass(frozen=True)
-class PpoConfig:
-    clip: float = 0.2
-    value_weight: float = 0.5
-    trace_decay: float = 0.95
-    reward_ma_rate: float = 0.01
-    discount: float = 1.0
-    n_path_minibatch: int = 64
-    n_timestep_minibatch: int = 4
-    epochs_per_buffer: int = 2
-
-    def __post_init__(self):
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError("clip must be in (0, 1)")
-        if not 0.0 <= self.value_weight <= 1.0:
-            raise ValueError("value_weight must be in [0, 1]")
-        if not 0.0 <= self.trace_decay <= 1.0:
-            raise ValueError("trace_decay must be in [0, 1]")
-        if self.discount != 1.0:
-            raise ValueError("discount is fixed at 1.0")
 
 
 @dataclass
@@ -168,12 +146,11 @@ def td_lambda_targets(
     rewards: np.ndarray,
     values: np.ndarray,
     trace_decay: float,
-    discount: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lambda-returns and raw advantages, both (M, T) in episode order.
 
     `values[:, k]` is V(X_{T-k}); the terminal value V(X_0) is zero. Computed
-    with the standard recursion A_k = delta_k + discount*lambda*A_{k+1}, which
+    undiscounted with the standard recursion A_k = delta_k + lambda*A_{k+1}, which
     equals the truncated lambda-return with the remaining weight on the full
     Monte Carlo return (so lambda=1 gives plain returns and lambda=0 the
     one-step bootstrap).
@@ -185,8 +162,8 @@ def td_lambda_targets(
     last = np.zeros(m)
     for k in range(t_steps - 1, -1, -1):
         v_next = values[:, k + 1] if k + 1 < t_steps else np.zeros(m)
-        delta = rewards[:, k] + discount * v_next - values[:, k]
-        last = delta + discount * trace_decay * last
+        delta = rewards[:, k] + v_next - values[:, k]
+        last = delta + trace_decay * last
         adv[:, k] = last
     return adv + values, adv
 
@@ -227,7 +204,7 @@ def build_buffer(
     target,
     schedule: NoiseSchedule,
     temperature: float,
-    cfg: PpoConfig,
+    cfg: RunConfig,
     normalizer: RewardNormalizer,
     condition=None,
     normalize: bool = True,
@@ -244,7 +221,7 @@ def build_buffer(
         for k in range(t_steps):
             t = t_steps - k
             values[:, k] = policy.value(paths.states[:, t], t, condition)
-    returns, adv = td_lambda_targets(rewards, values, cfg.trace_decay, cfg.discount)
+    returns, adv = td_lambda_targets(rewards, values, cfg.trace_decay)
     if normalize:
         adv = normalize_advantages(adv)
     if path_weights is None:
@@ -289,7 +266,7 @@ def _gather_rows(buffer: TrajectoryBuffer, path_idx, t_idx):
 def ppo_minibatch_grad(
     policy,
     buffer: TrajectoryBuffer,
-    cfg: PpoConfig,
+    cfg: RunConfig,
     path_idx: np.ndarray,
     t_idx: np.ndarray,
     condition=None,

@@ -14,26 +14,28 @@ import numpy as np
 
 __all__ = ["LrSchedule", "AdamState", "adam_step"]
 
+WARMUP_FRAC = 0.025
+FLOOR_RATIO = 0.1
+INIT_LR = 1e-10
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class LrSchedule:
     peak: float
     total_steps: int
-    warmup_frac: float = 0.025
-    floor_ratio: float = 0.1
-    init_lr: float = 1e-10
 
     def warmup_steps(self) -> int:
-        return max(1, int(round(self.total_steps * self.warmup_frac)))
+        return max(1, int(round(self.total_steps * WARMUP_FRAC)))
 
     def lr(self, step: int) -> float:
         """Learning rate for 0-indexed optimizer step; hits `peak` at warmup end."""
         w = self.warmup_steps()
         if step < w:
-            return self.init_lr + (self.peak - self.init_lr) * (step + 1) / w
+            return INIT_LR + (self.peak - INIT_LR) * (step + 1) / w
         span = max(1, self.total_steps - w)
         frac = min(1.0, (step - w) / span)
-        floor = self.peak * self.floor_ratio
+        floor = self.peak * FLOOR_RATIO
         return floor + (self.peak - floor) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
@@ -42,16 +44,12 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict, **kwargs) -> "AdamState":
+    def for_params(cls, params: dict) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            **kwargs,
         )
 
     def state_arrays(self) -> dict:
@@ -60,10 +58,10 @@ class AdamState:
         return out
 
     @classmethod
-    def from_arrays(cls, arrays: dict, step: int, **kwargs) -> "AdamState":
+    def from_arrays(cls, arrays: dict, step: int) -> "AdamState":
         m = {k[3:]: arrays[k] for k in arrays if k.startswith("m::")}
         v = {k[3:]: arrays[k] for k in arrays if k.startswith("v::")}
-        return cls(m=m, v=v, step=step, **kwargs)
+        return cls(m=m, v=v, step=step)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
@@ -73,13 +71,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
             raise FloatingPointError("non-finite gradient")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    corr1 = 1.0 - BETA1 ** t
+    corr2 = 1.0 - BETA2 ** t
     for k in params:
         g = grads[k]
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
+        state.m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * g
+        state.v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * g * g
         m_hat = state.m[k] / corr1
         v_hat = state.v[k] / corr2
-        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + EPS)

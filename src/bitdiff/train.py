@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,6 @@ from .graphs import Graph
 from .nets import GnnSpec, GraphCondition, MlpSpec, make_policy, param_shapes
 from .objectives import (
     AnnealSchedule,
-    PpoConfig,
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
@@ -74,7 +74,11 @@ def _lattice_model(cfg: RunConfig):
     if cfg.kind == "ea" and cfg.instance_file:
         with open(cfg.instance_file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed, text)
+    model = build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed, text)
+    if model.side_length != cfg.lattice_size:
+        raise ConfigError(f"instance file {cfg.instance_file} holds an L = {model.side_length} "
+                          f"lattice, but lattice_size = {cfg.lattice_size}")
+    return model
 
 
 def load_dataset(dataset_dir: str) -> list[Graph]:
@@ -130,18 +134,6 @@ def build_anneal(cfg: RunConfig) -> AnnealSchedule:
     )
 
 
-def _ppo_config(cfg: RunConfig) -> PpoConfig:
-    return PpoConfig(
-        clip=cfg.clip,
-        value_weight=cfg.value_weight,
-        trace_decay=cfg.trace_decay,
-        reward_ma_rate=cfg.reward_ma_rate,
-        n_path_minibatch=cfg.path_minibatch,
-        n_timestep_minibatch=cfg.t_minibatch,
-        epochs_per_buffer=cfg.epochs_per_buffer,
-    )
-
-
 def updates_per_epoch(cfg: RunConfig) -> int:
     if cfg.objective == "diffuco":
         return 1
@@ -191,7 +183,16 @@ def save_checkpoint(
     }
     arrays = {f"param::{k}": v for k, v in policy.params.items()}
     arrays.update(adam.state_arrays())
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    # written beside `path` and renamed over it, so a kill mid-write leaves
+    # the previous checkpoint whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=json.dumps(meta), **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):
@@ -305,24 +306,22 @@ def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
             "entropy": ent_acc / n, "ess": ess_acc / n}
 
 
-def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, ppo_cfg,
-               normalizer, adam, lr, rng):
+def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normalizer,
+               adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
     buffers = [
-        (inst, build_buffer(policy, paths, target, schedule, temperature, ppo_cfg,
+        (inst, build_buffer(policy, paths, target, schedule, temperature, cfg,
                             normalizer, inst.condition))
         for inst, target, paths in rollouts
     ]
     loss_acc, n_updates = 0.0, 0
-    for _ in range(ppo_cfg.epochs_per_buffer):
+    for _ in range(cfg.epochs_per_buffer):
         plan = minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch,
                               cfg.t_minibatch, rng)
         for group, k_idx in plan:
             grads = []
             for inst, buf in buffers:
-                loss, g, _ = ppo_minibatch_grad(
-                    policy, buf, ppo_cfg, group, k_idx, inst.condition
-                )
+                loss, g, _ = ppo_minibatch_grad(policy, buf, cfg, group, k_idx, inst.condition)
                 loss_acc += loss
                 grads.append(g)
             adam_step(policy.params, _mean_grads(grads), adam, lr())
@@ -340,15 +339,13 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
     metrics reflect the partial run); resuming from the checkpoint continues
     the uninterrupted schedule bit-exactly."""
     cfg.validate()
+    instances = build_instances(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"
     metrics_path = out_dir / "metrics.csv"
-
-    instances = build_instances(cfg)
     schedule = exp_schedule(cfg.t_steps)
     anneal = build_anneal(cfg)
-    ppo_cfg = _ppo_config(cfg)
     total_updates = max(1, cfg.epochs * updates_per_epoch(cfg))
     lr_sched = LrSchedule(cfg.lr_max, total_updates)
 
@@ -364,7 +361,15 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
         start_epoch = 0
 
     end_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, start_epoch + stop_after)
-    mode = "a" if (resume is not None and metrics_path.exists()) else "w"
+    mode = "w"
+    if resume is not None and metrics_path.exists():
+        # a kill between a row's flush and its checkpoint leaves rows past
+        # epoch_next; keep the header and the rows the checkpoint covers
+        with open(metrics_path, "r+b") as fh:
+            for _ in range(1 + start_epoch):
+                fh.readline()
+            fh.truncate(fh.tell())
+        mode = "a"
     problem = _problem_meta(cfg, instances[0].energy_model)
     save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, start_epoch, problem)
     last_row = None
@@ -384,7 +389,7 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
                 row = _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng)
             else:
                 row = _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature,
-                                 cfg, ppo_cfg, normalizer, adam, lr, rng)
+                                 cfg, normalizer, adam, lr, rng)
             if not math.isfinite(row["loss"]):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}; last-good checkpoint kept"

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, PathBatch, path_log_p_hat, path_log_q, sample_reverse_path
+from .diffusion import PathBatch, path_log_p_hat, path_log_q, sample_reverse_path
 
 __all__ = [
     "WeightedSamples",
-    "snis_weights",
     "snis_weights_from_logs",
     "snis_sample",
     "snis_expectation",
@@ -26,7 +25,6 @@ __all__ = [
     "ChainState",
     "nmcmc_init",
     "nmcmc_advance",
-    "nmcmc_step",
     "nmcmc_run",
     "AutocorrResult",
     "autocorr_time",
@@ -65,13 +63,6 @@ def snis_weights_from_logs(x0, log_p_hat, log_q) -> WeightedSamples:
     total = w.sum()
     log_z_hat = shift + math.log(total) - math.log(m)
     return WeightedSamples(np.asarray(x0, dtype=np.int8), log_w, w / total, log_z_hat)
-
-
-def snis_weights(paths: PathBatch, target, schedule: NoiseSchedule) -> WeightedSamples:
-    """Weights of paths drawn from the model, using the exact sampling-time
-    log-likelihoods stored in the batch (recompute via `path_log_q` to audit)."""
-    log_p = path_log_p_hat(target, schedule, paths)
-    return snis_weights_from_logs(paths.x0, log_p, paths.log_q)
 
 
 def snis_sample(
@@ -159,9 +150,10 @@ class ChainState:
             return np.zeros(self.n_chains)
         return self.n_accepted / self.n_steps
 
-    def verify_cache(self, policy, target, schedule, condition=None, atol: float = 1e-10) -> None:
+    def verify_cache(self, policy, target, schedule, condition=None) -> None:
         """Recompute both cached log-probabilities from the chains' states, and
         check the stored per-step likelihoods still sum to the cached log q."""
+        atol = 1e-10
         lq = path_log_q(policy, self.paths, condition)
         lp = path_log_p_hat(target, schedule, self.paths)
         if not (np.allclose(lq, self.log_q, atol=atol)
@@ -237,12 +229,6 @@ def nmcmc_advance(
     return series
 
 
-def nmcmc_step(chain: ChainState, policy, target, schedule, rng, condition=None) -> ChainState:
-    """One Metropolis-Hastings step per chain: `nmcmc_advance` with one step."""
-    nmcmc_advance(chain, policy, target, schedule, 1, rng, None, condition)
-    return chain
-
-
 def nmcmc_run(
     policy,
     target,
@@ -270,23 +256,27 @@ def nmcmc_run(
 @dataclass(frozen=True)
 class AutocorrResult:
     tau: float | None  # integrated autocorrelation time (None if degenerate)
-    window: int  # truncation lag K satisfying K >= c * tau(K)
+    window: int  # truncation lag K satisfying K >= WINDOW_C * tau(K)
     rho: np.ndarray  # normalized autocorrelations rho(1..K)
     degenerate: bool = False
 
 
-def autocorr_time(series, c: float = 5.0) -> AutocorrResult:
+WINDOW_C = 5.0  # autocorrelation window constant
+MIN_BURN_IN = 100  # steps
+
+
+def autocorr_time(series) -> AutocorrResult:
     """Integrated autocorrelation time with a self-consistent truncation window.
 
     tau(K) = 1 + 2 * sum_{lag<=K} rho(lag) where rho is the biased-normalization
-    autocorrelation estimate; K is the first lag with K >= c * tau(K). A chain with
+    autocorrelation estimate; K is the first lag with K >= WINDOW_C * tau(K). A chain with
     (numerically) zero variance is flagged degenerate. The raw value is
     reported even if below 1 (anticorrelated chains).
     """
     x = np.asarray(series, dtype=np.float64).reshape(-1)
     n = len(x)
-    if n < 10 * c:
-        raise ValueError(f"series too short for a window search (need >= {int(10 * c)})")
+    if n < 10 * WINDOW_C:
+        raise ValueError(f"series too short for a window search (need >= {int(10 * WINDOW_C)})")
     mu = x.mean()
     d = x - mu
     c0 = float(d @ d) / n
@@ -299,7 +289,7 @@ def autocorr_time(series, c: float = 5.0) -> AutocorrResult:
     lags = np.arange(1, n - 1)
     rho = np.fft.irfft(spec * spec.conj(), size)[1 : n - 1] / (n - lags) / c0
     tau = 1.0 + 2.0 * np.cumsum(rho)
-    fits = np.flatnonzero(lags >= c * tau)
+    fits = np.flatnonzero(lags >= WINDOW_C * tau)
     if len(fits) == 0:
         raise ConvergenceError("no self-consistent autocorrelation window within the series")
     k = fits[0]
@@ -324,15 +314,10 @@ class NmcmcEstimate:
         }
 
 
-def estimate_from_series(
-    series: np.ndarray,
-    acceptance: np.ndarray,
-    c: float = 5.0,
-    min_burn_in: int = 100,
-) -> NmcmcEstimate:
+def estimate_from_series(series: np.ndarray, acceptance: np.ndarray) -> NmcmcEstimate:
     """Post-burn-in mean with an autocorrelation-corrected standard error.
 
-    Burn-in discards max(10*tau, min_burn_in) leading steps; the standard error
+    Burn-in discards max(10*tau, MIN_BURN_IN) leading steps; the standard error
     carries the sqrt(2*tau) effective-sample correction. Chains that never
     accepted are excluded from the average and reported in the flag count.
     """
@@ -347,7 +332,7 @@ def estimate_from_series(
     taus = []
     degenerate = False
     for row in series:
-        res = autocorr_time(row, c)
+        res = autocorr_time(row)
         if res.degenerate:
             degenerate = True
         else:
@@ -364,7 +349,7 @@ def estimate_from_series(
             n_flagged=n_flagged,
         )
     tau = float(np.mean(taus))
-    burn_in = int(max(10.0 * tau, min_burn_in))
+    burn_in = int(max(10.0 * tau, MIN_BURN_IN))
     if burn_in >= n_steps:
         raise ConvergenceError(
             f"burn-in {burn_in} does not fit in a chain of length {n_steps}"
@@ -395,8 +380,6 @@ def nmcmc_estimate(
     n_steps: int = 2000,
     rng=None,
     condition=None,
-    c: float = 5.0,
-    min_burn_in: int = 100,
 ) -> NmcmcEstimate:
     """Run chains, check convergence via the autocorrelation window, and return
     the post-burn-in estimate with its corrected standard error."""
@@ -405,4 +388,4 @@ def nmcmc_estimate(
     series, chain = nmcmc_run(
         policy, target, schedule, n_chains, n_steps, rng, observable, condition
     )
-    return estimate_from_series(series, chain.acceptance_rate(), c, min_burn_in)
+    return estimate_from_series(series, chain.acceptance_rate())

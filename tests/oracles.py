@@ -9,6 +9,7 @@ for the exact policy gradient.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PathBatch, bernoulli_logpmf, path_log_p_hat, stationary_logprob
 from bitdiff.energies import int_to_bits
+from bitdiff.graphs import BruteForceResult, solution_size
 from bitdiff.unbiased import AutocorrResult, ConvergenceError
 
 
@@ -204,6 +206,30 @@ def neighbors_direct(n_nodes: int, edges) -> tuple:
         nbrs[a].append(b)
         nbrs[b].append(a)
     return tuple(np.array(sorted(v), dtype=np.int64) for v in nbrs)
+
+
+def brute_force_co_direct(problem: str, graph, penalty_a: float = 1.0,
+                          penalty_b: float = 1.1) -> BruteForceResult:
+    """`brute_force_co` in two sweeps over all 2^N states: one for the
+    minimum energy, one collecting every state within 1e-9 of it."""
+    n = graph.n_nodes
+    co = graph.co_problem(problem, penalty_a, penalty_b)
+    chunk = 1 << min(16, n)
+    best_e = math.inf
+    for start in range(0, 1 << n, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << n))
+        best_e = min(best_e, float(co.energy(int_to_bits(idx, n)).min()))
+    collected = []
+    for start in range(0, 1 << n, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << n))
+        states = int_to_bits(idx, n)
+        e = co.energy(states)
+        collected.append(states[e <= best_e + 1e-9])
+    best_states = np.vstack(collected)
+    sizes = {solution_size(problem, graph, s) for s in best_states}
+    if len(sizes) != 1:
+        raise RuntimeError(f"energy minimizers disagree on solution size: {sorted(sizes)}")
+    return BruteForceResult(best_states, best_e, sizes.pop())
 
 
 def non_edges_direct(n_nodes: int, edges) -> np.ndarray:

@@ -15,7 +15,7 @@ import scipy.signal
 
 from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
-from bitdiff.config import parse_config
+from bitdiff.config import RunConfig, parse_config
 from bitdiff.decode import conditional_expectation
 from bitdiff.diffusion import exp_schedule, path_log_p_hat, sample_reverse_path
 from bitdiff.energies import (
@@ -36,7 +36,6 @@ from bitdiff.nets import (
 )
 from bitdiff.objectives import (
     AnnealSchedule,
-    PpoConfig,
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
@@ -485,7 +484,7 @@ class TestCriterion10MemoryScaling:
         fkl_mc_grad(policy, paths, paths.log_q, target, sched, t_idx=t_idx)
         n_fkl = ad.activation_records()
 
-        cfg = PpoConfig(n_path_minibatch=m, n_timestep_minibatch=tau)
+        cfg = RunConfig()
         buf = build_buffer(policy, paths, target, sched, 1.0, cfg,
                            RewardNormalizer(rate=0.0, mean=0.0, var=1.0, initialized=True))
         ad.reset_activation_records()

@@ -12,7 +12,6 @@ from bitdiff.diffusion import (
     forward_kernel_logprob,
     path_log_p_hat,
     path_log_q,
-    sample_forward_path,
     sample_reverse_path,
     stationary_logprob,
 )
@@ -72,32 +71,6 @@ class TestForwardKernel:
 
 
 class TestForwardPath:
-    def test_no_noise_limit(self):
-        sched = NoiseSchedule(np.full(5, 1e-9))
-        x0 = np.ones((20, 8), dtype=np.int8)
-        states, _ = sample_forward_path(sched, x0, np.random.default_rng(0))
-        assert np.array_equal(states[:, -1], x0)
-
-    def test_flip_rate_matches_beta(self):
-        beta = 0.23
-        sched = NoiseSchedule(np.array([beta]))
-        x0 = np.zeros((100000, 1), dtype=np.int8)
-        states, _ = sample_forward_path(sched, x0, np.random.default_rng(1))
-        rate = states[:, 1].mean()
-        sigma = math.sqrt(beta * (1 - beta) / 100000)
-        assert abs(rate - beta) < 3 * sigma
-
-    def test_logprob_matches_recomputation(self):
-        sched = exp_schedule(6)
-        rng = np.random.default_rng(2)
-        x0 = rng.integers(0, 2, (10, 5), dtype=np.int8)
-        states, logp = sample_forward_path(sched, x0, rng)
-        manual = sum(
-            forward_kernel_logprob(states[:, t], states[:, t - 1], sched.beta(t))
-            for t in range(1, 7)
-        )
-        assert np.allclose(logp, manual, atol=1e-12)
-
     def test_marginal_normalization(self):
         # sum over all forward trajectories of exp(log p(X_{1:T}|X_0)) == 1
         sched = exp_schedule(3)
@@ -246,15 +219,3 @@ class TestPathLogPHat:
         a = path_log_p_hat(BoltzmannTarget(base, beta), sched, paths)
         b = path_log_p_hat(BoltzmannTarget(Shifted(base, 2.5), beta), sched, paths)
         assert np.allclose(b - a, -beta * 2.5, atol=1e-12)
-
-
-class TestSerialization:
-    def test_npz_roundtrip(self, tmp_path):
-        policy = ConstantPolicy(5, 3, 0.4)
-        paths = sample_reverse_path(policy, exp_schedule(3), 7, np.random.default_rng(8))
-        f = tmp_path / "paths.npz"
-        paths.to_npz(f)
-        back = PathBatch.from_npz(f)
-        assert np.array_equal(back.states, paths.states)
-        assert np.allclose(back.step_logq, paths.step_logq, atol=0)
-        assert np.allclose(back.prior_logq, paths.prior_logq, atol=0)

@@ -17,6 +17,8 @@ from bitdiff.graphs import (
     solution_size,
 )
 
+from oracles import brute_force_co_direct
+
 
 def star(n_leaves):
     return Graph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
@@ -29,7 +31,7 @@ def complete(n):
 class TestGraph:
     def test_dedup_and_orientation(self):
         g = Graph(3, [(1, 0), (0, 1), (2, 1)])
-        assert g.n_edges == 2
+        assert len(g.edges) == 2
         assert g.edge_set() == {(0, 1), (1, 2)}
 
     def test_self_loop_rejected(self):
@@ -42,22 +44,17 @@ class TestGraph:
         assert back.n_nodes == g.n_nodes
         assert back.edge_set() == g.edge_set()
 
-    def test_permuted(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        p = g.permuted([3, 2, 1, 0])
-        assert p.edge_set() == {(2, 3), (0, 1)}
-
 
 class TestBarabasiAlbert:
     def test_m1_tree(self):
         g = gen_ba(BaConfig(5, 1, seed=0))
-        assert g.n_edges == 4
+        assert len(g.edges) == 4
 
     def test_edge_count_constant_across_seeds(self):
         # clique seed on m+1 nodes plus m attachments per remaining node
         n, m = 10, 4
         expected = m * (m + 1) // 2 + m * (n - m - 1)
-        counts = {gen_ba(BaConfig(n, m, seed=s)).n_edges for s in range(25)}
+        counts = {len(gen_ba(BaConfig(n, m, seed=s)).edges) for s in range(25)}
         assert counts == {expected}
 
     def test_deterministic(self):
@@ -68,7 +65,7 @@ class TestBarabasiAlbert:
     def test_distinct_attachments(self):
         for s in range(10):
             g = gen_ba(BaConfig(9, 3, seed=s))
-            assert len(g.edge_set()) == g.n_edges  # no duplicate edges survived
+            assert len(g.edge_set()) == len(g.edges)  # no duplicate edges survived
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -81,13 +78,13 @@ class TestRb:
     def test_p1_disjoint_cliques(self):
         g = gen_rb(RbConfig(3, 4, 1.0, seed=0))
         assert g.n_nodes == 12
-        assert g.n_edges == 3 * 6  # 3 * C(4,2)
+        assert len(g.edges) == 3 * 6  # 3 * C(4,2)
 
     def test_low_p_adds_cross_edges(self):
         hits = 0
         for s in range(100):
             g = gen_rb(RbConfig(2, 3, 0.05, seed=s))
-            if g.n_edges > 2 * 3:
+            if len(g.edges) > 2 * 3:
                 hits += 1
         assert hits == 100  # round(0.25*0.95*9) = 2 cross edges per ordered pair
 
@@ -164,3 +161,15 @@ class TestBruteForce:
             res = brute_force_co(kind, g)
             sizes = [solution_size(kind, g, s) for s in res.optimal_states]
             assert len(set(sizes)) == 1
+
+    @pytest.mark.parametrize("kind", ["mis", "mds", "maxcl", "maxcut"])
+    def test_one_pass_matches_two_pass(self, kind):
+        # the 17-node graph sweeps two chunks of 2^16 states
+        graphs = [gen_ba(BaConfig(n, 2 + s % 3, seed=s)) for s, n in enumerate(range(4, 15))]
+        graphs.append(gen_ba(BaConfig(17, 2, seed=12)))
+        for g in graphs:
+            got = brute_force_co(kind, g, allow_large=True)
+            want = brute_force_co_direct(kind, g)
+            assert np.array_equal(got.optimal_states, want.optimal_states)
+            assert got.optimal_energy == want.optimal_energy
+            assert got.optimal_size == want.optimal_size

@@ -5,12 +5,12 @@ import pytest
 
 from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
+from bitdiff.config import RunConfig
 from bitdiff.diffusion import NoiseSchedule, exp_schedule, sample_reverse_path
 from bitdiff.energies import BoltzmannTarget, SpinCouplingModel
 from bitdiff.nets import MlpPolicy, MlpSpec
 from bitdiff.objectives import (
     AnnealSchedule,
-    PpoConfig,
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
@@ -184,7 +184,7 @@ class TestTdLambda:
         policy = make_policy(n_bits, t_steps, value_head=True)
         sched = exp_schedule(t_steps)
         target = small_target(n_bits)
-        cfg = PpoConfig(n_path_minibatch=8, n_timestep_minibatch=2)
+        cfg = RunConfig()
         paths = sample_reverse_path(policy, sched, 24, np.random.default_rng(30))
         buf = build_buffer(policy, paths, target, sched, 0.9, cfg,
                            RewardNormalizer(rate=0.01))
@@ -199,7 +199,7 @@ class TestTdLambda:
         policy = make_policy(n_bits, t_steps, value_head=True)
         sched = exp_schedule(t_steps)
         target = small_target(n_bits)
-        cfg = PpoConfig(n_path_minibatch=8, n_timestep_minibatch=2)
+        cfg = RunConfig()
         paths = sample_reverse_path(policy, sched, 16, np.random.default_rng(4))
 
         advs = []
@@ -242,7 +242,7 @@ class TestPpo:
     def test_fresh_ratio_clip_inactive(self):
         policy, sched, target, temp = self._setup()
         paths = sample_reverse_path(policy, sched, 12, np.random.default_rng(5))
-        cfg = PpoConfig(n_path_minibatch=12, n_timestep_minibatch=2)
+        cfg = RunConfig()
         buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
         _, _, stats = ppo_minibatch_grad(
             policy, buf, cfg, np.arange(12), np.tile(np.arange(2), (12, 1))
@@ -254,8 +254,7 @@ class TestPpo:
         # positive advantage, ratio above 1+clip: the min picks the flat branch
         policy, sched, target, temp = self._setup(seed=3)
         paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(6))
-        cfg = PpoConfig(clip=0.2, value_weight=0.0,
-                        n_path_minibatch=4, n_timestep_minibatch=2)
+        cfg = RunConfig(clip=0.2, value_weight=0.0)
         buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
         buf.advantages[:] = 1.0
         buf.logq_old[:] = buf.logq_old - 1.0  # inflate the ratio to e > 1.2
@@ -273,8 +272,7 @@ class TestPpo:
         batch = teacher_forced_batch(policy, states)
         probs = np.exp(batch.log_q)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-        cfg = PpoConfig(clip=0.2, value_weight=0.0, trace_decay=1.0,
-                        n_path_minibatch=len(states), n_timestep_minibatch=2)
+        cfg = RunConfig(clip=0.2, value_weight=0.0, trace_decay=1.0)
         buf = build_buffer(policy, batch, target, sched, temp, cfg,
                            identity_normalizer(), normalize=False, path_weights=probs)
         m = batch.n_paths
@@ -287,7 +285,7 @@ class TestPpo:
     def test_stale_buffer_ratio_guard(self):
         policy, sched, target, temp = self._setup(seed=7)
         paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(8))
-        cfg = PpoConfig(n_path_minibatch=4, n_timestep_minibatch=2)
+        cfg = RunConfig()
         buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
         buf.logq_old[:] = -np.inf
         with pytest.raises(FloatingPointError):

@@ -163,6 +163,41 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train(other, resume=out["checkpoint"])
 
+    def test_resume_after_a_lost_checkpoint_rewrites_metrics_exactly(self, tmp_path):
+        text = ISING_CFG.format(objective="rkl_rl", epochs=4, seed=5, out_dir="{out}")
+        full = train(parse_config(text.format(out=tmp_path / "full")))
+        cfg = parse_config(text.format(out=tmp_path / "run"))
+        ckpt = Path(train(cfg, stop_after=1)["checkpoint"])
+        after_epoch_1 = ckpt.read_bytes()
+        # epoch 2 flushes its metrics row, then the run dies before the
+        # checkpoint it would have written survives
+        train(cfg, resume=str(ckpt), stop_after=1)
+        ckpt.write_bytes(after_epoch_1)
+        train(cfg, resume=str(ckpt))
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == Path(
+            full["metrics"]).read_bytes()
+
+    def test_failed_checkpoint_save_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,
+                                            out_dir=tmp_path / "r"))
+        ckpt = Path(train(cfg)["checkpoint"])
+        before = ckpt.read_bytes()
+        policy, cfg, adam, normalizer, rng, epoch_next, problem = load_checkpoint(ckpt)
+
+        def torn_savez(fh, **arrays):
+            fh.write(before[: len(before) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError):
+            bitdiff.train.save_checkpoint(ckpt, cfg, policy, adam, normalizer, rng,
+                                          epoch_next + 1, problem)
+        monkeypatch.undo()
+        assert ckpt.read_bytes() == before
+        assert load_checkpoint(ckpt)[5] == epoch_next
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == ["checkpoint.npz",
+                                                                "metrics.csv"]
+
     def test_single_edge_mis_reaches_optimum(self, tmp_path):
         ds = write_single_edge_dataset(tmp_path)
         cfg = parse_config(co_cfg(ds, tmp_path / "co_run"))
@@ -304,6 +339,19 @@ class TestCli:
         inst.write_text(write_instance_text(IsingLattice2D(3)))
         assert cli.main(["oracle", "--problem", "ea", "--instance", str(inst)]) == 2
         assert "not an EA instance" in capsys.readouterr().err
+
+    def test_exit_code_ea_instance_of_another_size(self, tmp_path, capsys):
+        inst = tmp_path / "ea5.txt"
+        inst.write_text(write_instance_text(EAInstance.normal(5, seed=0)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,
+                                        out_dir=tmp_path / "r")
+                       .replace("kind = ising", f"kind = ea\ninstance_file = {inst}")
+                       .replace("lattice_size = 3", "lattice_size = 4"))
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "L = 5" in err and "lattice_size = 4" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("text", [
         "kind ea\nbonds 0\n",

@@ -12,19 +12,19 @@ from bitdiff.energies import (
     all_states,
     enumerate_observables,
 )
+from bitdiff.objectives import fkl_importance_weights
 from bitdiff.unbiased import (
     PROPOSAL_ROWS,
     ConvergenceError,
     autocorr_time,
     effective_sample_size,
     nmcmc_estimate,
+    nmcmc_advance,
     nmcmc_init,
     nmcmc_run,
-    nmcmc_step,
     observable_estimates,
     snis_expectation,
     snis_sample,
-    snis_weights,
     snis_weights_from_logs,
 )
 
@@ -48,7 +48,7 @@ class TestSnisWeights:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         paths = sample_reverse_path(policy, sched, 32, np.random.default_rng(0))
-        ws = snis_weights(paths, target, sched)
+        ws = fkl_importance_weights(paths, paths.log_q, target, sched)
         assert np.allclose(ws.weights, 1 / 32, atol=1e-12)
         assert ws.log_z_hat == pytest.approx(n_bits * math.log(2), abs=1e-12)
 
@@ -57,7 +57,7 @@ class TestSnisWeights:
         sched = NoiseSchedule(np.array([0.5]))
         target = BoltzmannTarget(SpinCouplingModel(2, [(0, 1)], [1.0]), 0.5)
         paths = sample_reverse_path(policy, sched, 1, np.random.default_rng(1))
-        ws = snis_weights(paths, target, sched)
+        ws = fkl_importance_weights(paths, paths.log_q, target, sched)
         assert ws.weights[0] == 1.0
         assert ws.log_z_hat == pytest.approx(ws.log_w[0])
 
@@ -113,7 +113,7 @@ class TestSnisExpectation:
         model = SpinCouplingModel(n_bits, [(0, 1)], [1.0])
         target = BoltzmannTarget(model, 0.0)
         paths = sample_reverse_path(policy, sched, 50, np.random.default_rng(3))
-        ws = snis_weights(paths, target, sched)
+        ws = fkl_importance_weights(paths, paths.log_q, target, sched)
         want = float(model.energy(paths.x0).mean())
         assert snis_expectation(ws, model.energy) == pytest.approx(want, abs=1e-10)
 
@@ -128,7 +128,7 @@ class TestSnisExpectation:
         estimates = []
         for _ in range(reps):
             paths = sample_reverse_path(policy, sched, m, rng)
-            ws = snis_weights(paths, target, sched)
+            ws = fkl_importance_weights(paths, paths.log_q, target, sched)
             estimates.append(snis_expectation(ws, chain.energy))
         estimates = np.array(estimates)
         stderr = estimates.std(ddof=1) / math.sqrt(reps)
@@ -211,7 +211,7 @@ class TestNmcmc:
         rng = np.random.default_rng(8)
         chain = nmcmc_init(policy, target, sched, 16, rng)
         for _ in range(50):
-            nmcmc_step(chain, policy, target, sched, rng)
+            nmcmc_advance(chain, policy, target, sched, 1, rng)
         assert np.all(chain.n_accepted == 50)
         # a move carries the proposal's last-step probabilities with its states
         assert np.array_equal(chain.paths.x0_probs, policy.probs(chain.paths.states[:, 1], 1))
