@@ -211,8 +211,8 @@ def cmd_oracle(args) -> int:
         text = ""
         if args.problem == "ea" and args.instance:
             text = Path(args.instance).read_text(encoding="utf-8")
-        model = build_lattice(args.problem, args.lattice_size, args.coupling, args.ea_dist,
-                              args.ea_seed, text)
+        size = 4 if args.lattice_size is None and not text else args.lattice_size
+        model = build_lattice(args.problem, size, args.coupling, args.ea_dist, args.ea_seed, text)
         target = BoltzmannTarget(model, args.beta)
         obs = enumerate_observables(target, with_probabilities=False)
         per = obs.per_site()
@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exact references by enumeration")
     o.add_argument("--problem", choices=("ising", "ea", "mis", "mds", "maxcl", "maxcut"),
                    required=True)
-    o.add_argument("--lattice-size", type=int, default=4)
+    o.add_argument("--lattice-size", type=int,
+                   help="lattice side length (default: the --instance file's, else 4)")
     o.add_argument("--coupling", type=float, default=1.0)
     o.add_argument("--beta", type=float, default=0.4407)
     o.add_argument("--ea-seed", type=int, default=0)
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
         parser.error("train requires --config or --resume")
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, ArithmeticError) as err:
@@ -328,9 +329,6 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"convergence failure: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (FileNotFoundError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

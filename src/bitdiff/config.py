@@ -94,8 +94,8 @@ class RunConfig:
                 raise ConfigError("lattice problems require model.arch = mlp")
             if self.lattice_size < 3:
                 raise ConfigError("lattice_size must be >= 3")
-            if self.beta <= 0:
-                raise ConfigError("beta must be > 0")
+        if self.beta <= 0:
+            raise ConfigError("beta must be > 0")
         if not self.hidden or min(self.hidden) < 1:
             raise ConfigError("model.hidden must list one or more widths, each >= 1")
         if self.n_hidden < 1:
@@ -118,6 +118,10 @@ class RunConfig:
             raise ConfigError("lr_max must be > 0")
         if self.anneal not in ("linear_to_zero", "ising_decay"):
             raise ConfigError("train.anneal must be linear_to_zero or ising_decay")
+        if self.t_start < 0:
+            raise ConfigError("train.t_start must be >= 0")
+        if self.anneal_h <= 0:
+            raise ConfigError("train.anneal_h must be > 0")
         if self.ea_dist not in ("normal", "uniform"):
             raise ConfigError("problem.ea_dist must be normal or uniform")
         if not self.penalty_a < self.penalty_b:
@@ -128,6 +132,8 @@ class RunConfig:
             raise ConfigError("ppo.value_weight must be in [0, 1]")
         if not 0 <= self.trace_decay <= 1:
             raise ConfigError("ppo.trace_decay must be in [0, 1]")
+        if not 0 < self.reward_ma_rate <= 1:
+            raise ConfigError("ppo.reward_ma_rate must be in (0, 1]")
         if self.epochs_per_buffer < 1:
             raise ConfigError("ppo.epochs_per_buffer must be >= 1")
         return self

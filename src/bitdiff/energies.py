@@ -477,11 +477,12 @@ def read_instance_text(text: str):
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def build_lattice(kind: str, side_length: int, coupling: float = 1.0, ea_dist: str = "normal",
-                  ea_seed: int = 0, instance_text: str = ""):
+def build_lattice(kind: str, side_length: int | None, coupling: float = 1.0,
+                  ea_dist: str = "normal", ea_seed: int = 0, instance_text: str = ""):
     """The lattice model a run or command names: the ferromagnet for `ising`;
     for `ea`, the instance in `instance_text` if given, else couplings drawn
-    from `ea_dist` ("normal" or "uniform") with `ea_seed`."""
+    from `ea_dist` ("normal" or "uniform") with `ea_seed`. An instance must
+    hold a `side_length` lattice unless `side_length` is None."""
     if kind == "ising":
         return IsingLattice2D(side_length, coupling)
     if kind != "ea":
@@ -492,4 +493,7 @@ def build_lattice(kind: str, side_length: int, coupling: float = 1.0, ea_dist: s
     model = read_instance_text(instance_text)
     if not isinstance(model, EAInstance):
         raise ValueError(f"instance text holds a {type(model).__name__}, not an EA instance")
+    if side_length is not None and model.side_length != side_length:
+        raise ValueError(f"instance holds an L = {model.side_length} lattice, "
+                         f"but lattice_size = {side_length}")
     return model

@@ -74,11 +74,7 @@ def _lattice_model(cfg: RunConfig):
     if cfg.kind == "ea" and cfg.instance_file:
         with open(cfg.instance_file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    model = build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed, text)
-    if model.side_length != cfg.lattice_size:
-        raise ConfigError(f"instance file {cfg.instance_file} holds an L = {model.side_length} "
-                          f"lattice, but lattice_size = {cfg.lattice_size}")
-    return model
+    return build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed, text)
 
 
 def load_dataset(dataset_dir: str) -> list[Graph]:

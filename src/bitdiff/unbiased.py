@@ -65,22 +65,26 @@ def snis_weights_from_logs(x0, log_p_hat, log_q) -> WeightedSamples:
     return WeightedSamples(np.asarray(x0, dtype=np.int8), log_w, w / total, log_z_hat)
 
 
-def snis_sample(
-    policy, target, schedule, n_samples: int, rng, condition=None, chunk: int = 20000
-) -> WeightedSamples:
-    """Draw paths from the model in chunks and keep only terminal states and
-    log-weights, so large sample counts stay memory-bounded."""
-    if n_samples < 1 or chunk < 1:
-        raise ValueError(f"need at least one sample and chunk row, got {n_samples}, {chunk}")
+# Proposal paths drawn per sampler call, by both `snis_sample` and
+# `nmcmc_advance`. Below a few hundred rows the policy forward is dominated by
+# per-call overhead; far above, the block falls out of cache (4x4 MLP (64, 64),
+# T = 20, one BLAS thread: about 5.7k paths/s at 16 rows, 21k at 256, 17k at
+# 1,024, 14k at 20,000).
+PROPOSAL_ROWS = 256
+
+
+def snis_sample(policy, target, schedule, n_samples: int, rng, condition=None) -> WeightedSamples:
+    """Draw paths from the model in blocks of PROPOSAL_ROWS and keep only
+    terminal states and log-weights, so large sample counts stay memory-bounded."""
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     x0_parts, lp_parts, lq_parts = [], [], []
-    remaining = n_samples
-    while remaining > 0:
-        take = min(chunk, remaining)
+    for start in range(0, n_samples, PROPOSAL_ROWS):
+        take = min(PROPOSAL_ROWS, n_samples - start)
         paths = sample_reverse_path(policy, schedule, take, rng, condition)
         x0_parts.append(paths.x0.copy())
         lp_parts.append(path_log_p_hat(target, schedule, paths))
         lq_parts.append(paths.log_q)
-        remaining -= take
     return snis_weights_from_logs(
         np.concatenate(x0_parts), np.concatenate(lp_parts), np.concatenate(lq_parts)
     )
@@ -170,13 +174,6 @@ def nmcmc_init(policy, target, schedule, n_chains: int, rng, condition=None) -> 
         log_q=paths.log_q.copy(),
         n_accepted=np.zeros(n_chains, dtype=np.int64),
     )
-
-
-# Proposal paths drawn per sampler call. Below a few hundred rows the policy
-# forward is dominated by per-call overhead; far above, the block falls out of
-# cache (4x4 MLP (64, 64), T = 20, one BLAS thread: about 5.7k paths/s at 16
-# rows, 21k at 256, 17k at 1,024).
-PROPOSAL_ROWS = 256
 
 
 def nmcmc_advance(
@@ -329,36 +326,22 @@ def estimate_from_series(series: np.ndarray, acceptance: np.ndarray) -> NmcmcEst
         raise ConvergenceError("no chain ever accepted a proposal")
     series = series[live]
 
-    taus = []
-    degenerate = False
-    for row in series:
-        res = autocorr_time(row)
-        if res.degenerate:
-            degenerate = True
-        else:
-            taus.append(res.tau)
-    if degenerate and not taus:
+    taus = [res.tau for res in map(autocorr_time, series) if not res.degenerate]
+    if taus:
+        tau = float(np.mean(taus))
+        burn_in = int(max(10.0 * tau, MIN_BURN_IN))
+        if burn_in >= n_steps:
+            raise ConvergenceError(
+                f"burn-in {burn_in} does not fit in a chain of length {n_steps}"
+            )
+        post = series[:, burn_in:]
+        n_post = post.size
+        est = float(post.mean())
+        var = float(post.var(ddof=1)) if n_post > 1 else 0.0
+        stderr = math.sqrt(var / n_post * 2.0 * tau)
+    else:
         # constant observable: the estimate is exact, the error bar undefined
-        return NmcmcEstimate(
-            estimate=float(series.mean()),
-            stderr=None,
-            tau=None,
-            burn_in=0,
-            acceptance_rate=float(np.mean(np.asarray(acceptance)[live]) if live.any() else 0.0),
-            n_chains_used=int(live.sum()),
-            n_flagged=n_flagged,
-        )
-    tau = float(np.mean(taus))
-    burn_in = int(max(10.0 * tau, MIN_BURN_IN))
-    if burn_in >= n_steps:
-        raise ConvergenceError(
-            f"burn-in {burn_in} does not fit in a chain of length {n_steps}"
-        )
-    post = series[:, burn_in:]
-    n_post = post.size
-    est = float(post.mean())
-    var = float(post.var(ddof=1)) if n_post > 1 else 0.0
-    stderr = math.sqrt(var / n_post * 2.0 * tau)
+        est, stderr, tau, burn_in = float(series.mean()), None, None, 0
     return NmcmcEstimate(
         estimate=est,
         stderr=stderr,
@@ -376,15 +359,13 @@ def nmcmc_estimate(
     schedule,
     observable=None,
     *,
-    n_chains: int = 8,
-    n_steps: int = 2000,
-    rng=None,
+    n_chains: int,
+    n_steps: int,
+    rng,
     condition=None,
 ) -> NmcmcEstimate:
     """Run chains, check convergence via the autocorrelation window, and return
     the post-burn-in estimate with its corrected standard error."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     series, chain = nmcmc_run(
         policy, target, schedule, n_chains, n_steps, rng, observable, condition
     )

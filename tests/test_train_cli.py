@@ -353,6 +353,57 @@ class TestCli:
         assert "L = 5" in err and "lattice_size = 4" in err
         assert not (tmp_path / "r").exists()
 
+    def test_oracle_instance_sets_the_lattice_size(self, tmp_path, capsys):
+        inst = tmp_path / "ea3.txt"
+        inst.write_text(write_instance_text(EAInstance.normal(3, seed=0)))
+        argv = ["oracle", "--problem", "ea", "--instance", str(inst)]
+        assert cli.main([*argv, "--lattice-size", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "L = 3" in err and "lattice_size = 5" in err
+        out = tmp_path / "o.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n_sites"] == 9
+
+    @pytest.mark.parametrize("key, edit", [
+        ("anneal_h", lambda t: t.replace("anneal_h = 20", "anneal_h = -1")),
+        ("anneal_h", lambda t: t.replace("anneal_h = 20", "anneal_h = 0")),
+        ("t_start", lambda t: t.replace("anneal = ising_decay", "anneal = linear_to_zero")
+                              .replace("anneal_h = 20", "t_start = -1")),
+        ("reward_ma_rate", lambda t: t + "\n[ppo]\nreward_ma_rate = 5\n"),
+        ("beta", None),
+    ], ids=["anneal_h_negative", "anneal_h_zero", "t_start_negative", "reward_ma_rate_above_1",
+            "co_beta_zero"])
+    def test_exit_code_schedule_and_normalizer_values(self, tmp_path, capsys, key, edit):
+        out_dir = tmp_path / "r"
+        if edit is None:
+            text = (co_cfg(write_single_edge_dataset(tmp_path), out_dir, epochs=1)
+                    .replace("kind = co", "kind = co\nbeta = 0")
+                    .replace("anneal = linear_to_zero", "anneal = ising_decay"))
+        else:
+            text = edit(ISING_CFG.format(objective="rkl_rl", epochs=1, seed=0, out_dir=out_dir))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        assert cli.main(["train", "--config", str(cfg_file)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["config_dir", "graph_dir", "out_under_file",
+                                      "out_dir_is_file"])
+    def test_exit_code_os_errors(self, tmp_path, capsys, case):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("x")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,
+                                             out_dir=a_file))
+        argv = {
+            "config_dir": ["train", "--config", str(tmp_path)],
+            "graph_dir": ["oracle", "--problem", "mis", "--graph", str(tmp_path)],
+            "out_under_file": ["gen-graphs", "--kind", "ba", "--out", str(a_file / "x")],
+            "out_dir_is_file": ["train", "--config", str(cfg_file)],
+        }[case]
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "kind ea\nbonds 0\n",
         "kind\n",

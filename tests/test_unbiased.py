@@ -18,6 +18,7 @@ from bitdiff.unbiased import (
     ConvergenceError,
     autocorr_time,
     effective_sample_size,
+    estimate_from_series,
     nmcmc_estimate,
     nmcmc_advance,
     nmcmc_init,
@@ -197,9 +198,27 @@ class TestObservableEstimates:
         policy = ConstantPolicy(4, 2, 0.5)
         sched = exp_schedule(2)
         target = BoltzmannTarget(SpinCouplingModel(4, [(0, 1)], [1.0]), 0.5)
-        ws = snis_sample(policy, target, sched, 2500, np.random.default_rng(7), chunk=1000)
+        ws = snis_sample(policy, target, sched, 2500, np.random.default_rng(7))
         assert ws.n_samples == 2500
         assert ws.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_snis_sample_draws_proposal_blocks(self):
+        # 556 samples are drawn as blocks of 256, 256 and 44 rows on one stream
+        policy = ConstantPolicy(4, 2, 0.3)
+        sched = exp_schedule(2)
+        target = BoltzmannTarget(SpinCouplingModel(4, [(0, 1), (1, 2)], [1.0, -0.5]), 0.5)
+        ws = snis_sample(policy, target, sched, 2 * PROPOSAL_ROWS + 44, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        blocks = [sample_reverse_path(policy, sched, n, rng)
+                  for n in (PROPOSAL_ROWS, PROPOSAL_ROWS, 44)]
+        want = snis_weights_from_logs(
+            np.concatenate([b.x0 for b in blocks]),
+            np.concatenate([path_log_p_hat(target, sched, b) for b in blocks]),
+            np.concatenate([b.log_q for b in blocks]),
+        )
+        assert np.array_equal(ws.x0, want.x0)
+        assert np.array_equal(ws.log_w, want.log_w)
+        assert np.array_equal(ws.weights, want.weights)
 
 
 class TestNmcmc:
@@ -381,6 +400,17 @@ class TestNmcmcEstimate:
         assert res.stderr is None
         assert res.tau is None
         assert res.per_site(2) == {"estimate": res.estimate / 2, "stderr": None}
+
+    def test_tau_ignores_a_constant_live_chain(self):
+        ar1 = scipy.signal.lfilter([1.0], [1.0, -0.5],
+                                   np.random.default_rng(19).standard_normal(4000))
+        series = np.stack([np.full(4000, 2.0), ar1])
+        res = estimate_from_series(series, np.array([0.4, 0.6]))
+        tau = autocorr_time(ar1).tau
+        assert res.tau == tau
+        assert res.burn_in == int(max(10.0 * tau, 100))
+        assert res.estimate == float(series[:, res.burn_in:].mean())
+        assert res.n_chains_used == 2 and res.n_flagged == 0
 
     def test_burn_in_overflow_raises(self):
         policy = ConstantPolicy(2, 1, 0.5)
