@@ -363,12 +363,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # -- dispatching wrappers (Tensor or ndarray) --------------------------------
 
 
-def affine(x, w, b, squash: bool = False):
+def affine(x, w, b, squash: bool = False, out=None):
     """x @ w + b, through tanh when `squash`. Traced, it records the same
     matmul, add and tanh nodes as writing the expression out; untraced, it
-    does the same arithmetic in one fresh array."""
+    does the same arithmetic in one array: `out` when given (C-contiguous, of
+    the result's shape), else a fresh one. A traced call ignores `out`."""
     if not any(isinstance(v, Tensor) for v in (x, w, b)):
-        out = x @ w
+        out = np.matmul(x, w, out=out)
         out += b
         return np.tanh(out, out=out) if squash else out
     out = matmul(x, w) + b

@@ -207,9 +207,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.instance and args.problem != "ea":
+        raise ConfigError(f"--instance applies to --problem ea, not --problem {args.problem}")
     if args.problem == "ising" or args.problem == "ea":
         text = ""
-        if args.problem == "ea" and args.instance:
+        if args.instance:
             text = Path(args.instance).read_text(encoding="utf-8")
         size = 4 if args.lattice_size is None and not text else args.lattice_size
         model = build_lattice(args.problem, size, args.coupling, args.ea_dist, args.ea_seed, text)
@@ -303,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--beta", type=float, default=0.4407)
     o.add_argument("--ea-seed", type=int, default=0)
     o.add_argument("--ea-dist", choices=("normal", "uniform"), default="normal")
-    o.add_argument("--instance", default=None, help="coupling instance text file")
+    o.add_argument("--instance", default=None,
+                   help="EA coupling instance text file (--problem ea only)")
     o.add_argument("--graph", default=None, help="edge-list file for co problems")
     o.add_argument("--penalty-a", type=float, default=1.0)
     o.add_argument("--penalty-b", type=float, default=1.1)

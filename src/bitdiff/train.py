@@ -16,6 +16,7 @@ the RNG state, so resuming reproduces the uninterrupted run byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -62,11 +63,18 @@ TEMPERATURE_FLOOR = 1e-9  # keeps temperature*beta == 1 when annealing reaches z
 
 @dataclass
 class Instance:
-    """One training problem: an energy model plus the policy conditioning."""
+    """One training problem: an energy model plus, for graph problems, the
+    graph the policy is conditioned on."""
 
     energy_model: object
-    condition: GraphCondition | None = None
+    graph: Graph | None = None
     name: str = ""
+
+    @functools.cached_property
+    def condition(self) -> GraphCondition | None:
+        """The policy conditioning, built on first use: an epoch trains on a
+        few of the dataset's graphs, so most conditions are never needed."""
+        return None if self.graph is None else GraphCondition(self.graph)
 
 
 def _lattice_model(cfg: RunConfig):
@@ -106,7 +114,7 @@ def build_instances(cfg: RunConfig) -> list[Instance]:
     out = []
     for i, g in enumerate(graphs):
         co = g.co_problem(cfg.problem, cfg.penalty_a, cfg.penalty_b)
-        out.append(Instance(co, GraphCondition(g), f"graph_{i:05d}"))
+        out.append(Instance(co, g, f"graph_{i:05d}"))
     return out
 
 

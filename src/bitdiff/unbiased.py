@@ -68,8 +68,9 @@ def snis_weights_from_logs(x0, log_p_hat, log_q) -> WeightedSamples:
 # Proposal paths drawn per sampler call, by both `snis_sample` and
 # `nmcmc_advance`. Below a few hundred rows the policy forward is dominated by
 # per-call overhead; far above, the block falls out of cache (4x4 MLP (64, 64),
-# T = 20, one BLAS thread: about 5.7k paths/s at 16 rows, 21k at 256, 17k at
-# 1,024, 14k at 20,000).
+# T = 20, one BLAS thread, malloc mmap threshold pinned at 128 KiB, median of
+# three processes: about 8k paths/s at 16 rows, 29k at 256, 22k at 1,024, 19k
+# at 20,000).
 PROPOSAL_ROWS = 256
 
 

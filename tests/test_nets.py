@@ -3,7 +3,7 @@ import pytest
 
 from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
-from bitdiff.diffusion import PROB_CLIP
+from bitdiff.diffusion import PROB_CLIP, exp_schedule, sample_reverse_path
 from bitdiff.graphs import BaConfig, Graph, gen_ba
 from bitdiff.nets import (
     GnnPolicy,
@@ -14,6 +14,7 @@ from bitdiff.nets import (
     bernoulli_entropy,
     bernoulli_log_q,
     init_params,
+    _Workspace,
     make_policy,
     param_shapes,
     step_entropy_from,
@@ -231,3 +232,71 @@ class TestTracedUntracedAgree:
             grads.append(ad.collect_grads(leaves))
         for k in grads[0]:
             assert np.array_equal(grads[0][k], grads[1][k]), k
+
+
+class TestUntracedWorkspace:
+    """The untraced forward writes its layers into per-policy buffers that
+    are reused across calls of any row count or graph size; what it returns
+    is always a fresh array, bit-equal to the traced forward."""
+
+    SPECS = {
+        "mlp": MlpSpec(n_bits=6, hidden=(16, 12, 16), value_head=True, kernel_start=True),
+        "gnn": GnnSpec(n_hidden=8, n_message_passing=2, value_head=True, kernel_start=True),
+    }
+
+    def _policy(self, kind):
+        return perturb(make_policy(self.SPECS[kind], 5, seed=31), 0.5, seed=32)
+
+    def _conditions(self, kind):
+        if kind == "mlp":
+            return [None, None, None]
+        return [_ba_condition(seed=34, n=n) for n in (10, 14, 10)]
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_results_survive_later_calls_and_match_traced(self, kind):
+        policy = self._policy(kind)
+        rng = np.random.default_rng(33)
+        kept = []
+        # the largest call first, so later calls write over its buffers' prefixes
+        for rows, cond in zip((300, 1, 33), self._conditions(kind)):
+            n_bits = 6 if cond is None else cond.n_bits
+            x_t = rng.integers(0, 2, (rows, n_bits))
+            t = rng.integers(1, 6, rows)
+            probs, value = policy.probs(x_t, t, cond), policy.value(x_t, t, cond)
+            both = policy.probs_and_value_from(policy.params, x_t, t, cond)
+            traced = policy.probs_and_value_from(ad.leaves(policy.params), x_t, t, cond)
+            traced_copy = [v.data.copy() for v in traced]
+            for got, want in zip((probs, value), traced):
+                assert np.array_equal(got, want.data)
+            for got, want in zip(both, (probs, value)):
+                assert np.array_equal(got, want)
+            kept.append(([probs, value, *both], [probs.copy(), value.copy()] * 2))
+            # an untraced call after a traced one leaves the tape's arrays alone
+            policy.probs(x_t, t, cond)
+            for v, want in zip(traced, traced_copy):
+                assert np.array_equal(v.data, want)
+        for arrays, copies in kept:
+            for got, want in zip(arrays, copies):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_path_batches_do_not_share_x0_probs(self, kind):
+        policy = self._policy(kind)
+        cond = self._conditions(kind)[0]
+        rng = np.random.default_rng(35)
+        first = sample_reverse_path(policy, exp_schedule(5), 20, rng, cond)
+        kept = first.x0_probs.copy()
+        second = sample_reverse_path(policy, exp_schedule(5), 20, rng, cond)
+        assert not np.shares_memory(first.x0_probs, second.x0_probs)
+        assert np.array_equal(first.x0_probs, kept)
+
+    def test_slots_grow_to_the_largest_call_only(self):
+        ws = _Workspace()
+        big = ws.take("a", 30, 4)
+        small = ws.take("a", 7, 3)
+        assert small.shape == (7, 3) and small.flags.c_contiguous
+        assert np.shares_memory(big, small)
+        grown = ws.take("a", 31, 4)
+        assert not np.shares_memory(big, grown)
+        assert np.shares_memory(grown, ws.take("a", 30, 4))
+        assert not np.shares_memory(grown, ws.take("b", 30, 4))

@@ -353,6 +353,16 @@ class TestCli:
         assert "L = 5" in err and "lattice_size = 4" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("problem", ["ising", "mis"])
+    def test_exit_code_oracle_instance_outside_ea(self, tmp_path, capsys, problem):
+        inst = tmp_path / "ea3.txt"
+        inst.write_text(write_instance_text(EAInstance.normal(3, seed=0)))
+        out = tmp_path / "o.json"
+        argv = ["oracle", "--problem", problem, "--instance", str(inst), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "--instance applies to --problem ea" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_instance_sets_the_lattice_size(self, tmp_path, capsys):
         inst = tmp_path / "ea3.txt"
         inst.write_text(write_instance_text(EAInstance.normal(3, seed=0)))
