@@ -110,11 +110,6 @@ class PathBatch:
         """Joint reverse log-likelihood log q(X_{0:T}) per path."""
         return self.prior_logq + self.step_logq.sum(axis=1)
 
-    def select(self, idx) -> "PathBatch":
-        probs = None if self.x0_probs is None else self.x0_probs[idx]
-        return PathBatch(self.states[idx], self.step_logq[idx], self.prior_logq[idx], probs)
-
-
 
 def bernoulli_logpmf(bits, probs) -> np.ndarray:
     """Sum over the last axis of log Bernoulli(bits; probs): log p where a bit

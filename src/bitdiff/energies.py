@@ -133,11 +133,13 @@ class SpinCouplingModel:
         object.__setattr__(self, "couplings", couplings)
 
     def energy(self, x) -> np.ndarray:
+        """Energy of one state (N,) or a batch (..., N); as in
+        `CoProblem.energy`, a row's energy is bit-equal to that row's alone."""
         x = as_bits(x, self.n_sites)
-        s = spins(x)
+        s = np.ascontiguousarray(spins(x))
         # spins are exactly +-1, so a bond term is exactly +-J_b in any product order
-        terms = s[..., self.edges[:, 0]]
-        terms *= s[..., self.edges[:, 1]]
+        terms = np.take(s, self.edges[:, 0], axis=-1)
+        terms *= np.take(s, self.edges[:, 1], axis=-1)
         terms *= self.couplings
         return -terms.sum(axis=-1)
 

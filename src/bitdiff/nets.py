@@ -150,7 +150,7 @@ def _dense(ws, slot, x, w, b, squash=False):
     return affine(x, w, b, squash, out=out)
 
 
-def _kernel_logits(betas: np.ndarray, x_flat: np.ndarray, t, n_steps: int) -> np.ndarray:
+def _kernel_logits(betas: np.ndarray, x_flat: np.ndarray, t) -> np.ndarray:
     """Logits of the exact reverse of the flip kernel: each bit keeps its value
     with probability 1 - beta_t. This is the optimal reverse policy of the
     infinite-temperature target, so a network predicting a residual on top of
@@ -268,7 +268,7 @@ class _Policy:
     def _logits(self, P, ws, h, x_t, t):
         logits = self._head(P, ws, h, x_t)
         if self.kernel_betas is not None:
-            logits = logits + _kernel_logits(self.kernel_betas, x_t, t, self.n_steps)
+            logits = logits + _kernel_logits(self.kernel_betas, x_t, t)
         return logits
 
     def _probs(self, P, ws, h, x_t, t):

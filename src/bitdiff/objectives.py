@@ -7,12 +7,15 @@ Three gradient estimators are provided:
   is the baseline the step-minibatched objectives improve on.
 - ``ppo_minibatch_grad``: clipped-surrogate policy gradient with a TD(lambda)
   critic over (path, timestep) minibatches.
-- ``fkl_mc_grad``: self-normalized importance-weighted forward-KL gradient
-  with Monte Carlo subsampling of diffusion steps.
+- ``fkl_mc_grad``: importance-weighted forward-KL gradient with Monte Carlo
+  subsampling of diffusion steps. The log-weights are computed once per
+  rollout (``fkl_importance_weights``) and self-normalized per path group,
+  so an update costs the same at any number of diffusion steps.
 
 Conventions: the episode runs in reverse diffusion time, so step index
 k = 0..T-1 corresponds to diffusion time t = T - k; all per-step buffer arrays
-(rewards, values, returns, advantages, old log-probs) use episode order. The
+(rewards, values, returns, advantages, old log-probs) and the minibatch step
+indices of both step objectives use episode order. The
 temperature-scaled objective is ``temperature * KL(q || p_hat_target)``; the
 annealing driver passes a target with beta = 1/temperature, which reproduces
 the plain energy expectation at temperature zero.
@@ -34,7 +37,7 @@ from .autodiff import minimum, tsum
 from .config import RunConfig
 from .diffusion import NoiseSchedule, PathBatch, forward_kernel_logprob, path_log_p_hat
 from .nets import bernoulli_entropy, bernoulli_log_q, step_log_q_from
-from .unbiased import WeightedSamples, snis_weights_from_logs
+from .unbiased import WeightedSamples, self_normalize, snis_weights_from_logs
 
 __all__ = [
     "AnnealSchedule",
@@ -189,14 +192,6 @@ class TrajectoryBuffer:
     logq_old: np.ndarray  # sampling-time step log-probs (M, T)
     path_weights: np.ndarray  # (M,), sums to 1
 
-    @property
-    def n_paths(self) -> int:
-        return self.paths.n_paths
-
-    @property
-    def t_steps(self) -> int:
-        return self.paths.n_steps
-
 
 def build_buffer(
     policy,
@@ -252,15 +247,14 @@ def minibatch_plan(n_paths: int, t_steps: int, n_path_mb: int, n_t_mb: int, rng)
     return plan
 
 
-def _gather_rows(buffer: TrajectoryBuffer, path_idx, t_idx):
-    t_steps = buffer.t_steps
-    tau = t_idx.shape[1]
+def _gather_rows(paths: PathBatch, path_idx, k_idx):
+    """Rows of a (paths x episode steps) minibatch: path and step index, the
+    diffusion time t = T - k, and the states X_t and X_{t-1}."""
+    tau = k_idx.shape[1]
     rp = np.repeat(path_idx, tau)
-    rk = t_idx.reshape(-1)
-    rt = t_steps - rk  # diffusion time per row
-    x_t = buffer.paths.states[rp, rt]
-    x_prev = buffer.paths.states[rp, rt - 1]
-    return rp, rk, rt, x_t, x_prev, tau
+    rk = k_idx.reshape(-1)
+    rt = paths.n_steps - rk
+    return rp, rk, rt, paths.states[rp, rt], paths.states[rp, rt - 1], tau
 
 
 def ppo_minibatch_grad(
@@ -268,7 +262,7 @@ def ppo_minibatch_grad(
     buffer: TrajectoryBuffer,
     cfg: RunConfig,
     path_idx: np.ndarray,
-    t_idx: np.ndarray,
+    k_idx: np.ndarray,
     condition=None,
 ) -> tuple[float, dict, dict]:
     """Clipped-surrogate loss and gradients for one (paths x timesteps) minibatch.
@@ -278,7 +272,7 @@ def ppo_minibatch_grad(
     at a full batch with unnormalized advantages and fresh ratios its gradient
     equals the exact policy-gradient update of the joint reverse KL.
     """
-    rp, rk, rt, x_t, x_prev, tau = _gather_rows(buffer, path_idx, t_idx)
+    rp, rk, rt, x_t, x_prev, tau = _gather_rows(buffer.paths, path_idx, k_idx)
     adv = buffer.advantages[rp, rk]
     ret = buffer.returns[rp, rk]
     lqo = buffer.logq_old[rp, rk]
@@ -294,7 +288,7 @@ def ppo_minibatch_grad(
     if not np.isfinite(ratio_data).all():
         raise FloatingPointError("non-finite likelihood ratio; buffer is stale")
     surr = minimum(ratio * adv, ad.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv)
-    l_pi = buffer.t_steps * tsum(surr * wrow)
+    l_pi = buffer.paths.n_steps * tsum(surr * wrow)
     dv = value - ret
     l_v = 0.5 * tsum(dv * dv * wrow)
     loss = (-(1.0 - cfg.value_weight)) * l_pi + cfg.value_weight * l_v
@@ -321,34 +315,26 @@ def fkl_importance_weights(
 def fkl_mc_grad(
     policy,
     paths: PathBatch,
-    logq_old: np.ndarray,
-    target,
-    schedule: NoiseSchedule,
-    t_idx: np.ndarray | None = None,
+    log_w: np.ndarray,
+    path_idx: np.ndarray,
+    k_idx: np.ndarray,
     condition=None,
 ) -> tuple[float, dict, np.ndarray]:
-    """Importance-weighted forward-KL gradient over a timestep minibatch.
+    """Importance-weighted forward-KL gradient over one (paths x steps) minibatch.
 
-    `t_idx` holds diffusion times in 1..T, one row per path (None = all steps).
-    The loss is -T * sum_i w_i * mean_{t in t_idx[i]} log q(X_{t-1} | X_t)
-    with the self-normalized weights treated as constants.
+    `log_w` holds the raw log-weights of all of `paths`, computed once per
+    rollout (`fkl_importance_weights(...).log_w`), and is self-normalized over
+    the path group `path_idx`; `k_idx` holds one row of episode steps per
+    path. The loss is -T * sum_i w_i * mean_k log q(X_{t-1} | X_t), t = T - k,
+    with the weights treated as constants. Returns (loss, grads, weights).
     """
-    t_steps = paths.n_steps
-    m = paths.n_paths
-    weights = fkl_importance_weights(paths, logq_old, target, schedule).weights
-    if t_idx is None:
-        t_idx = np.tile(np.arange(1, t_steps + 1), (m, 1))
-    t_idx = np.asarray(t_idx)
-    tau = t_idx.shape[1]
-    rp = np.repeat(np.arange(m), tau)
-    rt = t_idx.reshape(-1)
-    x_t = paths.states[rp, rt]
-    x_prev = paths.states[rp, rt - 1]
+    weights = self_normalize(log_w[path_idx])[0]
+    _, _, rt, x_t, x_prev, tau = _gather_rows(paths, path_idx, k_idx)
     wrow = np.repeat(weights, tau) / tau
 
     leaves = ad.leaves(policy.params)
     logq = step_log_q_from(policy, leaves, x_prev, x_t, rt, condition)
-    loss = (-float(t_steps)) * tsum(logq * wrow)
+    loss = (-float(paths.n_steps)) * tsum(logq * wrow)
     loss.backward()
     return float(ad.as_array(loss)), ad.collect_grads(leaves), weights
 

@@ -284,55 +284,53 @@ def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, ada
             "entropy": ent_acc / n, "ess": None}
 
 
+def _minibatch_updates(policy, grad, items, plans, adam, lr) -> float:
+    """One Adam step per (path_idx, k_idx) of each plan, on the mean over the
+    (a, b, condition) `items` of `grad(policy, a, b, path_idx, k_idx,
+    condition)`, summed in item order. Returns the mean loss over all
+    updates and items."""
+    loss_acc, n_updates = 0.0, 0
+    for plan in plans:
+        for path_idx, k_idx in plan:
+            grads = []
+            for a, b, condition in items:
+                loss, g, _ = grad(policy, a, b, path_idx, k_idx, condition)
+                loss_acc += loss
+                grads.append(g)
+            adam_step(policy.params, _mean_grads(grads), adam, lr())
+            n_updates += 1
+    return loss_acc / max(1, n_updates * len(items))
+
+
 def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
-    ess_acc = 0.0
-    for _, target, paths in rollouts:
-        ess_acc += effective_sample_size(
-            fkl_importance_weights(paths, paths.log_q, target, schedule)
-        )
-    loss_acc, n_updates = 0.0, 0
-    plan = minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)
-    for group, k_idx in plan:
-        t_idx = cfg.t_steps - k_idx  # episode index -> diffusion time
-        grads = []
-        for inst, target, paths in rollouts:
-            loss, g, _ = fkl_mc_grad(
-                policy, paths.select(group), paths.log_q[group], target, schedule,
-                t_idx, inst.condition,
-            )
-            loss_acc += loss
-            grads.append(g)
-        adam_step(policy.params, _mean_grads(grads), adam, lr())
-        n_updates += 1
+    # each rollout is scored once: its log-weights give the ESS here and
+    # every minibatch's self-normalized weights in fkl_mc_grad
+    items, ess_acc = [], 0.0
+    for inst, target, paths in rollouts:
+        ws = fkl_importance_weights(paths, paths.log_q, target, schedule)
+        ess_acc += effective_sample_size(ws)
+        items.append((paths, ws.log_w, inst.condition))
+    plans = [minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)]
     n = len(inst_batch)
-    return {"loss": loss_acc / max(1, n_updates * n), "mean_energy": energy_acc / n,
-            "entropy": ent_acc / n, "ess": ess_acc / n}
+    return {"loss": _minibatch_updates(policy, fkl_mc_grad, items, plans, adam, lr),
+            "mean_energy": energy_acc / n, "entropy": ent_acc / n, "ess": ess_acc / n}
 
 
 def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normalizer,
                adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
-    buffers = [
-        (inst, build_buffer(policy, paths, target, schedule, temperature, cfg,
-                            normalizer, inst.condition))
+    items = [
+        (build_buffer(policy, paths, target, schedule, temperature, cfg, normalizer,
+                      inst.condition), cfg, inst.condition)
         for inst, target, paths in rollouts
     ]
-    loss_acc, n_updates = 0.0, 0
-    for _ in range(cfg.epochs_per_buffer):
-        plan = minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch,
-                              cfg.t_minibatch, rng)
-        for group, k_idx in plan:
-            grads = []
-            for inst, buf in buffers:
-                loss, g, _ = ppo_minibatch_grad(policy, buf, cfg, group, k_idx, inst.condition)
-                loss_acc += loss
-                grads.append(g)
-            adam_step(policy.params, _mean_grads(grads), adam, lr())
-            n_updates += 1
+    # one plan per pass over the buffers, drawn when the pass starts
+    plans = (minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)
+             for _ in range(cfg.epochs_per_buffer))
     n = len(inst_batch)
-    return {"loss": loss_acc / max(1, n_updates * n), "mean_energy": energy_acc / n,
-            "entropy": ent_acc / n, "ess": None}
+    return {"loss": _minibatch_updates(policy, ppo_minibatch_grad, items, plans, adam, lr),
+            "mean_energy": energy_acc / n, "entropy": ent_acc / n, "ess": None}
 
 
 def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = None) -> dict:

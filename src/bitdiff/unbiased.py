@@ -16,6 +16,7 @@ from .diffusion import PathBatch, path_log_p_hat, path_log_q, sample_reverse_pat
 
 __all__ = [
     "WeightedSamples",
+    "self_normalize",
     "snis_weights_from_logs",
     "snis_sample",
     "snis_expectation",
@@ -53,16 +54,22 @@ class WeightedSamples:
         return len(self.weights)
 
 
+def self_normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(log_w) / sum(exp(log_w)) and log(sum(exp(log_w))), shifted by the
+    largest log-weight so neither overflows."""
+    shift = log_w.max()
+    w = np.exp(log_w - shift)
+    total = w.sum()
+    return w / total, shift + math.log(total)
+
+
 def snis_weights_from_logs(x0, log_p_hat, log_q) -> WeightedSamples:
     log_w = np.asarray(log_p_hat, dtype=np.float64) - np.asarray(log_q, dtype=np.float64)
     if not np.isfinite(log_w).all():
         raise FloatingPointError("non-finite importance log-weight")
-    m = len(log_w)
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    total = w.sum()
-    log_z_hat = shift + math.log(total) - math.log(m)
-    return WeightedSamples(np.asarray(x0, dtype=np.int8), log_w, w / total, log_z_hat)
+    weights, log_total = self_normalize(log_w)
+    return WeightedSamples(np.asarray(x0, dtype=np.int8), log_w, weights,
+                           log_total - math.log(len(log_w)))
 
 
 # Proposal paths drawn per sampler call, by both `snis_sample` and

@@ -39,6 +39,7 @@ from bitdiff.objectives import (
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
+    fkl_importance_weights,
     fkl_mc_grad,
     ppo_minibatch_grad,
 )
@@ -168,8 +169,9 @@ class TestCriterion3FklFullBatchEquivalence:
         target = random_target(n_bits, seed=8, beta=0.8)
         sched = exp_schedule(t_steps)
         paths = sample_reverse_path(policy, sched, m, np.random.default_rng(9))
-        logq_old = paths.log_q
-        _, full, weights = fkl_mc_grad(policy, paths, logq_old, target, sched, t_idx=None)
+        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        _, full, weights = fkl_mc_grad(policy, paths, log_w, np.arange(m),
+                                       np.tile(np.arange(t_steps), (m, 1)))
 
         # direct weighted-log-likelihood gradient, weights constant
         leaves = ad.leaves(policy.params)
@@ -184,8 +186,8 @@ class TestCriterion3FklFullBatchEquivalence:
 
         acc = None
         for t in range(1, t_steps + 1):
-            _, g, _ = fkl_mc_grad(policy, paths, logq_old, target, sched,
-                                  t_idx=np.full((m, 1), t))
+            _, g, _ = fkl_mc_grad(policy, paths, log_w, np.arange(m),
+                                  np.full((m, 1), t_steps - t))
             acc = g if acc is None else {k: acc[k] + g[k] for k in g}
         avg = {k: v / t_steps for k, v in acc.items()}
         err_avg = rel_err(grads_to_vec(avg), grads_to_vec(full))
@@ -479,9 +481,10 @@ class TestCriterion10MemoryScaling:
         diffuco_loss_grad(policy, target, sched, paths, temperature=1.0)
         n_diffuco = ad.activation_records()
 
-        t_idx = np.tile(np.arange(1, tau + 1), (m, 1))
+        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        k_idx = t_steps - np.tile(np.arange(1, tau + 1), (m, 1))
         ad.reset_activation_records()
-        fkl_mc_grad(policy, paths, paths.log_q, target, sched, t_idx=t_idx)
+        fkl_mc_grad(policy, paths, log_w, np.arange(m), k_idx)
         n_fkl = ad.activation_records()
 
         cfg = RunConfig()

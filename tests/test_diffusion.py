@@ -152,8 +152,6 @@ class TestReversePath:
             policy.params["w_out"].shape)
         paths = sample_reverse_path(policy, exp_schedule(6), 16, np.random.default_rng(5))
         assert np.array_equal(paths.x0_probs, policy.probs(paths.states[:, 1], 1))
-        idx = np.array([3, 0, 3])
-        assert np.array_equal(paths.select(idx).x0_probs, paths.x0_probs[idx])
 
     def test_policy_emitting_invalid_probability(self):
         class BadPolicy(ConstantPolicy):

@@ -190,17 +190,26 @@ class TestCoEnergies:
         assert co._non_edges.dtype == np.int64
         assert np.array_equal(co._non_edges, non_edges_direct(n, co.edges))
 
-    @pytest.mark.parametrize("kind", ["mis", "mds", "maxcl", "maxcut"])
+    @pytest.mark.parametrize("kind", ["mis", "mds", "maxcl", "maxcut",
+                                      "ising", "ea-normal", "ea-uniform"])
     def test_row_energy_does_not_depend_on_batch(self, kind):
-        # decoding compares energies of near-equal fractional rows, so a row
-        # evaluated in a batch must give the bits it gives alone
+        # decoding compares energies of near-equal fractional rows, and
+        # importance weights of a path group are read from the whole
+        # rollout's energies, so a row evaluated in a batch must give the
+        # bits it gives alone
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            n = int(rng.integers(10, 15))
-            co = gen_ba(BaConfig(n, 4, seed=seed)).co_problem(kind, 1.0, 1.1)
-            x = rng.uniform(0, 1, (30, n))
-            batch = co.energy(x)
-            assert all(batch[i] == co.energy(x[i]) for i in range(len(x))), seed
+            if kind.startswith(("ising", "ea")):
+                side = int(rng.integers(3, 9))
+                model = (IsingLattice2D(side) if kind == "ising"
+                         else getattr(EAInstance, kind[3:])(side, seed))
+                x = rng.integers(0, 2, (30, side * side))
+            else:
+                n = int(rng.integers(10, 15))
+                model = gen_ba(BaConfig(n, 4, seed=seed)).co_problem(kind, 1.0, 1.1)
+                x = rng.uniform(0, 1, (30, n))
+            batch = model.energy(x)
+            assert all(batch[i] == model.energy(x[i]) for i in range(len(x))), seed
 
     def test_mis_requires_ordered_penalties(self):
         with pytest.raises(ValueError):

@@ -364,8 +364,9 @@ class TestFklMc:
         sched = exp_schedule(t_steps)
         target = small_target(n_bits, beta=0.7)
         paths = sample_reverse_path(policy, sched, 10, np.random.default_rng(2))
-        logq_old = paths.log_q
-        _, grads, weights = fkl_mc_grad(policy, paths, logq_old, target, sched, t_idx=None)
+        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        all_k = np.tile(np.arange(t_steps), (10, 1))
+        _, grads, weights = fkl_mc_grad(policy, paths, log_w, np.arange(10), all_k)
 
         # direct: gradient of -sum_i w_i log q(path_i), weights constant
         leaves = ad.leaves(policy.params)
@@ -385,12 +386,13 @@ class TestFklMc:
         sched = exp_schedule(t_steps)
         target = small_target(n_bits, beta=0.6)
         paths = sample_reverse_path(policy, sched, 8, np.random.default_rng(3))
-        logq_old = paths.log_q
-        _, full, _ = fkl_mc_grad(policy, paths, logq_old, target, sched, t_idx=None)
+        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        all_k = np.tile(np.arange(t_steps), (8, 1))
+        _, full, _ = fkl_mc_grad(policy, paths, log_w, np.arange(8), all_k)
         acc = None
         for t in range(1, t_steps + 1):
-            t_idx = np.full((8, 1), t)
-            _, g, _ = fkl_mc_grad(policy, paths, logq_old, target, sched, t_idx=t_idx)
+            k_idx = np.full((8, 1), t_steps - t)
+            _, g, _ = fkl_mc_grad(policy, paths, log_w, np.arange(8), k_idx)
             acc = g if acc is None else {k: acc[k] + g[k] for k in g}
         avg = {k: v / t_steps for k, v in acc.items()}
         assert rel_err(grads_to_vec(avg), grads_to_vec(full)) < 1e-8
@@ -407,7 +409,9 @@ class TestFklMc:
                 paths = sample_reverse_path(
                     policy, sched, m, np.random.default_rng(97 * m + rep)
                 )
-                _, grads, _ = fkl_mc_grad(policy, paths, paths.log_q, target, sched)
+                log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+                all_k = np.tile(np.arange(t_steps), (m, 1))
+                _, grads, _ = fkl_mc_grad(policy, paths, log_w, np.arange(m), all_k)
                 acc += np.linalg.norm(grads_to_vec(grads))
             norms[m] = acc / 3
         assert norms[10000] < norms[100] / 3
@@ -420,6 +424,37 @@ class TestFklMc:
         paths = sample_reverse_path(policy, sched, 3, np.random.default_rng(4))
         with pytest.raises(FloatingPointError):
             fkl_importance_weights(paths, paths.log_q + np.inf, small_target(2), sched)
+
+
+class TestRecordsInT:
+    def test_step_objectives_flat_and_diffuco_linear_in_t(self):
+        # at a fixed (4 paths x 2 steps) minibatch the step objectives store
+        # the same tape at any number of diffusion steps; diffuco traces
+        # every step, so each added step adds the same records
+        m, tau = 4, 2
+        path_idx, k_idx = np.arange(m), np.tile(np.arange(tau), (m, 1))
+        cfg = RunConfig()
+        records = {"fkl_mc": [], "ppo": [], "diffuco": []}
+
+        def count(name, grad, *args):
+            ad.reset_activation_records()
+            grad(*args)
+            records[name].append(ad.activation_records())
+
+        for t_steps in (8, 32, 128):
+            policy = make_policy(4, t_steps, seed=1, value_head=True)
+            sched = exp_schedule(t_steps)
+            target = small_target(4)
+            paths = sample_reverse_path(policy, sched, m, np.random.default_rng(2))
+            log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+            count("fkl_mc", fkl_mc_grad, policy, paths, log_w, path_idx, k_idx)
+            buf = build_buffer(policy, paths, target, sched, 1.0, cfg, identity_normalizer())
+            count("ppo", ppo_minibatch_grad, policy, buf, cfg, path_idx, k_idx)
+            count("diffuco", diffuco_loss_grad, policy, target, sched, paths, 1.0)
+        assert len(set(records["fkl_mc"])) == 1, records
+        assert len(set(records["ppo"])) == 1, records
+        d8, d32, d128 = records["diffuco"]
+        assert (d32 - d8) * 4 == d128 - d32 > 0, records
 
 
 class TestDiffuco:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bitdiff.objectives
 import bitdiff.train
 from bitdiff import cli
 from bitdiff.config import ConfigError, parse_config
@@ -197,6 +199,26 @@ class TestTraining:
         assert load_checkpoint(ckpt)[5] == epoch_next
         assert sorted(p.name for p in ckpt.parent.iterdir()) == ["checkpoint.npz",
                                                                 "metrics.csv"]
+
+    @pytest.mark.parametrize("path_minibatch,t_minibatch", [(32, 4), (8, 1)])
+    def test_fkl_scores_each_rollout_once(self, tmp_path, monkeypatch, path_minibatch,
+                                          t_minibatch):
+        # every minibatch update reuses its rollout's log-weights, so the
+        # target scores each selected instance once per epoch, however many
+        # updates the epoch makes
+        ds = tmp_path / "dataset"
+        ds.mkdir()
+        for i, g in enumerate((Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (2, 3)]))):
+            (ds / f"graph_{i:05d}.txt").write_text(g.to_text(), encoding="utf-8")
+        cfg = dataclasses.replace(
+            parse_config(co_cfg(ds, tmp_path / "run", objective="fkl_mc", epochs=2)),
+            n_instances=2, path_minibatch=path_minibatch, t_minibatch=t_minibatch)
+        scored = []
+        log_p_hat = bitdiff.objectives.path_log_p_hat
+        monkeypatch.setattr(bitdiff.objectives, "path_log_p_hat",
+                            lambda *args: scored.append(1) or log_p_hat(*args))
+        train(cfg)
+        assert len(scored) == cfg.epochs * cfg.n_instances, bitdiff.train.updates_per_epoch(cfg)
 
     def test_single_edge_mis_reaches_optimum(self, tmp_path):
         ds = write_single_edge_dataset(tmp_path)
