@@ -2,9 +2,11 @@
 
 A `Tensor` wraps a float64 ndarray and records its parents plus a
 vector-Jacobian closure; `backward()` on a scalar output accumulates exact
-gradients into the leaves. The op set covers what the policy/value networks
-and training losses need: affine maps, pointwise nonlinearities, reductions,
-clipped minima, and aggregation by a fixed sparse matrix.
+gradients into the leaves. The op set is what the networks and losses use:
+`+ - * @` and `minimum` with a constant or Tensor on either side, `/` of a
+Tensor, pointwise `exp log tanh sigmoid sqrt clip`, `sum mean reshape`, and
+`spmm` by a fixed sparse matrix; no `**` and no division of a constant by a
+Tensor. Every binary op builds its node through `_node`.
 
 Module-level functions (`tanh`, `sigmoid`, ...) dispatch on their argument, so
 the same forward code runs traced (Tensor inputs) or untraced (ndarray inputs).
@@ -66,13 +68,41 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _data(x):
+def as_array(x) -> np.ndarray:
+    """The underlying ndarray of a Tensor, or the input coerced to float64."""
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def as_array(x) -> np.ndarray:
-    """The underlying ndarray of a Tensor, or the input coerced to float64."""
-    return _data(x)
+def _node(out, operands, grad_fns) -> Tensor:
+    """The tape node of a binary op. Only the operands that are Tensors become
+    parents; the gradient of each is its `grad_fns` entry applied to the
+    output gradient, summed back to the operand's shape."""
+    tracked = [(x, grad_fn) for x, grad_fn in zip(operands, grad_fns) if isinstance(x, Tensor)]
+
+    def vjp(g):
+        return [_unbroadcast(grad_fn(g), x.data.shape) for x, grad_fn in tracked]
+
+    return Tensor(out, tuple(x for x, _ in tracked), vjp)
+
+
+def matmul(a, b):
+    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a @ b
+    da, db = as_array(a), as_array(b)
+    return _node(da @ db, (a, b), (lambda g: g @ db.T, lambda g: da.T @ g))
+
+
+def minimum(a, b):
+    """Elementwise minimum; the gradient follows the smaller branch (ties -> a)."""
+    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return np.minimum(a, b)
+    da, db = as_array(a), as_array(b)
+    take_a = da <= db
+    return _node(np.where(take_a, da, db), (a, b), (lambda g: g * take_a, lambda g: g * ~take_a))
+
+
+def _identity(g):
+    return g
 
 
 class Tensor:
@@ -98,130 +128,53 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={not self._parents})"
 
-    # -- graph construction helpers ------------------------------------
-
-    @staticmethod
-    def _make(data, parents, vjp):
-        tracked = tuple(p for p in parents if isinstance(p, Tensor))
-        if not tracked:
-            return Tensor(data)
-        return Tensor(data, tracked, vjp)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.data, _data(other)
-        out = a + b
-        parents = [p for p in (self, other) if isinstance(p, Tensor)]
-
-        def vjp(g):
-            grads = []
-            if isinstance(self, Tensor):
-                grads.append(_unbroadcast(g, a.shape))
-            if isinstance(other, Tensor):
-                grads.append(_unbroadcast(g, b.shape))
-            return grads
-
-        return Tensor._make(out, parents, vjp)
+        return _node(self.data + as_array(other), (self, other), (_identity, _identity))
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        a, b = self.data, _data(other)
-        out = a * b
-        parents = [p for p in (self, other) if isinstance(p, Tensor)]
-
-        def vjp(g):
-            grads = []
-            if isinstance(self, Tensor):
-                grads.append(_unbroadcast(g * b, a.shape))
-            if isinstance(other, Tensor):
-                grads.append(_unbroadcast(g * a, b.shape))
-            return grads
-
-        return Tensor._make(out, parents, vjp)
+        a, b = self.data, as_array(other)
+        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: [-g])
+        return Tensor(-self.data, (self,), lambda g: [-g])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Tensor) else -_data(other))
+        return self + (-other if isinstance(other, Tensor) else -as_array(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __truediv__(self, other):
-        a, b = self.data, _data(other)
-        out = a / b
-        parents = [p for p in (self, other) if isinstance(p, Tensor)]
+        a, b = self.data, as_array(other)
 
-        def vjp(g):
-            grads = []
-            if isinstance(self, Tensor):
-                grads.append(_unbroadcast(g / b, a.shape))
-            if isinstance(other, Tensor):
-                # -g*a/(b*b) with one array of g's size: IEEE negation is
-                # exact, so moving it onto b*b gives the same bits
-                gb = g * a
-                gb /= -(b * b)
-                grads.append(_unbroadcast(gb, b.shape))
-            return grads
+        def grad_b(g):
+            # -g*a/(b*b) with one array of g's size: IEEE negation is exact,
+            # so moving it onto b*b gives the same bits
+            gb = g * a
+            gb /= -(b * b)
+            return gb
 
-        return Tensor._make(out, parents, vjp)
+        return _node(a / b, (self, other), (lambda g: g / b, grad_b))
 
-    def __rtruediv__(self, other):
-        a = _data(other)
-        out = a / self.data
-
-        def vjp(g):
-            return [_unbroadcast(-g * a / (self.data * self.data), self.data.shape)]
-
-        return Tensor._make(out, (self,), vjp)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, Tensor):
-            raise TypeError("only constant exponents are supported")
-        p = float(exponent)
-        out = self.data ** p
-
-        def vjp(g):
-            return [g * p * self.data ** (p - 1.0)]
-
-        return Tensor._make(out, (self,), vjp)
-
-    def __matmul__(self, other):
-        a, b = self.data, _data(other)
-        out = a @ b
-        parents = [p for p in (self, other) if isinstance(p, Tensor)]
-
-        def vjp(g):
-            grads = []
-            if isinstance(self, Tensor):
-                grads.append(g @ b.T)
-            if isinstance(other, Tensor):
-                grads.append(a.T @ g)
-            return grads
-
-        return Tensor._make(out, parents, vjp)
+    __matmul__ = matmul
 
     def __rmatmul__(self, other):
-        a = _data(other)
-
-        def vjp(g):
-            return [a.T @ g]
-
-        return Tensor._make(a @ self.data, (self,), vjp)
+        return matmul(other, self)
 
     # -- pointwise ------------------------------------------------------
 
     def exp(self):
         out = np.exp(self.data)
-        return Tensor._make(out, (self,), lambda g: [g * out])
+        return Tensor(out, (self,), lambda g: [g * out])
 
     def log(self):
-        return Tensor._make(np.log(self.data), (self,), lambda g: [g / self.data])
+        return Tensor(np.log(self.data), (self,), lambda g: [g / self.data])
 
     def tanh(self):
         out = np.tanh(self.data)
@@ -232,7 +185,7 @@ class Tensor:
             np.subtract(1.0, d, out=d)
             return [np.multiply(g, d, out=d)]
 
-        return Tensor._make(out, (self,), vjp)
+        return Tensor(out, (self,), vjp)
 
     def sigmoid(self):
         out = _sigmoid(self.data)
@@ -243,17 +196,17 @@ class Tensor:
             d *= 1.0 - out
             return [d]
 
-        return Tensor._make(out, (self,), vjp)
+        return Tensor(out, (self,), vjp)
 
     def sqrt(self):
         out = np.sqrt(self.data)
-        return Tensor._make(out, (self,), lambda g: [g * 0.5 / out])
+        return Tensor(out, (self,), lambda g: [g * 0.5 / out])
 
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient is identity inside [lo, hi], zero outside."""
         out = np.clip(self.data, lo, hi)
         inside = ((self.data >= lo) & (self.data <= hi)).astype(np.float64)
-        return Tensor._make(out, (self,), lambda g: [g * inside])
+        return Tensor(out, (self,), lambda g: [g * inside])
 
     # -- reductions / shape ----------------------------------------------
 
@@ -269,7 +222,7 @@ class Tensor:
                     g = np.expand_dims(g, ax)
             return [np.broadcast_to(g, shape).copy()]
 
-        return Tensor._make(out, (self,), vjp)
+        return Tensor(out, (self,), vjp)
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else (
@@ -279,7 +232,7 @@ class Tensor:
 
     def reshape(self, shape):
         old = self.data.shape
-        return Tensor._make(self.data.reshape(shape), (self,), lambda g: [g.reshape(old)])
+        return Tensor(self.data.reshape(shape), (self,), lambda g: [g.reshape(old)])
 
     # -- backward ---------------------------------------------------------
 
@@ -320,32 +273,12 @@ class Tensor:
                     owned.add(id(parent))
 
 
-def minimum(a, b):
-    """Elementwise minimum; the gradient follows the smaller branch (ties -> a)."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.minimum(a, b)
-    da, db = _data(a), _data(b)
-    take_a = da <= db
-    out = np.where(take_a, da, db)
-    parents = [p for p in (a, b) if isinstance(p, Tensor)]
-
-    def vjp(g):
-        grads = []
-        if isinstance(a, Tensor):
-            grads.append(_unbroadcast(g * take_a, da.shape))
-        if isinstance(b, Tensor):
-            grads.append(_unbroadcast(g * ~take_a, db.shape))
-        return grads
-
-    return Tensor._make(out, parents, vjp)
-
-
 def spmm(sparse, x):
     """Fixed sparse matrix times a dense (traced) matrix: sparse @ x."""
     if not isinstance(x, Tensor):
         return sparse @ x
     sparse_t = sparse.T.tocsr()
-    return Tensor._make(sparse @ x.data, (x,), lambda g: [sparse_t @ g])
+    return Tensor(sparse @ x.data, (x,), lambda g: [sparse_t @ g])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -398,14 +331,6 @@ def sqrt(x):
 
 def clip(x, lo, hi):
     return x.clip(lo, hi) if isinstance(x, Tensor) else np.clip(x, lo, hi)
-
-
-def matmul(a, b):
-    if isinstance(a, Tensor):
-        return a @ b
-    if isinstance(b, Tensor):
-        return b.__rmatmul__(a)
-    return a @ b
 
 
 def tsum(x, axis=None, keepdims=False):

@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .decode import conditional_expectation
 from .diffusion import exp_schedule, sample_reverse_path
-from .energies import BoltzmannTarget, build_lattice, enumerate_observables
+from .energies import CO_PROBLEMS, BoltzmannTarget, build_lattice, enumerate_observables
 from .graphs import BaConfig, Graph, RbConfig, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
 from .nets import GraphCondition
 from .train import load_checkpoint, load_dataset, train
@@ -297,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_estimate)
 
     o = sub.add_parser("oracle", help="exact references by enumeration")
-    o.add_argument("--problem", choices=("ising", "ea", "mis", "mds", "maxcl", "maxcut"),
-                   required=True)
+    o.add_argument("--problem", choices=("ising", "ea", *CO_PROBLEMS), required=True)
     o.add_argument("--lattice-size", type=int,
                    help="lattice side length (default: the --instance file's, else 4)")
     o.add_argument("--coupling", type=float, default=1.0)

@@ -8,6 +8,8 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
+from .energies import CO_PROBLEMS
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 
@@ -32,7 +34,6 @@ _KNOWN = {
 
 OBJECTIVES = ("diffuco", "rkl_rl", "fkl_mc")
 PROBLEM_KINDS = ("ising", "ea", "co")
-CO_KINDS = ("mis", "mds", "maxcl", "maxcut")
 
 
 @dataclass
@@ -83,8 +84,8 @@ class RunConfig:
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
         if self.kind == "co":
-            if self.problem not in CO_KINDS:
-                raise ConfigError(f"problem.problem must be one of {CO_KINDS}")
+            if self.problem not in CO_PROBLEMS:
+                raise ConfigError(f"problem.problem must be one of {CO_PROBLEMS}")
             if not self.dataset_dir:
                 raise ConfigError("co problems require problem.dataset_dir")
             if self.arch != "gnn":

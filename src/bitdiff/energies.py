@@ -208,7 +208,7 @@ class CoProblem:
     edges: np.ndarray
     penalty_a: float = 1.0
     penalty_b: float = 1.1
-    _neighbors: tuple = field(init=False, repr=False)
+    _neighbor_idx: np.ndarray = field(init=False, repr=False)
     _non_edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -222,7 +222,11 @@ class CoProblem:
         adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
         adj[edges[:, 0], edges[:, 1]] = True
         adj |= adj.T
-        object.__setattr__(self, "_neighbors", tuple(np.flatnonzero(row) for row in adj))
+        # row i: node i's neighbours, ascending, padded with n_nodes (energy's column of ones)
+        degree = adj.sum(axis=1)
+        neighbor_idx = np.full((self.n_nodes, degree.max(initial=0)), self.n_nodes, dtype=np.int64)
+        neighbor_idx[np.arange(neighbor_idx.shape[1]) < degree[:, None]] = np.nonzero(adj)[1]
+        object.__setattr__(self, "_neighbor_idx", neighbor_idx)
         if self.kind == "maxcl":
             a, b = np.triu_indices(self.n_nodes, 1)
             keep = ~adj[a, b]
@@ -259,15 +263,14 @@ class CoProblem:
             xi, xj = np.take(x, e[:, 0], axis=-1), np.take(x, e[:, 1], axis=-1)
             # cut indicator (1 - sigma_i sigma_j)/2 expanded in bits
             return -(xi + xj - 2.0 * xi * xj).sum(axis=-1)
-        # mds: A * |set| + B * sum_i (1-x_i) prod_{j in N(i)} (1-x_j)
-        comp = 1.0 - x
-        pen = np.zeros(x.shape[:-1])
-        for i in range(self.n_nodes):
-            nb = self._neighbors[i]
-            term = comp[..., i]
-            if len(nb):
-                term = term * np.take(comp, nb, axis=-1).prod(axis=-1)
-            pen = pen + term
+        # mds: A * |set| + B * sum_i (1-x_i) prod_{j in N(i)} (1-x_j). The products take
+        # one neighbour column at a time (memory stays one (..., N) array); cumsum adds
+        # the terms in node order, where a pairwise sum moves the last bit of some rows
+        comp = np.concatenate([1.0 - x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+        prod = np.ones(x.shape)
+        for column in self._neighbor_idx.T:
+            prod *= np.take(comp, column, axis=-1)
+        pen = np.cumsum(comp[..., :-1] * prod, axis=-1)[..., -1] if self.n_nodes else 0.0
         return A * total + B * pen
 
 

@@ -208,6 +208,21 @@ def neighbors_direct(n_nodes: int, edges) -> tuple:
     return tuple(np.array(sorted(v), dtype=np.int64) for v in nbrs)
 
 
+def mds_energy_direct(co, x) -> np.ndarray:
+    """The MDS energy A * |set| + B * sum_i (1-x_i) prod_{j in N(i)} (1-x_j),
+    one node at a time, in node order."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    neighbors = neighbors_direct(co.n_nodes, co.edges)
+    comp = 1.0 - x
+    pen = np.zeros(x.shape[:-1])
+    for i in range(co.n_nodes):
+        term = comp[..., i]
+        if len(neighbors[i]):
+            term = term * np.take(comp, neighbors[i], axis=-1).prod(axis=-1)
+        pen = pen + term
+    return co.penalty_a * x.sum(axis=-1) + co.penalty_b * pen
+
+
 def brute_force_co_direct(problem: str, graph, penalty_a: float = 1.0,
                           penalty_b: float = 1.1) -> BruteForceResult:
     """`brute_force_co` in two sweeps over all 2^N states: one for the

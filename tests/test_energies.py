@@ -21,9 +21,9 @@ from bitdiff.energies import (
     write_instance_text,
 )
 
-from bitdiff.graphs import BaConfig, gen_ba
+from bitdiff.graphs import BaConfig, Graph, RbConfig, gen_ba, gen_rb
 
-from oracles import lattice_bonds_direct, neighbors_direct, non_edges_direct
+from oracles import lattice_bonds_direct, mds_energy_direct, neighbors_direct, non_edges_direct
 
 DATA = Path(__file__).parent / "data"
 
@@ -184,11 +184,29 @@ class TestCoEnergies:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         co = CoProblem("maxcl", n, pairs)
         want = neighbors_direct(n, co.edges)
-        assert len(co._neighbors) == n
-        for got, ref in zip(co._neighbors, want):
-            assert got.dtype == np.int64 and np.array_equal(got, ref)
+        width = max(len(ref) for ref in want)
+        assert co._neighbor_idx.dtype == np.int64 and co._neighbor_idx.shape == (n, width)
+        for got, ref in zip(co._neighbor_idx, want):
+            # each row ends in padding: n, the column of ones `energy` appends
+            assert np.array_equal(got[:len(ref)], ref) and (got[len(ref):] == n).all()
         assert co._non_edges.dtype == np.int64
         assert np.array_equal(co._non_edges, non_edges_direct(n, co.edges))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mds_energy_matches_node_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        graphs = [gen_ba(BaConfig(int(rng.integers(5, 40)), int(rng.integers(1, 5)), seed)),
+                  gen_rb(RbConfig(int(rng.integers(2, 6)), int(rng.integers(2, 7)), 0.5, seed)),
+                  Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # 4 and 5 are isolated
+                  Graph(5, []),
+                  Graph(0, [])]
+        for graph in graphs:
+            co = graph.co_problem("mds", 1.0, 1.1)
+            x = rng.uniform(0, 1, (200, graph.n_nodes))
+            x[:50] = rng.integers(0, 2, (50, graph.n_nodes))
+            assert np.array_equal(co.energy(x), mds_energy_direct(co, x))
+            for row in x[::20]:
+                assert np.array_equal(co.energy(row), mds_energy_direct(co, row))
 
     @pytest.mark.parametrize("kind", ["mis", "mds", "maxcl", "maxcut",
                                       "ising", "ea-normal", "ea-uniform"])

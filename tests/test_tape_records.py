@@ -53,7 +53,7 @@ def workload_config(name: str, root: Path):
     return replace(parse_config(text), n_paths=8, path_minibatch=8, n_instances=2)
 
 
-@pytest.mark.parametrize("name", ["lattice-fkl_mc", "lattice-rkl_rl",
+@pytest.mark.parametrize("name", ["lattice-fkl_mc", "lattice-rkl_rl", "lattice-diffuco",
                                   "graph-fkl_mc", "graph-rkl_rl"])
 def test_records_per_gradient_match_the_benchmark(name, tmp_path, monkeypatch):
     records = []
