@@ -102,11 +102,9 @@ def cmd_train(args) -> int:
 def cmd_solve(args) -> int:
     if args.n_samples < 1:
         raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
-    policy, cfg, *_rest, problem_meta = load_checkpoint(args.checkpoint)
-    if problem_meta["kind"] != "co":
+    policy, cfg, *_ = load_checkpoint(args.checkpoint)
+    if cfg.kind != "co":
         raise ConfigError("solve requires a checkpoint trained on a co problem")
-    problem = problem_meta["problem"]
-    pa, pb = problem_meta["penalty_a"], problem_meta["penalty_b"]
     graphs = load_dataset(args.dataset)
     t_steps = policy.n_steps * args.steps_multiplier
     policy = policy.with_steps(t_steps)
@@ -115,11 +113,11 @@ def cmd_solve(args) -> int:
     results = []
     best_sizes, mean_sizes = [], []
     for gi, g in enumerate(graphs):
-        co = g.co_problem(problem, pa, pb)
+        co = g.co_problem(cfg.problem, cfg.penalty_a, cfg.penalty_b)
         cond = GraphCondition(g)
         paths = sample_reverse_path(policy, schedule, args.n_samples, rng, cond)
         solutions = conditional_expectation(paths.x0_probs, co.energy) if args.ce else paths.x0
-        feasible = np.array([is_feasible(problem, g, s) for s in solutions])
+        feasible = np.array([is_feasible(cfg.problem, g, s) for s in solutions])
         energies = co.energy(solutions.astype(np.float64))
         entry = {
             "instance": gi,
@@ -131,7 +129,7 @@ def cmd_solve(args) -> int:
             fe = energies[feasible]
             fs = solutions[feasible]
             best_idx = int(np.argmin(fe))
-            sizes = np.array([solution_size(problem, g, s) for s in fs])
+            sizes = np.array([solution_size(cfg.problem, g, s) for s in fs])
             entry["best_energy"] = float(fe[best_idx])
             entry["best_size"] = int(sizes[best_idx])
             entry["mean_size"] = float(sizes.mean())
@@ -139,7 +137,7 @@ def cmd_solve(args) -> int:
             mean_sizes.append(entry["mean_size"])
         results.append(entry)
     payload = {
-        "problem": problem,
+        "problem": cfg.problem,
         "checkpoint": args.checkpoint,
         "dataset": args.dataset,
         "n_samples": args.n_samples,
@@ -155,10 +153,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    policy, cfg, *_rest, meta = load_checkpoint(args.checkpoint)
-    model = build_lattice(meta["kind"], meta.get("lattice_size"), meta.get("coupling", 1.0),
-                          instance_text=meta.get("instance_text", ""))
-    target = BoltzmannTarget(model, meta["beta"])
+    policy, cfg, *_, text = load_checkpoint(args.checkpoint)
+    model = build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, instance_text=text)
+    target = BoltzmannTarget(model, cfg.beta)
     schedule = exp_schedule(policy.n_steps)
     n_sites = model.n_sites
     payload = {

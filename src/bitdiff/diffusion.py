@@ -21,6 +21,7 @@ __all__ = [
     "PathBatch",
     "exp_schedule",
     "forward_kernel_logprob",
+    "forward_step_logp",
     "stationary_logprob",
     "sample_reverse_path",
     "path_log_q",
@@ -178,16 +179,22 @@ def path_log_q(policy, path: PathBatch, condition=None) -> np.ndarray:
     return total
 
 
+def forward_step_logp(path: PathBatch, schedule: NoiseSchedule) -> np.ndarray:
+    """(M, T) noising log-probabilities of stored paths, indexed like
+    `step_logq`: column t-1 holds log p(X_t | X_{t-1})."""
+    if path.n_steps != schedule.n_steps:
+        raise ValueError("path and schedule disagree on the number of steps")
+    s = path.states
+    return np.stack([forward_kernel_logprob(s[:, t], s[:, t - 1], schedule.beta(t))
+                     for t in range(1, path.n_steps + 1)], axis=1)
+
+
 def path_log_p_hat(target: BoltzmannTarget, schedule: NoiseSchedule, path: PathBatch) -> np.ndarray:
     """log of the unnormalized forward path weight:
     -beta*H(X_0) + sum_t log p(X_t | X_{t-1}). No term for X_T's stationary
     density: with that convention the importance ratio p_hat/q keeps the
     model's prior log-probability in the denominator."""
-    if path.n_steps != schedule.n_steps:
-        raise ValueError("path and schedule disagree on the number of steps")
     total = target.log_unnormalized(path.x0)
-    for t in range(1, path.n_steps + 1):
-        total = total + forward_kernel_logprob(
-            path.states[:, t], path.states[:, t - 1], schedule.beta(t)
-        )
+    for logp_t in forward_step_logp(path, schedule).T:
+        total = total + logp_t
     return total

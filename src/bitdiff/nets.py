@@ -418,12 +418,3 @@ def bernoulli_entropy(q):
     """Tape Shannon entropy per row of factorized Bernoulli probabilities `q`."""
     return tsum(-(q * ad.log(q)) - (1.0 - q) * ad.log(1.0 - q), axis=-1)
 
-
-def step_log_q_from(policy, P, x_prev, x_t, t, condition=None):
-    """log q(x_prev | x_t) per row; traced when P holds leaf tensors."""
-    return bernoulli_log_q(x_prev, policy.probs_from(P, x_t, t, condition))
-
-
-def step_entropy_from(policy, P, x_t, t, condition=None):
-    """Shannon entropy of the factorized Bernoulli step distribution, per row."""
-    return bernoulli_entropy(policy.probs_from(P, x_t, t, condition))

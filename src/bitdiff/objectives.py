@@ -14,8 +14,8 @@ Three gradient estimators are provided:
 
 Conventions: the episode runs in reverse diffusion time, so step index
 k = 0..T-1 corresponds to diffusion time t = T - k; all per-step buffer arrays
-(rewards, values, returns, advantages, old log-probs) and the minibatch step
-indices of both step objectives use episode order. The
+(rewards, returns, advantages) and the minibatch step indices of both step
+objectives use episode order. The
 temperature-scaled objective is ``temperature * KL(q || p_hat_target)``; the
 annealing driver passes a target with beta = 1/temperature, which reproduces
 the plain energy expectation at temperature zero.
@@ -35,8 +35,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import minimum, tsum
 from .config import RunConfig
-from .diffusion import NoiseSchedule, PathBatch, forward_kernel_logprob, path_log_p_hat
-from .nets import bernoulli_entropy, bernoulli_log_q, step_log_q_from
+from .diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
+from .nets import bernoulli_entropy, bernoulli_log_q
 from .unbiased import WeightedSamples, self_normalize, snis_weights_from_logs
 
 __all__ = [
@@ -132,16 +132,10 @@ def rl_rewards(
     undiscounted return of a path is then minus its contribution to the
     temperature-scaled joint reverse KL, up to parameter-free constants.
     """
-    t_steps = paths.n_steps
-    rewards = np.empty((paths.n_paths, t_steps))
-    for k in range(t_steps):
-        t = t_steps - k
-        logp = forward_kernel_logprob(
-            paths.states[:, t], paths.states[:, t - 1], schedule.beta(t)
-        )
-        rewards[:, k] = temperature * (logp - paths.step_logq[:, t - 1])
+    logp = forward_step_logp(paths, schedule)
+    rewards = (temperature * (logp - paths.step_logq))[:, ::-1].copy()  # episode order
     energy = np.asarray(target.model.energy(paths.x0), dtype=np.float64)
-    rewards[:, t_steps - 1] -= temperature * target.beta * energy
+    rewards[:, -1] -= temperature * target.beta * energy
     return rewards
 
 
@@ -186,10 +180,8 @@ class TrajectoryBuffer:
 
     paths: PathBatch
     rewards: np.ndarray  # normalized rewards (M, T)
-    values: np.ndarray  # V under the sampling parameters (M, T)
-    returns: np.ndarray  # lambda-returns (M, T)
+    returns: np.ndarray  # lambda-returns under the sampling-time values (M, T)
     advantages: np.ndarray  # per-buffer-normalized advantages (M, T)
-    logq_old: np.ndarray  # sampling-time step log-probs (M, T)
     path_weights: np.ndarray  # (M,), sums to 1
 
 
@@ -224,8 +216,7 @@ def build_buffer(
     else:
         path_weights = np.asarray(path_weights, dtype=np.float64)
         path_weights = path_weights / path_weights.sum()
-    logq_old = paths.step_logq[:, ::-1].copy()  # episode order
-    return TrajectoryBuffer(paths, rewards, values, returns, adv, logq_old, path_weights)
+    return TrajectoryBuffer(paths, rewards, returns, adv, path_weights)
 
 
 def minibatch_plan(n_paths: int, t_steps: int, n_path_mb: int, n_t_mb: int, rng):
@@ -275,7 +266,6 @@ def ppo_minibatch_grad(
     rp, rk, rt, x_t, x_prev, tau = _gather_rows(buffer.paths, path_idx, k_idx)
     adv = buffer.advantages[rp, rk]
     ret = buffer.returns[rp, rk]
-    lqo = buffer.logq_old[rp, rk]
     pw = buffer.path_weights[path_idx]
     pw = pw / pw.sum()
     wrow = np.repeat(pw, tau) / tau
@@ -283,7 +273,7 @@ def ppo_minibatch_grad(
     leaves = ad.leaves(policy.params)
     probs, value = policy.probs_and_value_from(leaves, x_t, rt, condition)
     logq = bernoulli_log_q(x_prev, probs)
-    ratio = ad.exp(logq - lqo)
+    ratio = ad.exp(logq - buffer.paths.step_logq[rp, rt - 1])
     ratio_data = ad.as_array(ratio)
     if not np.isfinite(ratio_data).all():
         raise FloatingPointError("non-finite likelihood ratio; buffer is stale")
@@ -333,7 +323,7 @@ def fkl_mc_grad(
     wrow = np.repeat(weights, tau) / tau
 
     leaves = ad.leaves(policy.params)
-    logq = step_log_q_from(policy, leaves, x_prev, x_t, rt, condition)
+    logq = bernoulli_log_q(x_prev, policy.probs_from(leaves, x_t, rt, condition))
     loss = (-float(paths.n_steps)) * tsum(logq * wrow)
     loss.backward()
     return float(ad.as_array(loss)), ad.collect_grads(leaves), weights
@@ -363,6 +353,7 @@ def diffuco_loss_grad(
         pw = np.asarray(path_weights, dtype=np.float64)
         pw = pw / pw.sum()
 
+    logp = forward_step_logp(paths, schedule)
     leaves = ad.leaves(policy.params)
     logq_acc = None
     ent_acc = None
@@ -373,9 +364,7 @@ def diffuco_loss_grad(
         ent_t = bernoulli_entropy(probs)
         logq_acc = logq_t if logq_acc is None else logq_acc + logq_t
         ent_acc = ent_t if ent_acc is None else ent_acc + ent_t
-        logp_fwd += forward_kernel_logprob(
-            paths.states[:, t], paths.states[:, t - 1], schedule.beta(t)
-        )
+        logp_fwd += logp[:, t - 1]
     energy = np.asarray(target.model.energy(paths.x0), dtype=np.float64)
     ent_data = ad.as_array(ent_acc)
     # entropy-form per-path cost of temperature * KL(q || p_hat_target)

@@ -9,8 +9,9 @@ selected objective:
 - ``fkl_mc``: importance-weighted updates over (path, timestep) minibatches.
 - ``rkl_rl``: PPO passes over the frozen buffer.
 
-Checkpoints carry parameters, optimizer moments, reward-normalizer state and
-the RNG state, so resuming reproduces the uninterrupted run byte for byte.
+Checkpoints carry the run config, parameters, optimizer moments,
+reward-normalizer state and the RNG state, so resuming reproduces the
+uninterrupted run byte for byte.
 """
 
 from __future__ import annotations
@@ -149,21 +150,6 @@ def updates_per_epoch(cfg: RunConfig) -> int:
     return per_pass * cfg.epochs_per_buffer
 
 
-def _problem_meta(cfg: RunConfig, model=None) -> dict:
-    """What a checkpoint records of the problem; an EA run records the
-    instance it trained on (`model`, else the one `cfg` names)."""
-    meta = {"kind": cfg.kind, "beta": cfg.beta}
-    if cfg.kind == "ising":
-        meta.update(lattice_size=cfg.lattice_size, coupling=cfg.coupling)
-    elif cfg.kind == "ea":
-        meta.update(lattice_size=cfg.lattice_size,
-                    instance_text=write_instance_text(model or _lattice_model(cfg)))
-    else:
-        meta.update(problem=cfg.problem, penalty_a=cfg.penalty_a,
-                    penalty_b=cfg.penalty_b, dataset_dir=cfg.dataset_dir)
-    return meta
-
-
 def save_checkpoint(
     path,
     cfg: RunConfig,
@@ -172,19 +158,19 @@ def save_checkpoint(
     normalizer: RewardNormalizer,
     rng,
     epoch_next: int,
-    problem: dict | None = None,
+    instance_text: str = "",
 ) -> None:
     meta = {
         "version": 1,
-        "arch": cfg.arch,
-        "t_steps": cfg.t_steps,
         "epoch_next": epoch_next,
         "adam_step": adam.step,
         "normalizer": normalizer.state(),
         "rng_state": rng.bit_generator.state,
         "config": dataclasses.asdict(cfg),
-        "problem": _problem_meta(cfg) if problem is None else problem,
     }
+    if cfg.kind == "ea":  # the config only names the instance file, which may change
+        meta["problem"] = {"instance_text": instance_text
+                           or write_instance_text(_lattice_model(cfg))}
     arrays = {f"param::{k}": v for k, v in policy.params.items()}
     arrays.update(adam.state_arrays())
     # written beside `path` and renamed over it, so a kill mid-write leaves
@@ -200,16 +186,21 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Returns (policy, cfg, adam, normalizer, rng, epoch_next, problem_meta).
+    """Returns (policy, cfg, adam, normalizer, rng, epoch_next, instance_text).
 
-    Raises ConfigError when the file cannot be read, or lacks a metadata
-    field or an array the architecture needs."""
+    A checkpoint holds the run config, parameters, Adam moments, normalizer
+    and RNG state, `epoch_next` and an EA run's instance text ("" for other
+    kinds). The config, validated here, is the one record of the run; the
+    `arch`, `t_steps` and other `problem` fields of older checkpoints are
+    ignored. Raises ConfigError when the file cannot be read, its config is
+    invalid, or it lacks a field or an array the architecture needs."""
     try:
         with np.load(path, allow_pickle=False) as blob:
             meta = json.loads(str(blob["meta"]))
             arrays = {k: blob[k] for k in blob.files if k != "meta"}
         cfg = RunConfig(**meta["config"])
         cfg.hidden = tuple(cfg.hidden)
+        cfg.validate()
         spec = build_policy_spec(cfg)
         adam = AdamState.from_arrays(
             {k: v for k, v in arrays.items() if k.startswith(("m::", "v::"))},
@@ -220,7 +211,10 @@ def load_checkpoint(path):
         state = meta["rng_state"]
         state["state"] = {k: int(v) for k, v in state["state"].items()}
         rng.bit_generator.state = state
-        n_steps, epoch_next, problem = meta["t_steps"], meta["epoch_next"], meta["problem"]
+        epoch_next = meta["epoch_next"]
+        text = meta["problem"]["instance_text"] if cfg.kind == "ea" else ""
+        if cfg.kind == "ea" and not (isinstance(text, str) and text):
+            raise ValueError("an ea checkpoint must hold its instance text")
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
         raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
     params = {k[len("param::"):]: arrays[k] for k in arrays if k.startswith("param::")}
@@ -228,8 +222,8 @@ def load_checkpoint(path):
     moments_ok = set(adam.m) == set(adam.v) == set(shapes)
     if {k: v.shape for k, v in params.items()} != shapes or not moments_ok:
         raise ConfigError(f"checkpoint {path} does not hold the arrays its architecture needs")
-    policy = make_policy(spec, n_steps, params=params)
-    return policy, cfg, adam, normalizer, rng, epoch_next, problem
+    policy = make_policy(spec, cfg.t_steps, params=params)
+    return policy, cfg, adam, normalizer, rng, epoch_next, text
 
 
 def _select_instances(instances, n: int, rng) -> list:
@@ -372,8 +366,8 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
                 fh.readline()
             fh.truncate(fh.tell())
         mode = "a"
-    problem = _problem_meta(cfg, instances[0].energy_model)
-    save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, start_epoch, problem)
+    text = write_instance_text(instances[0].energy_model) if cfg.kind == "ea" else ""
+    save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, start_epoch, text)
     last_row = None
     with open(metrics_path, mode, encoding="utf-8") as metrics:
         if mode == "w":
@@ -402,7 +396,7 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
                 f"{_fmt(row['mean_energy'])},{_fmt(row['entropy'])},{ess_txt}\n"
             )
             metrics.flush()
-            save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, epoch + 1, problem)
+            save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, epoch + 1, text)
             last_row = row
     return {
         "checkpoint": str(ckpt_path),

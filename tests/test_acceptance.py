@@ -31,8 +31,8 @@ from bitdiff.nets import (
     GraphCondition,
     MlpPolicy,
     MlpSpec,
-    step_entropy_from,
-    step_log_q_from,
+    bernoulli_entropy,
+    bernoulli_log_q,
 )
 from bitdiff.objectives import (
     AnnealSchedule,
@@ -120,8 +120,8 @@ class TestCriterion1GradientCorrectness:
             has_value = policy.spec.value_head
 
             def loss_tensor(P):
-                total = tsum(step_log_q_from(policy, P, x_prev, x_t, 2, condition))
-                total = total + tsum(step_entropy_from(policy, P, x_t, 3, condition))
+                total = tsum(bernoulli_log_q(x_prev, policy.probs_from(P, x_t, 2, condition)))
+                total = total + tsum(bernoulli_entropy(policy.probs_from(P, x_t, 3, condition)))
                 if has_value:
                     v = policy.value_from(P, x_t, 1, condition)
                     total = total + tsum(v * v)
@@ -177,8 +177,8 @@ class TestCriterion3FklFullBatchEquivalence:
         leaves = ad.leaves(policy.params)
         total = None
         for t in range(t_steps, 0, -1):
-            logq = step_log_q_from(policy, leaves, paths.states[:, t - 1],
-                                   paths.states[:, t], t)
+            logq = bernoulli_log_q(paths.states[:, t - 1],
+                                   policy.probs_from(leaves, paths.states[:, t], t))
             total = logq if total is None else total + logq
         ((-1.0) * tsum(total * weights)).backward()
         direct = ad.collect_grads(leaves)

@@ -17,8 +17,6 @@ from bitdiff.nets import (
     _Workspace,
     make_policy,
     param_shapes,
-    step_entropy_from,
-    step_log_q_from,
 )
 
 from oracles import backward_direct, finite_diff_grads, grads_to_vec, rel_err
@@ -149,7 +147,7 @@ class TestGradients:
             return float(np.sum(x_prev * np.log(q) + (1 - x_prev) * np.log(1 - q)))
 
         leaves = ad.leaves(policy.params)
-        loss = tsum(step_log_q_from(policy, leaves, x_prev, x_t, 3))
+        loss = tsum(bernoulli_log_q(x_prev, policy.probs_from(leaves, x_t, 3)))
         loss.backward()
         got = ad.collect_grads(leaves)
         want = finite_diff_grads(loss_value, policy.params)
@@ -166,7 +164,7 @@ class TestGradients:
             return float(np.sum(-q * np.log(q) - (1 - q) * np.log(1 - q)))
 
         leaves = ad.leaves(policy.params)
-        loss = tsum(step_entropy_from(policy, leaves, x_t, 2, cond))
+        loss = tsum(bernoulli_entropy(policy.probs_from(leaves, x_t, 2, cond)))
         loss.backward()
         got = ad.collect_grads(leaves)
         want = finite_diff_grads(loss_value, policy.params)

@@ -136,6 +136,16 @@ class TestRewards:
         r = rl_rewards(paths, small_target(2), sched, 1.0)
         assert r.shape == (3, 5)
 
+    @pytest.mark.parametrize("call", [
+        lambda policy, target, sched, paths: rl_rewards(paths, target, sched, 1.0),
+        lambda policy, target, sched, paths: diffuco_loss_grad(policy, target, sched, paths, 1.0),
+    ], ids=["rl_rewards", "diffuco_loss_grad"])
+    def test_schedule_longer_than_paths_rejected(self, call):
+        policy = make_policy(2, 3)
+        paths = sample_reverse_path(policy, exp_schedule(3), 4, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="number of steps"):
+            call(policy, small_target(2), exp_schedule(5), paths)
+
 
 class TestTdLambda:
     def test_lambda_one_full_return(self):
@@ -257,7 +267,7 @@ class TestPpo:
         cfg = RunConfig(clip=0.2, value_weight=0.0)
         buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
         buf.advantages[:] = 1.0
-        buf.logq_old[:] = buf.logq_old - 1.0  # inflate the ratio to e > 1.2
+        buf.paths.step_logq[:] = buf.paths.step_logq - 1.0  # inflate the ratio to e > 1.2
         _, grads, stats = ppo_minibatch_grad(
             policy, buf, cfg, np.arange(4), np.tile(np.arange(2), (4, 1))
         )
@@ -287,7 +297,7 @@ class TestPpo:
         paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(8))
         cfg = RunConfig()
         buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
-        buf.logq_old[:] = -np.inf
+        buf.paths.step_logq[:] = -np.inf
         with pytest.raises(FloatingPointError):
             ppo_minibatch_grad(policy, buf, cfg, np.arange(4),
                                np.tile(np.arange(2), (4, 1)))
@@ -503,12 +513,12 @@ class TestDiffuco:
         policy = MlpPolicy.init(MlpSpec(n_bits=n_bits, hidden=(6,)), t_steps, seed=8)
         sched = exp_schedule(t_steps)
         paths = sample_reverse_path(policy, sched, 32, np.random.default_rng(5))
-        from bitdiff.nets import step_entropy_from
+        from bitdiff.nets import bernoulli_entropy
 
         leaves = ad.leaves(policy.params)
         total = None
         for t in range(t_steps, 0, -1):
-            ent = step_entropy_from(policy, leaves, paths.states[:, t], t)
+            ent = bernoulli_entropy(policy.probs_from(leaves, paths.states[:, t], t))
             total = ent if total is None else total + ent
         tsum(total).backward()
         grads = ad.collect_grads(leaves)

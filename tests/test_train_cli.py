@@ -577,20 +577,143 @@ anneal_h = 10
         monkeypatch.setattr(bitdiff.train, "save_checkpoint", save_then_edit)
         train(cfg)
         assert len(saves) == 3 + 1
-        *_, problem = load_checkpoint(tmp_path / "r" / "checkpoint.npz")
-        assert problem["instance_text"] == first
+        *_, text = load_checkpoint(tmp_path / "r" / "checkpoint.npz")
+        assert text == first
+
+
+def run_text(kind: str, root: Path, out_dir: Path, objective="fkl_mc", epochs=1) -> str:
+    """A small run config of `kind`; the EA instance file and the co dataset
+    are written under `root` on first use."""
+    if kind == "co":
+        ds = root / "dataset"
+        if not ds.exists():
+            write_single_edge_dataset(root)
+        return co_cfg(ds, out_dir, objective=objective, epochs=epochs)
+    text = ISING_CFG.format(objective=objective, epochs=epochs, seed=0, out_dir=out_dir)
+    if kind == "ea":
+        inst = root / "ea.txt"
+        if not inst.exists():
+            inst.write_text(write_instance_text(EAInstance.normal(3, seed=1)))
+        text = text.replace("kind = ising", f"kind = ea\ninstance_file = {inst}")
+    return text
+
+
+def read_command(kind: str, root: Path, ckpt: Path, out: Path) -> list:
+    """`solve` for a co checkpoint, `estimate` for a lattice one."""
+    if kind == "co":
+        return ["solve", "--checkpoint", str(ckpt), "--dataset", str(root / "dataset"),
+                "--n-samples", "4", "--ce", "--out", str(out)]
+    return ["estimate", "--checkpoint", str(ckpt), "--method", "snis", "--n-samples", "200",
+            "--out", str(out)]
+
+
+def edit_meta(ckpt: Path, edit) -> None:
+    """Rewrite a checkpoint with `edit` applied to its metadata dict."""
+    with np.load(ckpt) as blob:
+        meta = json.loads(str(blob["meta"]))
+        arrays = {k: blob[k] for k in blob.files if k != "meta"}
+    edit(meta)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), **arrays)
+
+
+def older_layout(meta: dict) -> dict:
+    """Add the keys that earlier checkpoints wrote beside the config: `arch`,
+    `t_steps` and a `problem` block repeating the problem fields."""
+    cfg = meta["config"]
+    problem = {"kind": cfg["kind"], "beta": cfg["beta"]}
+    if cfg["kind"] == "ising":
+        problem.update(lattice_size=cfg["lattice_size"], coupling=cfg["coupling"])
+    elif cfg["kind"] == "ea":
+        problem.update(lattice_size=cfg["lattice_size"],
+                       instance_text=meta["problem"]["instance_text"])
+    else:
+        problem.update(problem=cfg["problem"], penalty_a=cfg["penalty_a"],
+                       penalty_b=cfg["penalty_b"], dataset_dir=cfg["dataset_dir"])
+    meta.update(arch=cfg["arch"], t_steps=cfg["t_steps"], problem=problem)
+    return meta
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(root, {kind: checkpoint}) of one-epoch ising, ea and co runs."""
+    root = tmp_path_factory.mktemp("trained")
+    return root, {kind: Path(train(parse_config(run_text(kind, root, root / kind)))["checkpoint"])
+                  for kind in ("ising", "ea", "co")}
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("kind", ["ising", "ea", "co"])
+    def test_meta_holds_only_what_the_config_cannot(self, trained, kind):
+        with np.load(trained[1][kind]) as blob:
+            meta = json.loads(str(blob["meta"]))
+        keys = {"version", "epoch_next", "adam_step", "normalizer", "rng_state", "config"}
+        assert set(meta) == keys | ({"problem"} if kind == "ea" else set())
+        if kind == "ea":
+            assert set(meta["problem"]) == {"instance_text"}
+
+    @pytest.mark.parametrize("kind,edit,rc", [
+        ("ising", lambda m: m["config"].update(beta="x"), 2),
+        ("ising", lambda m: m["config"].update(beta=-1), 2),
+        ("ising", lambda m: m["config"].update(kind="potts"), 2),
+        ("ising", lambda m: m["config"].update(hidden="abc"), 2),
+        ("ea", lambda m: m["problem"].pop("instance_text"), 2),
+        ("ea", lambda m: m.update(problem=[]), 2),
+        # the config is the record: the older layout's repeated problem fields
+        # are not read, so faults in them do not matter
+        ("ising", lambda m: older_layout(m)["problem"].pop("lattice_size"), 0),
+        ("ising", lambda m: older_layout(m)["problem"].update(beta="x"), 0),
+        ("ising", lambda m: older_layout(m).update(problem=[]), 0),
+        ("co", lambda m: older_layout(m)["problem"].pop("problem"), 0),
+    ], ids=["beta_text", "beta_negative", "kind_unknown", "hidden_text", "ea_text_missing",
+            "ea_problem_list", "older_no_lattice_size", "older_beta_text",
+            "older_problem_list", "older_co_no_problem"])
+    def test_meta_faults(self, trained, tmp_path, capsys, kind, edit, rc):
+        root, ckpts = trained
+        ckpt = tmp_path / "checkpoint.npz"
+        ckpt.write_bytes(ckpts[kind].read_bytes())
+        edit_meta(ckpt, edit)
+        assert cli.main(read_command(kind, root, ckpt, tmp_path / "out.json")) == rc
+        if rc:
+            assert "cannot read checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["ising", "ea", "co"])
+    def test_older_layout_reads_the_same(self, tmp_path, kind):
+        text = lambda out: run_text(kind, tmp_path, tmp_path / out, "rkl_rl", epochs=3)
+        full = Path(train(parse_config(text("full")))["checkpoint"])
+        cfg = parse_config(text("half"))
+        half = Path(train(cfg, stop_after=1)["checkpoint"])
+        edit_meta(half, older_layout)
+        train(cfg, resume=str(half))
+        assert (tmp_path / "half" / "metrics.csv").read_bytes() == (
+            tmp_path / "full" / "metrics.csv").read_bytes()
+        with np.load(full) as a, np.load(half) as b:
+            assert [k for k in a.files if k != "meta"] == [k for k in b.files if k != "meta"]
+            assert all(a[k].tobytes() == b[k].tobytes() for k in a.files if k != "meta")
+
+        report = tmp_path / "report.json"
+        argv = read_command(kind, tmp_path, full, report)
+        assert cli.main(argv) == 0
+        new_layout = report.read_bytes()
+        edit_meta(full, older_layout)
+        if kind == "ea":  # the stored instance is used, not the file's
+            trained_text = (tmp_path / "ea.txt").read_text()
+            (tmp_path / "ea.txt").write_text(write_instance_text(EAInstance.normal(3, seed=2)))
+            assert load_checkpoint(full)[6] == trained_text
+        assert cli.main(argv) == 0
+        assert report.read_bytes() == new_layout
 
 
 def solve_instances_direct(checkpoint, dataset, n_samples: int, seed: int) -> list:
     """`solve --ce` instance entries assembled graph by graph: a separate t = 1
     forward for the marginals and the one-row decoding reference."""
-    policy, *_rest, meta = load_checkpoint(checkpoint)
-    problem = meta["problem"]
+    policy, cfg, *_ = load_checkpoint(checkpoint)
+    problem = cfg.problem
     schedule = exp_schedule(policy.n_steps)
     rng = np.random.default_rng(seed)
     entries = []
     for gi, g in enumerate(load_dataset(dataset)):
-        co = g.co_problem(problem, meta["penalty_a"], meta["penalty_b"])
+        co = g.co_problem(problem, cfg.penalty_a, cfg.penalty_b)
         cond = GraphCondition(g)
         paths = sample_reverse_path(policy, schedule, n_samples, rng, cond)
         probs = policy.probs(paths.states[:, 1], 1, cond)
