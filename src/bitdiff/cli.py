@@ -20,7 +20,7 @@ from .diffusion import exp_schedule, sample_reverse_path
 from .energies import CO_PROBLEMS, BoltzmannTarget, build_lattice, enumerate_observables
 from .graphs import BaConfig, Graph, RbConfig, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
 from .nets import GraphCondition
-from .train import load_checkpoint, load_dataset, train
+from .train import build_instances, load_checkpoint, load_dataset, train
 from .unbiased import (
     ConvergenceError,
     nmcmc_estimate,
@@ -89,12 +89,8 @@ def cmd_gen_graphs(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.resume:
-        _, cfg, *_ = load_checkpoint(args.resume)
-        summary = train(cfg, resume=args.resume)
-    else:
-        cfg = load_config(args.config)
-        summary = train(cfg)
+    cfg = load_checkpoint(args.resume)[1] if args.resume else load_config(args.config)
+    summary = train(cfg, resume=args.resume)
     print(json.dumps({k: v for k, v in summary.items() if k != "final"}))
     return EXIT_OK
 
@@ -154,7 +150,9 @@ def cmd_solve(args) -> int:
 
 def cmd_estimate(args) -> int:
     policy, cfg, *_, text = load_checkpoint(args.checkpoint)
-    model = build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, instance_text=text)
+    if cfg.kind == "co":
+        raise ConfigError("estimate requires a checkpoint trained on a lattice problem")
+    model = build_instances(cfg, text)[0].energy_model
     target = BoltzmannTarget(model, cfg.beta)
     schedule = exp_schedule(policy.n_steps)
     n_sites = model.n_sites

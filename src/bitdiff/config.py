@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 from .energies import CO_PROBLEMS
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "check_types", "is_int"]
 
 
 class ConfigError(ValueError):
@@ -78,6 +78,7 @@ class RunConfig:
     epochs_per_buffer: int = 2
 
     def validate(self) -> "RunConfig":
+        check_types(self)
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
@@ -150,9 +151,27 @@ def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() == "true"
 
 
-# a key's parser follows its RunConfig field type (annotations are strings here)
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_types(record) -> None:
+    """Raise ConfigError unless each field of the dataclass `record` holds its
+    annotated type: a bool only where annotated, ints in a tuple (`hidden`)."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not _TYPE_CHECKS[f.type](value):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
+# a key's parser and a field's value check follow its RunConfig field type
+# (annotations are strings here)
 _PARSERS = {"int": int, "float": float, "str": str.strip, "tuple": _parse_widths,
             "bool": _parse_bool}
+_TYPE_CHECKS = {"bool": lambda v: isinstance(v, bool), "int": is_int,
+                "float": lambda v: is_int(v) or isinstance(v, float),
+                "str": lambda v: isinstance(v, str),
+                "tuple": lambda v: isinstance(v, tuple) and all(map(is_int, v))}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 

@@ -109,14 +109,6 @@ class RewardNormalizer:
     def normalize(self, rewards: np.ndarray) -> np.ndarray:
         return (rewards - self.mean) / max(math.sqrt(max(self.var, 0.0)), 1e-8)
 
-    def state(self) -> dict:
-        return {"rate": self.rate, "mean": self.mean, "var": self.var,
-                "initialized": self.initialized}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RewardNormalizer":
-        return cls(**state)
-
 
 def rl_rewards(
     paths: PathBatch,

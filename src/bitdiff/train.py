@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, check_types, is_int
 from .diffusion import exp_schedule, sample_reverse_path
 from .energies import BoltzmannTarget, build_lattice, write_instance_text
 from .graphs import Graph
@@ -69,21 +69,12 @@ class Instance:
 
     energy_model: object
     graph: Graph | None = None
-    name: str = ""
 
     @functools.cached_property
     def condition(self) -> GraphCondition | None:
         """The policy conditioning, built on first use: an epoch trains on a
         few of the dataset's graphs, so most conditions are never needed."""
         return None if self.graph is None else GraphCondition(self.graph)
-
-
-def _lattice_model(cfg: RunConfig):
-    text = ""
-    if cfg.kind == "ea" and cfg.instance_file:
-        with open(cfg.instance_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed, text)
 
 
 def load_dataset(dataset_dir: str) -> list[Graph]:
@@ -108,15 +99,19 @@ def load_dataset(dataset_dir: str) -> list[Graph]:
     return graphs
 
 
-def build_instances(cfg: RunConfig) -> list[Instance]:
-    if cfg.kind in ("ising", "ea"):
-        return [Instance(_lattice_model(cfg), None, cfg.kind)]
-    graphs = load_dataset(cfg.dataset_dir)
-    out = []
-    for i, g in enumerate(graphs):
-        co = g.co_problem(cfg.problem, cfg.penalty_a, cfg.penalty_b)
-        out.append(Instance(co, g, f"graph_{i:05d}"))
-    return out
+def build_instances(cfg: RunConfig, instance_text: str) -> list[Instance]:
+    """The run's problem: one instance per dataset graph for `co`, else the
+    one lattice. An EA lattice comes from `instance_text`, a checkpoint's
+    stored instance, when given; otherwise from the config, which reads
+    `instance_file` here."""
+    if cfg.kind == "co":
+        return [Instance(g.co_problem(cfg.problem, cfg.penalty_a, cfg.penalty_b), g)
+                for g in load_dataset(cfg.dataset_dir)]
+    if cfg.kind == "ea" and not instance_text and cfg.instance_file:
+        with open(cfg.instance_file, "r", encoding="utf-8") as fh:
+            instance_text = fh.read()
+    return [Instance(build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist,
+                                   cfg.ea_seed, instance_text))]
 
 
 def build_policy_spec(cfg: RunConfig):
@@ -150,27 +145,22 @@ def updates_per_epoch(cfg: RunConfig) -> int:
     return per_pass * cfg.epochs_per_buffer
 
 
-def save_checkpoint(
-    path,
-    cfg: RunConfig,
-    policy,
-    adam: AdamState,
-    normalizer: RewardNormalizer,
-    rng,
-    epoch_next: int,
-    instance_text: str = "",
-) -> None:
+def save_checkpoint(path, cfg: RunConfig, policy, adam: AdamState, normalizer: RewardNormalizer,
+                    rng, epoch_next: int, instance_text: str = "") -> None:
     meta = {
         "version": 1,
         "epoch_next": epoch_next,
         "adam_step": adam.step,
-        "normalizer": normalizer.state(),
+        # the running statistics; the rate is the config's
+        "normalizer": {"mean": normalizer.mean, "var": normalizer.var,
+                       "initialized": normalizer.initialized},
         "rng_state": rng.bit_generator.state,
         "config": dataclasses.asdict(cfg),
     }
     if cfg.kind == "ea":  # the config only names the instance file, which may change
-        meta["problem"] = {"instance_text": instance_text
-                           or write_instance_text(_lattice_model(cfg))}
+        if not instance_text:
+            raise ValueError("an ea checkpoint must hold its instance text")
+        meta["problem"] = {"instance_text": instance_text}
     arrays = {f"param::{k}": v for k, v in policy.params.items()}
     arrays.update(adam.state_arrays())
     # written beside `path` and renamed over it, so a kill mid-write leaves
@@ -189,11 +179,11 @@ def load_checkpoint(path):
     """Returns (policy, cfg, adam, normalizer, rng, epoch_next, instance_text).
 
     A checkpoint holds the run config, parameters, Adam moments, normalizer
-    and RNG state, `epoch_next` and an EA run's instance text ("" for other
-    kinds). The config, validated here, is the one record of the run; the
-    `arch`, `t_steps` and other `problem` fields of older checkpoints are
-    ignored. Raises ConfigError when the file cannot be read, its config is
-    invalid, or it lacks a field or an array the architecture needs."""
+    statistics, RNG state, `epoch_next` and an EA run's instance text (""
+    otherwise). The config and counters, validated here, are the one record
+    of the run; older layouts' `arch`, `t_steps`, other `problem` fields and
+    normalizer `rate` are ignored. Raises ConfigError when the file cannot be
+    read or is invalid, or lacks a field or array the architecture needs."""
     try:
         with np.load(path, allow_pickle=False) as blob:
             meta = json.loads(str(blob["meta"]))
@@ -202,16 +192,20 @@ def load_checkpoint(path):
         cfg.hidden = tuple(cfg.hidden)
         cfg.validate()
         spec = build_policy_spec(cfg)
-        adam = AdamState.from_arrays(
-            {k: v for k, v in arrays.items() if k.startswith(("m::", "v::"))},
-            step=meta["adam_step"],
-        )
-        normalizer = RewardNormalizer.from_state(meta["normalizer"])
+        adam = AdamState.from_arrays(arrays, step=meta["adam_step"])
+        norm = meta["normalizer"]
+        normalizer = RewardNormalizer(cfg.reward_ma_rate, norm["mean"], norm["var"],
+                                      norm["initialized"])
         rng = np.random.default_rng(0)
         state = meta["rng_state"]
         state["state"] = {k: int(v) for k, v in state["state"].items()}
         rng.bit_generator.state = state
         epoch_next = meta["epoch_next"]
+        check_types(normalizer)
+        if not (is_int(epoch_next) and 0 <= epoch_next <= cfg.epochs and is_int(adam.step)
+                and adam.step >= 0 and math.isfinite(normalizer.mean + normalizer.var)):
+            raise ValueError("epoch_next must be an int in 0..epochs, adam_step an int >= 0 "
+                             "and the normalizer statistics finite")
         text = meta["problem"]["instance_text"] if cfg.kind == "ea" else ""
         if cfg.kind == "ea" and not (isinstance(text, str) and text):
             raise ValueError("an ea checkpoint must hold its instance text")
@@ -335,7 +329,20 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
     metrics reflect the partial run); resuming from the checkpoint continues
     the uninterrupted schedule bit-exactly."""
     cfg.validate()
-    instances = build_instances(cfg)
+    if resume is not None:
+        # a resumed run trains on its stored instance, whatever its file now holds
+        policy, loaded_cfg, adam, normalizer, rng, start_epoch, text = load_checkpoint(resume)
+        if dataclasses.asdict(loaded_cfg) != dataclasses.asdict(cfg):
+            raise ConfigError("resume checkpoint was produced by a different config")
+    else:
+        policy = make_policy(build_policy_spec(cfg), cfg.t_steps, cfg.seed)
+        adam = AdamState.for_params(policy.params)
+        normalizer = RewardNormalizer(cfg.reward_ma_rate)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        start_epoch, text = 0, ""
+    instances = build_instances(cfg, text)
+    if cfg.kind == "ea" and not text:
+        text = write_instance_text(instances[0].energy_model)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.npz"
@@ -344,17 +351,6 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
     anneal = build_anneal(cfg)
     total_updates = max(1, cfg.epochs * updates_per_epoch(cfg))
     lr_sched = LrSchedule(cfg.lr_max, total_updates)
-
-    if resume is not None:
-        policy, loaded_cfg, adam, normalizer, rng, start_epoch, _ = load_checkpoint(resume)
-        if dataclasses.asdict(loaded_cfg) != dataclasses.asdict(cfg):
-            raise ConfigError("resume checkpoint was produced by a different config")
-    else:
-        policy = make_policy(build_policy_spec(cfg), cfg.t_steps, cfg.seed)
-        adam = AdamState.for_params(policy.params)
-        normalizer = RewardNormalizer(cfg.reward_ma_rate)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        start_epoch = 0
 
     end_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, start_epoch + stop_after)
     mode = "w"
@@ -366,7 +362,6 @@ def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = No
                 fh.readline()
             fh.truncate(fh.tell())
         mode = "a"
-    text = write_instance_text(instances[0].energy_model) if cfg.kind == "ea" else ""
     save_checkpoint(ckpt_path, cfg, policy, adam, normalizer, rng, start_epoch, text)
     last_row = None
     with open(metrics_path, mode, encoding="utf-8") as metrics:

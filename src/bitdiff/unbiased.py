@@ -149,7 +149,6 @@ class ChainState:
 
     paths: PathBatch
     log_p_hat: np.ndarray  # (C,)
-    log_q: np.ndarray  # (C,)
     n_accepted: np.ndarray  # (C,) int64
     n_steps: int = 0
 
@@ -163,13 +162,12 @@ class ChainState:
         return self.n_accepted / self.n_steps
 
     def verify_cache(self, policy, target, schedule, condition=None) -> None:
-        """Recompute both cached log-probabilities from the chains' states, and
-        check the stored per-step likelihoods still sum to the cached log q."""
+        """Recompute log q and log p_hat from the chains' states by teacher
+        forcing, and check them against the stored step likelihoods and cache."""
         atol = 1e-10
         lq = path_log_q(policy, self.paths, condition)
         lp = path_log_p_hat(target, schedule, self.paths)
-        if not (np.allclose(lq, self.log_q, atol=atol)
-                and np.allclose(self.paths.log_q, self.log_q, atol=atol)
+        if not (np.allclose(lq, self.paths.log_q, atol=atol)
                 and np.allclose(lp, self.log_p_hat, atol=atol)):
             raise RuntimeError("cached chain log-probabilities are inconsistent")
 
@@ -179,7 +177,6 @@ def nmcmc_init(policy, target, schedule, n_chains: int, rng, condition=None) -> 
     return ChainState(
         paths=paths,
         log_p_hat=path_log_p_hat(target, schedule, paths),
-        log_q=paths.log_q.copy(),
         n_accepted=np.zeros(n_chains, dtype=np.int64),
     )
 
@@ -207,7 +204,7 @@ def nmcmc_advance(
         prop = sample_reverse_path(policy, schedule, k * c, rng, condition)
         # candidates are indexed into [current states; proposals of step 0..k-1]
         lp = np.concatenate([chain.log_p_hat, path_log_p_hat(target, schedule, prop)])
-        lq = np.concatenate([chain.log_q, prop.log_q])
+        lq = np.concatenate([chain.paths.log_q, prop.log_q])
         if observable is not None:
             x0 = np.concatenate([chain.paths.x0, prop.x0])
             obs = np.asarray(observable(x0), dtype=np.float64)
@@ -229,7 +226,6 @@ def nmcmc_advance(
         chain.paths.prior_logq[moved] = prop.prior_logq[src]
         chain.paths.x0_probs[moved] = prop.x0_probs[src]
         chain.log_p_hat = lp[cur]
-        chain.log_q = lq[cur]
         chain.n_steps += k
     return series
 

@@ -8,7 +8,8 @@ import pytest
 import bitdiff.objectives
 import bitdiff.train
 from bitdiff import cli
-from bitdiff.config import ConfigError, parse_config
+from bitdiff import config
+from bitdiff.config import ConfigError, RunConfig, parse_config
 from bitdiff.diffusion import exp_schedule, sample_reverse_path
 from bitdiff.energies import EAInstance, IsingLattice2D, write_instance_text
 from bitdiff.graphs import Graph, is_feasible, solution_size
@@ -106,6 +107,27 @@ class TestConfig:
     def test_out_of_range_values_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_sections_partition_the_fields(self):
+        # each field is set from exactly one section, and each key names a field
+        keys = [key for section in config._KNOWN.values() for key in section]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+    @pytest.mark.parametrize("field,value,ok", [
+        ("lattice_size", 3.0, False), ("lattice_size", True, False), ("epochs", 2.5, False),
+        ("kernel_start", "no", False), ("kernel_start", 1, False), ("beta", True, False),
+        ("objective", 1, False), ("hidden", (64, 1.5), False), ("hidden", [64, 64], False),
+        ("beta", 1, True), ("kernel_start", False, True), ("hidden", (8,), True),
+    ], ids=["lattice_size_float", "lattice_size_bool", "epochs_float", "kernel_start_text",
+            "kernel_start_int", "beta_bool", "objective_int", "hidden_float_width",
+            "hidden_list", "beta_int", "kernel_start_false", "hidden_one_width"])
+    def test_field_types_checked(self, field, value, ok):
+        cfg = dataclasses.replace(RunConfig(), **{field: value})
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match=f"{field} must be of type"):
+                cfg.validate()
 
     def test_valid_round_trip(self):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,
@@ -619,8 +641,10 @@ def edit_meta(ckpt: Path, edit) -> None:
 
 def older_layout(meta: dict) -> dict:
     """Add the keys that earlier checkpoints wrote beside the config: `arch`,
-    `t_steps` and a `problem` block repeating the problem fields."""
+    `t_steps`, a `problem` block repeating the problem fields and the
+    normalizer's `rate`."""
     cfg = meta["config"]
+    meta["normalizer"]["rate"] = cfg["reward_ma_rate"]
     problem = {"kind": cfg["kind"], "beta": cfg["beta"]}
     if cfg["kind"] == "ising":
         problem.update(lattice_size=cfg["lattice_size"], coupling=cfg["coupling"])
@@ -651,6 +675,7 @@ class TestCheckpointLayout:
         assert set(meta) == keys | ({"problem"} if kind == "ea" else set())
         if kind == "ea":
             assert set(meta["problem"]) == {"instance_text"}
+        assert set(meta["normalizer"]) == {"mean", "var", "initialized"}
 
     @pytest.mark.parametrize("kind,edit,rc", [
         ("ising", lambda m: m["config"].update(beta="x"), 2),
@@ -659,15 +684,29 @@ class TestCheckpointLayout:
         ("ising", lambda m: m["config"].update(hidden="abc"), 2),
         ("ea", lambda m: m["problem"].pop("instance_text"), 2),
         ("ea", lambda m: m.update(problem=[]), 2),
+        ("ising", lambda m: m["config"].update(lattice_size=3.0), 2),
+        ("ising", lambda m: m["config"].update(epochs=2.5), 2),
+        ("ising", lambda m: m["config"].update(kernel_start="no"), 2),
+        ("ising", lambda m: m["config"].update(seed=True), 2),
+        ("ising", lambda m: m.update(epoch_next="a"), 2),
+        ("ising", lambda m: m.update(epoch_next=m["config"]["epochs"] + 1), 2),
+        ("ising", lambda m: m.update(adam_step=-1), 2),
+        ("ising", lambda m: m["normalizer"].update(mean="x"), 2),
+        ("ising", lambda m: m["normalizer"].update(initialized=1), 2),
+        ("ising", lambda m: m["normalizer"].update(var=float("nan")), 2),
         # the config is the record: the older layout's repeated problem fields
         # are not read, so faults in them do not matter
         ("ising", lambda m: older_layout(m)["problem"].pop("lattice_size"), 0),
         ("ising", lambda m: older_layout(m)["problem"].update(beta="x"), 0),
         ("ising", lambda m: older_layout(m).update(problem=[]), 0),
         ("co", lambda m: older_layout(m)["problem"].pop("problem"), 0),
+        ("ising", lambda m: older_layout(m)["normalizer"].update(rate="x"), 0),
     ], ids=["beta_text", "beta_negative", "kind_unknown", "hidden_text", "ea_text_missing",
-            "ea_problem_list", "older_no_lattice_size", "older_beta_text",
-            "older_problem_list", "older_co_no_problem"])
+            "ea_problem_list", "lattice_size_float", "epochs_float", "kernel_start_text",
+            "seed_bool", "epoch_next_text", "epoch_next_past_epochs", "adam_step_negative",
+            "normalizer_mean_text", "normalizer_initialized_int", "normalizer_var_nan",
+            "older_no_lattice_size", "older_beta_text", "older_problem_list",
+            "older_co_no_problem", "older_rate_text"])
     def test_meta_faults(self, trained, tmp_path, capsys, kind, edit, rc):
         root, ckpts = trained
         ckpt = tmp_path / "checkpoint.npz"
@@ -702,6 +741,35 @@ class TestCheckpointLayout:
             assert load_checkpoint(full)[6] == trained_text
         assert cli.main(argv) == 0
         assert report.read_bytes() == new_layout
+
+    def test_resume_trains_on_the_stored_instance(self, tmp_path):
+        # the instance file is rewritten between the stop and `train --resume`
+        text = lambda out: run_text("ea", tmp_path, tmp_path / out, "rkl_rl", epochs=3)
+        full = Path(train(parse_config(text("full")))["checkpoint"])
+        half = Path(train(parse_config(text("half")), stop_after=1)["checkpoint"])
+        trained_text = (tmp_path / "ea.txt").read_text()
+        (tmp_path / "ea.txt").write_text(write_instance_text(EAInstance.normal(3, seed=2)))
+        assert cli.main(["train", "--resume", str(half)]) == 0
+        assert (tmp_path / "half" / "metrics.csv").read_bytes() == (
+            tmp_path / "full" / "metrics.csv").read_bytes()
+        with np.load(full) as a, np.load(half) as b:
+            assert [k for k in a.files if k != "meta"] == [k for k in b.files if k != "meta"]
+            assert all(a[k].tobytes() == b[k].tobytes() for k in a.files if k != "meta")
+        assert load_checkpoint(half)[6] == trained_text
+
+    def test_estimate_rejects_a_co_checkpoint(self, trained, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = ["estimate", "--checkpoint", str(trained[1]["co"]), "--n-samples", "10"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert "lattice problem" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ea_save_without_text_raises(self, trained, tmp_path):
+        policy, cfg, adam, normalizer, rng, epoch_next, _ = load_checkpoint(trained[1]["ea"])
+        with pytest.raises(ValueError, match="instance text"):
+            bitdiff.train.save_checkpoint(tmp_path / "checkpoint.npz", cfg, policy, adam,
+                                          normalizer, rng, epoch_next)
+        assert list(tmp_path.iterdir()) == []
 
 
 def solve_instances_direct(checkpoint, dataset, n_samples: int, seed: int) -> list:

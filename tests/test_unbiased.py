@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from bitdiff.diffusion import NoiseSchedule, exp_schedule, path_log_p_hat, sample_reverse_path
+from bitdiff.diffusion import (
+    NoiseSchedule,
+    exp_schedule,
+    path_log_p_hat,
+    path_log_q,
+    sample_reverse_path,
+)
 from bitdiff.energies import (
     BoltzmannTarget,
     IsingLattice2D,
@@ -242,8 +248,14 @@ class TestNmcmc:
         rng = np.random.default_rng(9)
         chain = nmcmc_init(policy, target, sched, 4, rng)
         chain.verify_cache(policy, target, sched)
-        chain.log_q[0] += 1.0
-        with pytest.raises(RuntimeError):
+        # the cached log p_hat, then the paths' stored log q, no longer match
+        # what teacher forcing recomputes from the states
+        for cached in (chain.log_p_hat, chain.paths.prior_logq):
+            kept = cached.copy()
+            cached[0] += 1.0
+            with pytest.raises(RuntimeError):
+                chain.verify_cache(policy, target, sched)
+            cached[:] = kept
             chain.verify_cache(policy, target, sched)
 
     def test_cache_verification_catches_stale_step_log_q(self):
@@ -286,7 +298,7 @@ class TestNmcmc:
             policy, target, sched, n_chains, n_steps, np.random.default_rng(16), observable
         )
         chain.verify_cache(policy, target, sched)
-        assert np.allclose(chain.paths.log_q, chain.log_q, rtol=0, atol=1e-12)
+        assert np.allclose(path_log_q(policy, chain.paths), chain.paths.log_q, rtol=0, atol=1e-12)
         assert series.shape == (n_chains, n_steps)
         assert np.array_equal(series[:, -1], observable(chain.paths.x0))
         changes = (np.diff(series, axis=1) != 0).sum(axis=1)
