@@ -43,6 +43,8 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_gen_graphs(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -89,7 +91,8 @@ def cmd_gen_graphs(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_checkpoint(args.resume)[1] if args.resume else load_config(args.config)
+    # a resumed run's config comes from the checkpoint, in the one load `train` makes
+    cfg = None if args.config is None else load_config(args.config)
     summary = train(cfg, resume=args.resume)
     print(json.dumps({k: v for k, v in summary.items() if k != "final"}))
     return EXIT_OK
@@ -265,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_graphs)
 
     t = sub.add_parser("train", help="train a sampler from a config file")
-    t.add_argument("--config", help="run configuration file")
-    t.add_argument("--resume", help="checkpoint to resume from (config comes from it)")
+    source = t.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="run configuration file")
+    source.add_argument("--resume", help="checkpoint to resume from (config comes from it)")
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("solve", help="sample solutions for a co dataset")
@@ -313,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train" and not (args.config or args.resume):
-        parser.error("train requires --config or --resume")
     try:
         return args.func(args)
     except (OSError, ValueError) as err:

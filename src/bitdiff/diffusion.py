@@ -189,12 +189,14 @@ def forward_step_logp(path: PathBatch, schedule: NoiseSchedule) -> np.ndarray:
                      for t in range(1, path.n_steps + 1)], axis=1)
 
 
-def path_log_p_hat(target: BoltzmannTarget, schedule: NoiseSchedule, path: PathBatch) -> np.ndarray:
+def path_log_p_hat(target: BoltzmannTarget, schedule: NoiseSchedule, path: PathBatch,
+                   energy: np.ndarray) -> np.ndarray:
     """log of the unnormalized forward path weight:
-    -beta*H(X_0) + sum_t log p(X_t | X_{t-1}). No term for X_T's stationary
+    -beta*H(X_0) + sum_t log p(X_t | X_{t-1}), where `energy` holds the
+    paths' H(X_0) (`BoltzmannTarget.energy`). No term for X_T's stationary
     density: with that convention the importance ratio p_hat/q keeps the
     model's prior log-probability in the denominator."""
-    total = target.log_unnormalized(path.x0)
+    total = -target.beta * energy
     for logp_t in forward_step_logp(path, schedule).T:
         total = total + logp_t
     return total

@@ -289,11 +289,13 @@ class BoltzmannTarget:
     def n_sites(self) -> int:
         return self.model.n_sites
 
-    def log_unnormalized(self, x) -> np.ndarray:
+    def energy(self, x) -> np.ndarray:
+        """H(x) as float64, checked finite: samplers score each batch they
+        draw here once and pass the array to everything that reads it."""
         e = np.asarray(self.model.energy(x), dtype=np.float64)
         if not np.isfinite(e).all():
             raise ValueError("energy is not finite")
-        return -self.beta * e
+        return e
 
 
 @dataclass(frozen=True)

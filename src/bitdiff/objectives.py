@@ -112,6 +112,7 @@ class RewardNormalizer:
 
 def rl_rewards(
     paths: PathBatch,
+    energy: np.ndarray,
     target,
     schedule: NoiseSchedule,
     temperature: float,
@@ -123,10 +124,10 @@ def rl_rewards(
     -H(X_0) under the annealing convention beta = 1/temperature. The
     undiscounted return of a path is then minus its contribution to the
     temperature-scaled joint reverse KL, up to parameter-free constants.
+    `energy` holds the paths' H(X_0).
     """
     logp = forward_step_logp(paths, schedule)
     rewards = (temperature * (logp - paths.step_logq))[:, ::-1].copy()  # episode order
-    energy = np.asarray(target.model.energy(paths.x0), dtype=np.float64)
     rewards[:, -1] -= temperature * target.beta * energy
     return rewards
 
@@ -171,7 +172,6 @@ class TrajectoryBuffer:
     """On-policy rollout data frozen at collection time (all arrays episode order)."""
 
     paths: PathBatch
-    rewards: np.ndarray  # normalized rewards (M, T)
     returns: np.ndarray  # lambda-returns under the sampling-time values (M, T)
     advantages: np.ndarray  # per-buffer-normalized advantages (M, T)
     path_weights: np.ndarray  # (M,), sums to 1
@@ -180,6 +180,7 @@ class TrajectoryBuffer:
 def build_buffer(
     policy,
     paths: PathBatch,
+    energy: np.ndarray,
     target,
     schedule: NoiseSchedule,
     temperature: float,
@@ -189,9 +190,10 @@ def build_buffer(
     normalize: bool = True,
     path_weights: np.ndarray | None = None,
 ) -> TrajectoryBuffer:
-    """Assemble a PPO buffer: rewards, frozen values, lambda-returns, advantages."""
+    """Assemble a PPO buffer from paths and their energies H(X_0): normalized
+    rewards, frozen values, lambda-returns, advantages."""
     t_steps = paths.n_steps
-    raw = rl_rewards(paths, target, schedule, temperature)
+    raw = rl_rewards(paths, energy, target, schedule, temperature)
     normalizer.update(raw)
     rewards = normalizer.normalize(raw)
 
@@ -208,7 +210,7 @@ def build_buffer(
     else:
         path_weights = np.asarray(path_weights, dtype=np.float64)
         path_weights = path_weights / path_weights.sum()
-    return TrajectoryBuffer(paths, rewards, returns, adv, path_weights)
+    return TrajectoryBuffer(paths, returns, adv, path_weights)
 
 
 def minibatch_plan(n_paths: int, t_steps: int, n_path_mb: int, n_t_mb: int, rng):
@@ -288,10 +290,12 @@ def ppo_minibatch_grad(
 
 
 def fkl_importance_weights(
-    paths: PathBatch, logq_old: np.ndarray, target, schedule: NoiseSchedule
+    paths: PathBatch, energy: np.ndarray, target, schedule: NoiseSchedule
 ) -> WeightedSamples:
-    """Self-normalized weights of stored paths: softmax of log p_hat - log q_old."""
-    return snis_weights_from_logs(paths.x0, path_log_p_hat(target, schedule, paths), logq_old)
+    """Self-normalized weights of sampled paths, whose energies H(X_0) are
+    `energy`: softmax of log p_hat - log q."""
+    return snis_weights_from_logs(
+        energy, path_log_p_hat(target, schedule, paths, energy), paths.log_q)
 
 
 def fkl_mc_grad(
@@ -326,11 +330,13 @@ def diffuco_loss_grad(
     target,
     schedule: NoiseSchedule,
     paths: PathBatch,
+    energy: np.ndarray,
     temperature: float,
     condition=None,
     path_weights: np.ndarray | None = None,
 ) -> tuple[float, dict, dict]:
-    """Score-function gradient of the joint reverse-KL objective.
+    """Score-function gradient of the joint reverse-KL objective; `energy`
+    holds the paths' H(X_0).
 
     Traces the policy through every diffusion step (memory grows linearly with
     T). The per-path cost uses exact per-step Bernoulli entropies; the score
@@ -357,7 +363,6 @@ def diffuco_loss_grad(
         logq_acc = logq_t if logq_acc is None else logq_acc + logq_t
         ent_acc = ent_t if ent_acc is None else ent_acc + ent_t
         logp_fwd += logp[:, t - 1]
-    energy = np.asarray(target.model.energy(paths.x0), dtype=np.float64)
     ent_data = ad.as_array(ent_acc)
     # entropy-form per-path cost of temperature * KL(q || p_hat_target)
     cost = (

@@ -231,17 +231,17 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng, energies=True):
-    """Fresh on-policy paths for each instance in batch order: a list of
-    (instance, tempered target, paths), and the batch sums of the mean
-    energy (0.0 without `energies`) and the entropy estimate."""
+def _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng):
+    """Fresh on-policy paths for each instance in batch order, each batch
+    scored once: a list of (instance, tempered target, paths, energies), and
+    the batch sums of the mean energy and the entropy estimate."""
     rollouts, energy_acc, ent_acc = [], 0.0, 0.0
     for inst in inst_batch:
         target = BoltzmannTarget(inst.energy_model, beta_eff)
         paths = sample_reverse_path(policy, schedule, cfg.n_paths, rng, inst.condition)
-        rollouts.append((inst, target, paths))
-        if energies:
-            energy_acc += float(np.mean(inst.energy_model.energy(paths.x0)))
+        energy = target.energy(paths.x0)
+        rollouts.append((inst, target, paths, energy))
+        energy_acc += float(np.mean(energy))
         ent_acc += -float(paths.log_q.mean())
     return rollouts, energy_acc, ent_acc
 
@@ -256,12 +256,11 @@ def _mean_grads(per_instance: list) -> dict:
 
 def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
     # the mean energy comes from the gradient's own weighted energy mean
-    rollouts, _, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng,
-                                     energies=False)
+    rollouts, _, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
     grads, loss_acc, energy_acc = [], 0.0, 0.0
-    for inst, target, paths in rollouts:
+    for inst, target, paths, energy in rollouts:
         loss, g, stats = diffuco_loss_grad(
-            policy, target, schedule, paths, temperature, inst.condition
+            policy, target, schedule, paths, energy, temperature, inst.condition
         )
         loss_acc += loss
         energy_acc += stats["mean_energy"]
@@ -295,8 +294,8 @@ def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
     # each rollout is scored once: its log-weights give the ESS here and
     # every minibatch's self-normalized weights in fkl_mc_grad
     items, ess_acc = [], 0.0
-    for inst, target, paths in rollouts:
-        ws = fkl_importance_weights(paths, paths.log_q, target, schedule)
+    for inst, target, paths, energy in rollouts:
+        ws = fkl_importance_weights(paths, energy, target, schedule)
         ess_acc += effective_sample_size(ws)
         items.append((paths, ws.log_w, inst.condition))
     plans = [minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)]
@@ -309,9 +308,9 @@ def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normali
                adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
     items = [
-        (build_buffer(policy, paths, target, schedule, temperature, cfg, normalizer,
+        (build_buffer(policy, paths, energy, target, schedule, temperature, cfg, normalizer,
                       inst.condition), cfg, inst.condition)
-        for inst, target, paths in rollouts
+        for inst, target, paths, energy in rollouts
     ]
     # one plan per pass over the buffers, drawn when the pass starts
     plans = (minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)
@@ -321,19 +320,23 @@ def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normali
             "mean_energy": energy_acc / n, "entropy": ent_acc / n, "ess": None}
 
 
-def train(cfg: RunConfig, resume: str | None = None, stop_after: int | None = None) -> dict:
+def train(cfg: RunConfig | None, resume: str | None = None, stop_after: int | None = None) -> dict:
     """Run the configured training loop; writes metrics.csv and checkpoint.npz
     into cfg.out_dir and returns a summary dict.
 
-    `stop_after` interrupts the run after that many epochs (checkpoint and
-    metrics reflect the partial run); resuming from the checkpoint continues
-    the uninterrupted schedule bit-exactly."""
-    cfg.validate()
+    `resume` continues from a checkpoint, whose stored config the run uses
+    when `cfg` is None and must equal otherwise. `stop_after` interrupts the
+    run after that many epochs (checkpoint and metrics reflect the partial
+    run); resuming from the checkpoint continues the uninterrupted schedule
+    bit-exactly."""
+    if cfg is not None:
+        cfg.validate()
     if resume is not None:
         # a resumed run trains on its stored instance, whatever its file now holds
         policy, loaded_cfg, adam, normalizer, rng, start_epoch, text = load_checkpoint(resume)
-        if dataclasses.asdict(loaded_cfg) != dataclasses.asdict(cfg):
+        if cfg is not None and dataclasses.asdict(loaded_cfg) != dataclasses.asdict(cfg):
             raise ConfigError("resume checkpoint was produced by a different config")
+        cfg = loaded_cfg
     else:
         policy = make_policy(build_policy_spec(cfg), cfg.t_steps, cfg.seed)
         adam = AdamState.for_params(policy.params)

@@ -12,20 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import PathBatch, path_log_p_hat, path_log_q, sample_reverse_path
+from .diffusion import path_log_p_hat, sample_reverse_path
 
 __all__ = [
     "WeightedSamples",
     "self_normalize",
     "snis_weights_from_logs",
     "snis_sample",
-    "snis_expectation",
     "effective_sample_size",
     "ObservableEstimates",
     "observable_estimates",
-    "ChainState",
-    "nmcmc_init",
-    "nmcmc_advance",
     "nmcmc_run",
     "AutocorrResult",
     "autocorr_time",
@@ -42,9 +38,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class WeightedSamples:
-    """Paths' terminal states with self-normalized importance weights."""
+    """Sampled paths' terminal energies with self-normalized importance weights."""
 
-    x0: np.ndarray  # (M, N) int8
+    energy: np.ndarray  # H(X_0), (M,)
     log_w: np.ndarray  # raw log p_hat - log q, (M,)
     weights: np.ndarray  # normalized, sums to 1
     log_z_hat: float  # logsumexp(log_w) - log M
@@ -63,17 +59,17 @@ def self_normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     return w / total, shift + math.log(total)
 
 
-def snis_weights_from_logs(x0, log_p_hat, log_q) -> WeightedSamples:
+def snis_weights_from_logs(energy, log_p_hat, log_q) -> WeightedSamples:
     log_w = np.asarray(log_p_hat, dtype=np.float64) - np.asarray(log_q, dtype=np.float64)
     if not np.isfinite(log_w).all():
         raise FloatingPointError("non-finite importance log-weight")
     weights, log_total = self_normalize(log_w)
-    return WeightedSamples(np.asarray(x0, dtype=np.int8), log_w, weights,
+    return WeightedSamples(np.asarray(energy, dtype=np.float64), log_w, weights,
                            log_total - math.log(len(log_w)))
 
 
 # Proposal paths drawn per sampler call, by both `snis_sample` and
-# `nmcmc_advance`. Below a few hundred rows the policy forward is dominated by
+# `nmcmc_run`. Below a few hundred rows the policy forward is dominated by
 # per-call overhead; far above, the block falls out of cache (4x4 MLP (64, 64),
 # T = 20, one BLAS thread, malloc mmap threshold pinned at 128 KiB, median of
 # three processes: about 8k paths/s at 16 rows, 29k at 256, 22k at 1,024, 19k
@@ -81,30 +77,22 @@ def snis_weights_from_logs(x0, log_p_hat, log_q) -> WeightedSamples:
 PROPOSAL_ROWS = 256
 
 
-def snis_sample(policy, target, schedule, n_samples: int, rng, condition=None) -> WeightedSamples:
+def _scored_paths(policy, target, schedule, n_paths: int, rng):
+    """Draw `n_paths` paths and score each once: their energies H(X_0),
+    log p_hat and log q, the three numbers both estimators keep of a path."""
+    paths = sample_reverse_path(policy, schedule, n_paths, rng)
+    energy = target.energy(paths.x0)
+    return energy, path_log_p_hat(target, schedule, paths, energy), paths.log_q
+
+
+def snis_sample(policy, target, schedule, n_samples: int, rng) -> WeightedSamples:
     """Draw paths from the model in blocks of PROPOSAL_ROWS and keep only
-    terminal states and log-weights, so large sample counts stay memory-bounded."""
+    their energies and log-weights, so large sample counts stay memory-bounded."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    x0_parts, lp_parts, lq_parts = [], [], []
-    for start in range(0, n_samples, PROPOSAL_ROWS):
-        take = min(PROPOSAL_ROWS, n_samples - start)
-        paths = sample_reverse_path(policy, schedule, take, rng, condition)
-        x0_parts.append(paths.x0.copy())
-        lp_parts.append(path_log_p_hat(target, schedule, paths))
-        lq_parts.append(paths.log_q)
-    return snis_weights_from_logs(
-        np.concatenate(x0_parts), np.concatenate(lp_parts), np.concatenate(lq_parts)
-    )
-
-
-def snis_expectation(ws: WeightedSamples, observable) -> float:
-    """Weighted mean of an observable of the terminal states.
-
-    `observable` is a callable over (M, N) states or a precomputed (M,) array.
-    """
-    values = observable(ws.x0) if callable(observable) else np.asarray(observable)
-    return float(ws.weights @ values)
+    sizes = [min(PROPOSAL_ROWS, n_samples - start) for start in range(0, n_samples, PROPOSAL_ROWS)]
+    blocks = [_scored_paths(policy, target, schedule, size, rng) for size in sizes]
+    return snis_weights_from_logs(*map(np.concatenate, zip(*blocks)))
 
 
 def effective_sample_size(ws: WeightedSamples) -> float:
@@ -133,81 +121,42 @@ class ObservableEstimates:
 
 
 def observable_estimates(ws: WeightedSamples, target) -> ObservableEstimates:
-    """Free energy from log Z-hat, internal energy by reweighting, entropy from
-    the identity S = beta * (U - F)."""
+    """Free energy from log Z-hat, internal energy as the weighted mean of the
+    samples' energies, entropy from the identity S = beta * (U - F)."""
     if target.beta <= 0:
         raise ValueError("observable estimates require beta > 0")
     f = -ws.log_z_hat / target.beta
-    u = snis_expectation(ws, lambda x: np.asarray(target.model.energy(x), dtype=np.float64))
+    u = float(ws.weights @ ws.energy)
     s = target.beta * (u - f)
     return ObservableEstimates(f, u, s, effective_sample_size(ws), target.n_sites)
 
 
-@dataclass
-class ChainState:
-    """A batch of independence-proposal chains over diffusion paths."""
+def nmcmc_run(policy, target, schedule, n_chains: int, n_steps: int,
+              rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run independence-proposal Metropolis-Hastings chains over diffusion
+    paths; a step accepts when log u < (log p_hat' - log p_hat) + (log q - log q').
 
-    paths: PathBatch
-    log_p_hat: np.ndarray  # (C,)
-    n_accepted: np.ndarray  # (C,) int64
-    n_steps: int = 0
-
-    @property
-    def n_chains(self) -> int:
-        return self.paths.n_paths
-
-    def acceptance_rate(self) -> np.ndarray:
-        if self.n_steps == 0:
-            return np.zeros(self.n_chains)
-        return self.n_accepted / self.n_steps
-
-    def verify_cache(self, policy, target, schedule, condition=None) -> None:
-        """Recompute log q and log p_hat from the chains' states by teacher
-        forcing, and check them against the stored step likelihoods and cache."""
-        atol = 1e-10
-        lq = path_log_q(policy, self.paths, condition)
-        lp = path_log_p_hat(target, schedule, self.paths)
-        if not (np.allclose(lq, self.paths.log_q, atol=atol)
-                and np.allclose(lp, self.log_p_hat, atol=atol)):
-            raise RuntimeError("cached chain log-probabilities are inconsistent")
-
-
-def nmcmc_init(policy, target, schedule, n_chains: int, rng, condition=None) -> ChainState:
-    paths = sample_reverse_path(policy, schedule, n_chains, rng, condition)
-    return ChainState(
-        paths=paths,
-        log_p_hat=path_log_p_hat(target, schedule, paths),
-        n_accepted=np.zeros(n_chains, dtype=np.int64),
-    )
-
-
-def nmcmc_advance(
-    chain: ChainState, policy, target, schedule, n_steps: int, rng, observable=None, condition=None
-) -> np.ndarray | None:
-    """Advance every chain `n_steps` Metropolis-Hastings steps with independent
-    path proposals; a step accepts when
-    log u < (log p_hat' - log p_hat) + (log q - log q').
-
+    A chain keeps only its current path's energy, log p_hat and log q.
     Proposals do not depend on the chain state, so each block of
     k = max(1, PROPOSAL_ROWS // C) steps draws its k*C proposals in one sampler
-    call and runs the accept test as a scan over their cached log-weights.
-    Returns the (C, n_steps) series of `observable` of X_0 after each step, or
-    None without an observable; `observable` maps (M, N) states to (M,) values
-    row by row and sees each block's current and proposed states in one call.
+    call and runs the accept test as a scan over their scores.
+    Returns (series, n_accepted, energy): the (C, n_steps) energy of X_0 after
+    each step, the accepted moves per chain and each chain's final energy.
+    Raises ValueError unless both counts are at least 1.
     """
-    c = chain.n_chains
+    if n_chains < 1 or n_steps < 1:
+        raise ValueError(f"need at least one chain and one step, got {n_chains} x {n_steps}")
+    c = n_chains
+    chain = _scored_paths(policy, target, schedule, c, rng)
+    n_accepted = np.zeros(c, dtype=np.int64)
+    series = np.empty((c, n_steps))
     block = max(1, PROPOSAL_ROWS // c)
-    series = None if observable is None else np.empty((c, n_steps))
     rows = np.arange(c)
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)
-        prop = sample_reverse_path(policy, schedule, k * c, rng, condition)
         # candidates are indexed into [current states; proposals of step 0..k-1]
-        lp = np.concatenate([chain.log_p_hat, path_log_p_hat(target, schedule, prop)])
-        lq = np.concatenate([chain.paths.log_q, prop.log_q])
-        if observable is not None:
-            x0 = np.concatenate([chain.paths.x0, prop.x0])
-            obs = np.asarray(observable(x0), dtype=np.float64)
+        proposals = _scored_paths(policy, target, schedule, k * c, rng)
+        energy, lp, lq = map(np.concatenate, zip(chain, proposals))
         log_u = np.log(rng.random((k, c)))
         picks = np.empty((k, c), dtype=np.intp)
         cur = rows
@@ -215,43 +164,11 @@ def nmcmc_advance(
             cand = rows + (j + 1) * c
             accept = log_u[j] < (lp[cand] - lp[cur]) + (lq[cur] - lq[cand])
             cur = np.where(accept, cand, cur)
-            chain.n_accepted += accept
+            n_accepted += accept
             picks[j] = cur
-        if series is not None:
-            series[:, start : start + k] = obs[picks].T
-        moved = cur >= c
-        src = cur[moved] - c
-        chain.paths.states[moved] = prop.states[src]
-        chain.paths.step_logq[moved] = prop.step_logq[src]
-        chain.paths.prior_logq[moved] = prop.prior_logq[src]
-        chain.paths.x0_probs[moved] = prop.x0_probs[src]
-        chain.log_p_hat = lp[cur]
-        chain.n_steps += k
-    return series
-
-
-def nmcmc_run(
-    policy,
-    target,
-    schedule,
-    n_chains: int,
-    n_steps: int,
-    rng,
-    observable=None,
-    condition=None,
-) -> tuple[np.ndarray, ChainState]:
-    """Advance chains and record an observable of X_0 (default: energy).
-
-    Returns (series, chain) with series of shape (n_chains, n_steps). Raises
-    ValueError unless both counts are at least 1.
-    """
-    if n_chains < 1 or n_steps < 1:
-        raise ValueError(f"need at least one chain and one step, got {n_chains} x {n_steps}")
-    if observable is None:
-        observable = lambda x: np.asarray(target.model.energy(x), dtype=np.float64)
-    chain = nmcmc_init(policy, target, schedule, n_chains, rng, condition)
-    series = nmcmc_advance(chain, policy, target, schedule, n_steps, rng, observable, condition)
-    return series, chain
+        series[:, start : start + k] = energy[picks].T
+        chain = energy[cur], lp[cur], lq[cur]
+    return series, n_accepted, chain[0]
 
 
 @dataclass(frozen=True)
@@ -300,7 +217,7 @@ def autocorr_time(series) -> AutocorrResult:
 @dataclass(frozen=True)
 class NmcmcEstimate:
     estimate: float
-    stderr: float | None  # None when the observable series is degenerate
+    stderr: float | None  # None when the energy series is degenerate
     tau: float | None
     burn_in: int
     acceptance_rate: float
@@ -344,7 +261,7 @@ def estimate_from_series(series: np.ndarray, acceptance: np.ndarray) -> NmcmcEst
         var = float(post.var(ddof=1)) if n_post > 1 else 0.0
         stderr = math.sqrt(var / n_post * 2.0 * tau)
     else:
-        # constant observable: the estimate is exact, the error bar undefined
+        # constant series: the estimate is exact, the error bar undefined
         est, stderr, tau, burn_in = float(series.mean()), None, None, 0
     return NmcmcEstimate(
         estimate=est,
@@ -357,20 +274,9 @@ def estimate_from_series(series: np.ndarray, acceptance: np.ndarray) -> NmcmcEst
     )
 
 
-def nmcmc_estimate(
-    policy,
-    target,
-    schedule,
-    observable=None,
-    *,
-    n_chains: int,
-    n_steps: int,
-    rng,
-    condition=None,
-) -> NmcmcEstimate:
+def nmcmc_estimate(policy, target, schedule, *, n_chains: int, n_steps: int,
+                   rng) -> NmcmcEstimate:
     """Run chains, check convergence via the autocorrelation window, and return
-    the post-burn-in estimate with its corrected standard error."""
-    series, chain = nmcmc_run(
-        policy, target, schedule, n_chains, n_steps, rng, observable, condition
-    )
-    return estimate_from_series(series, chain.acceptance_rate())
+    the post-burn-in energy estimate with its corrected standard error."""
+    series, n_accepted, _ = nmcmc_run(policy, target, schedule, n_chains, n_steps, rng)
+    return estimate_from_series(series, n_accepted / n_steps)

@@ -91,7 +91,7 @@ def exact_joint_kl(policy, target, schedule, temperature: float, condition=None)
     states = all_paths(n_bits, schedule.n_steps)
     batch = teacher_forced_batch(policy, states, condition)
     log_q = batch.log_q
-    log_p = path_log_p_hat(target, schedule, batch)
+    log_p = path_log_p_hat(target, schedule, batch, target.energy(batch.x0))
     q = np.exp(log_q)
     return float(temperature * (q @ (log_q - log_p)))
 

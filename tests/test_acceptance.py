@@ -169,7 +169,7 @@ class TestCriterion3FklFullBatchEquivalence:
         target = random_target(n_bits, seed=8, beta=0.8)
         sched = exp_schedule(t_steps)
         paths = sample_reverse_path(policy, sched, m, np.random.default_rng(9))
-        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        log_w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).log_w
         _, full, weights = fkl_mc_grad(policy, paths, log_w, np.arange(m),
                                        np.tile(np.arange(t_steps), (m, 1)))
 
@@ -426,7 +426,7 @@ class TestCriterion7EstimatorSanity:
         policy = ConstantPolicy(2, t_steps, 0.5)
         rng = np.random.default_rng(77)
         paths = sample_reverse_path(policy, sched, m * reps, rng)
-        log_w = path_log_p_hat(target, sched, paths) - paths.log_q
+        log_w = path_log_p_hat(target, sched, paths, target.energy(paths.x0)) - paths.log_q
         z_hats = np.exp(log_w).reshape(reps, m).mean(axis=1)
         stderr = z_hats.std(ddof=1) / math.sqrt(reps)
         z_ok = abs(z_hats.mean() - exact.z) < 3 * stderr
@@ -436,8 +436,7 @@ class TestCriterion7EstimatorSanity:
         for _ in range(10000):
             size = int(fuzz_rng.integers(1, 50))
             lw = fuzz_rng.uniform(-700, 700, size)
-            ws = snis_weights_from_logs(np.zeros((size, 1), dtype=np.int8), lw,
-                                        np.zeros(size))
+            ws = snis_weights_from_logs(np.zeros(size), lw, np.zeros(size))
             e = effective_sample_size(ws)
             if not (1.0 / size <= e <= 1.0):
                 bounds_ok = False
@@ -476,19 +475,20 @@ class TestCriterion10MemoryScaling:
         policy = perturbed_mlp(n_bits, t_steps, seed=11, hidden=(64, 64),
                                value_head=True, scale=0.1)
         paths = sample_reverse_path(policy, sched, m, np.random.default_rng(12))
+        energy = target.energy(paths.x0)
 
         ad.reset_activation_records()
-        diffuco_loss_grad(policy, target, sched, paths, temperature=1.0)
+        diffuco_loss_grad(policy, target, sched, paths, energy, temperature=1.0)
         n_diffuco = ad.activation_records()
 
-        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        log_w = fkl_importance_weights(paths, energy, target, sched).log_w
         k_idx = t_steps - np.tile(np.arange(1, tau + 1), (m, 1))
         ad.reset_activation_records()
         fkl_mc_grad(policy, paths, log_w, np.arange(m), k_idx)
         n_fkl = ad.activation_records()
 
         cfg = RunConfig()
-        buf = build_buffer(policy, paths, target, sched, 1.0, cfg,
+        buf = build_buffer(policy, paths, energy, target, sched, 1.0, cfg,
                            RewardNormalizer(rate=0.0, mean=0.0, var=1.0, initialized=True))
         ad.reset_activation_records()
         ppo_minibatch_grad(policy, buf, cfg, np.arange(m),

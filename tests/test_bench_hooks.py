@@ -140,6 +140,40 @@ def test_unit_clock_marks_each_stage_tick(tick, runs, tmp_path, capsys):
         assert clock.ticks
 
 
+OWNERS = [bitdiff.train, bitdiff.unbiased, bitdiff.objectives, cli, bitdiff.energies,
+          bitdiff.graphs, Tensor, MlpPolicy, GnnPolicy, IsingLattice2D, EAInstance, CoProblem]
+
+
+def traced(argv) -> tuple:
+    """Run one CLI call under a Tracer: (exit code, tracer, span names, whether
+    every wrapped attribute was restored afterwards)."""
+    before = [dict(owner.__dict__) for owner in OWNERS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    after = [dict(owner.__dict__) for owner in OWNERS]
+    restored = all(a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+                   for a, b in zip(before, after))
+    return code, tracer, [tracer.names[i] for i in tracer.name_id], restored
+
+
+@pytest.mark.parametrize("method,argv,method_spans", [
+    ("snis", ["--n-samples", "300"], ("unbiased.snis", "unbiased.observables")),
+    ("nmcmc", ["--chains", "4", "--chain-steps", "3000"], ("unbiased.chain", "unbiased.diag")),
+])
+def test_tracer_wraps_an_estimate_and_restores(method, argv, method_spans, runs, tmp_path):
+    code, _, names, restored = traced([
+        "estimate", "--checkpoint", str(runs / "lattice" / "out" / "checkpoint.npz"),
+        "--method", method, *argv, "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert restored
+    for span in (*method_spans, "diffusion.log_p_hat", "diffusion.sample", "energies.energy"):
+        assert span in names, span
+
+
 @pytest.mark.parametrize("arch,objective", [
     ("lattice", "diffuco"), ("lattice", "rkl_rl"), ("lattice", "fkl_mc"),
     ("graph", "rkl_rl"), ("graph", "fkl_mc"),
@@ -147,21 +181,9 @@ def test_unit_clock_marks_each_stage_tick(tick, runs, tmp_path, capsys):
 def test_tracer_wraps_a_training_run_and_restores(arch, objective, runs, tmp_path):
     text = (LATTICE_CFG if arch == "lattice" else GNN_CFG).format(
         objective=objective, epochs=1, out_dir=tmp_path / "out", dataset=runs / "dataset")
-    cfg = write_config(tmp_path, text)
-    owners = [bitdiff.train, bitdiff.unbiased, bitdiff.objectives, cli, bitdiff.energies,
-              bitdiff.graphs, Tensor, MlpPolicy, GnnPolicy, IsingLattice2D, EAInstance,
-              CoProblem]
-    before = [dict(owner.__dict__) for owner in owners]
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["train", "--config", cfg]) == 0
-    finally:
-        tracer.uninstall()
-    after = [dict(owner.__dict__) for owner in owners]
-    assert all(a.keys() == b.keys() and all(a[k] is b[k] for k in a)
-               for a, b in zip(before, after))
-    names = [tracer.names[i] for i in tracer.name_id]
+    code, tracer, names, restored = traced(["train", "--config", write_config(tmp_path, text)])
+    assert code == 0
+    assert restored
     for span in ("objectives.grad", "train.epoch", "diffusion.sample", "nets.forward",
                  "nets.forward_traced", "optim.adam", "train.checkpoint",
                  "energies.energy", "autodiff.backward"):

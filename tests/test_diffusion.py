@@ -187,7 +187,7 @@ class TestPathLogPHat:
         batch = PathBatch(states, np.zeros((1, t_steps)), np.zeros(1))
         model = SpinCouplingModel(n_bits, [(0, 1)], [1.0])
         target = BoltzmannTarget(model, 0.0)
-        got = path_log_p_hat(target, sched, batch)
+        got = path_log_p_hat(target, sched, batch, target.energy(batch.x0))
         assert got == pytest.approx(t_steps * n_bits * math.log(0.9))
 
     def test_enumeration_consistent_with_partition_sum(self):
@@ -197,7 +197,7 @@ class TestPathLogPHat:
         sched = exp_schedule(1)
         states = all_paths(1, 1)
         batch = PathBatch(states, np.zeros((4, 1)), stationary_logprob(states[:, 1]))
-        total = np.exp(path_log_p_hat(target, sched, batch)).sum()
+        total = np.exp(path_log_p_hat(target, sched, batch, target.energy(batch.x0))).sum()
         assert total == pytest.approx(2.0, abs=1e-12)  # Z = 2 states at H = 0
 
     def test_energy_shift_linearity(self):
@@ -214,6 +214,7 @@ class TestPathLogPHat:
         policy = ConstantPolicy(3, 2, 0.5)
         paths = sample_reverse_path(policy, sched, 10, np.random.default_rng(7))
         beta = 0.6
-        a = path_log_p_hat(BoltzmannTarget(base, beta), sched, paths)
-        b = path_log_p_hat(BoltzmannTarget(Shifted(base, 2.5), beta), sched, paths)
+        a, b = (path_log_p_hat(target, sched, paths, target.energy(paths.x0))
+                for target in (BoltzmannTarget(base, beta),
+                               BoltzmannTarget(Shifted(base, 2.5), beta)))
         assert np.allclose(b - a, -beta * 2.5, atol=1e-12)

@@ -21,6 +21,7 @@ from bitdiff.energies import (
     write_instance_text,
 )
 
+from bitdiff.diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
 from bitdiff.graphs import BaConfig, Graph, RbConfig, gen_ba, gen_rb
 
 from oracles import lattice_bonds_direct, mds_energy_direct, neighbors_direct, non_edges_direct
@@ -234,23 +235,52 @@ class TestCoEnergies:
             CoProblem("mis", 2, [(0, 1)], penalty_a=1.1, penalty_b=1.0)
 
 
+def stay_put(states) -> PathBatch:
+    """One-step paths with X_1 = X_0: every path has the same noising term."""
+    states = np.atleast_2d(states)
+    m = len(states)
+    return PathBatch(np.stack([states, states], axis=1), np.zeros((m, 1)), np.zeros(m))
+
+
 class TestBoltzmann:
+    """The target's energies enter log p_hat as -beta * H(X_0)."""
+
+    sched = NoiseSchedule(np.array([0.3]))
+
+    def log_p_hat(self, target, batch):
+        return path_log_p_hat(target, self.sched, batch, target.energy(batch.x0))
+
     def test_beta_zero(self):
         t = BoltzmannTarget(IsingLattice2D(3), 0.0)
-        states = np.stack([np.zeros(9, dtype=np.int8), np.ones(9, dtype=np.int8)])
-        assert np.all(t.log_unnormalized(states) == 0.0)
+        batch = stay_put(np.stack([np.zeros(9, dtype=np.int8), np.ones(9, dtype=np.int8)]))
+        assert np.all(self.log_p_hat(t, batch) == forward_step_logp(batch, self.sched)[:, 0])
 
     def test_sign(self):
         t = BoltzmannTarget(IsingLattice2D(3), 1.0)
-        assert t.log_unnormalized(np.ones(9, dtype=np.int8)) == 18.0
+        batch = stay_put(np.ones(9, dtype=np.int8))
+        assert t.energy(batch.x0) == -18.0
+        assert self.log_p_hat(t, batch) == 18.0 + forward_step_logp(batch, self.sched)[:, 0]
 
     def test_monotone_in_energy(self):
         t = BoltzmannTarget(IsingLattice2D(3), 0.7)
-        states = all_states(9)[:64]
-        e = t.model.energy(states)
-        lw = t.log_unnormalized(states)
+        batch = stay_put(all_states(9)[:64])
+        e = t.model.energy(batch.x0)
+        lw = self.log_p_hat(t, batch)
         order = np.argsort(e)
         assert np.all(np.diff(lw[order]) <= 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        class Broken:
+            n_sites = 1
+
+            def energy(self, x):
+                return np.where(np.asarray(x)[..., 0] == 1, bad, 0.0)
+
+        t = BoltzmannTarget(Broken(), 1.0)
+        assert np.array_equal(t.energy(np.zeros((2, 1))), [0.0, 0.0])
+        with pytest.raises(ValueError, match="energy is not finite"):
+            t.energy(np.array([[0], [1]]))
 
 
 class TestEnumeration:

@@ -93,7 +93,8 @@ class TestRewards:
         paths = sample_reverse_path(policy, sched, 6, np.random.default_rng(0))
         # annealed convention: temperature*beta == 1 even at temperature -> 0
         tiny = 1e-9
-        r = rl_rewards(paths, BoltzmannTarget(target.model, 1.0 / tiny), sched, tiny)
+        r = rl_rewards(paths, target.energy(paths.x0), BoltzmannTarget(target.model, 1.0 / tiny),
+                       sched, tiny)
         assert np.allclose(r[:, :-1], 0.0, atol=1e-7)
         assert np.allclose(r[:, -1], -target.model.energy(paths.x0), atol=1e-6)
 
@@ -103,7 +104,7 @@ class TestRewards:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 1.0)
         paths = sample_reverse_path(policy, sched, 5, np.random.default_rng(1))
-        r = rl_rewards(paths, target, sched, temperature=0.7)
+        r = rl_rewards(paths, target.energy(paths.x0), target, sched, temperature=0.7)
         assert np.allclose(r[:, :-1], 0.0, atol=1e-10)
 
     def test_single_step_hand_value(self):
@@ -121,7 +122,7 @@ class TestRewards:
 
         target = BoltzmannTarget(Field(), 2.0)
         temp = 0.5
-        r = rl_rewards(paths, target, sched, temp)
+        r = rl_rewards(paths, target.energy(paths.x0), target, sched, temp)
         for i in range(20):
             x1, x0 = paths.states[i, 1, 0], paths.states[i, 0, 0]
             logp = math.log(0.3) if x1 != x0 else math.log(0.7)
@@ -133,12 +134,15 @@ class TestRewards:
         policy = make_policy(2, 5)
         sched = exp_schedule(5)
         paths = sample_reverse_path(policy, sched, 3, np.random.default_rng(3))
-        r = rl_rewards(paths, small_target(2), sched, 1.0)
+        target = small_target(2)
+        r = rl_rewards(paths, target.energy(paths.x0), target, sched, 1.0)
         assert r.shape == (3, 5)
 
     @pytest.mark.parametrize("call", [
-        lambda policy, target, sched, paths: rl_rewards(paths, target, sched, 1.0),
-        lambda policy, target, sched, paths: diffuco_loss_grad(policy, target, sched, paths, 1.0),
+        lambda policy, target, sched, paths: rl_rewards(
+            paths, target.energy(paths.x0), target, sched, 1.0),
+        lambda policy, target, sched, paths: diffuco_loss_grad(
+            policy, target, sched, paths, target.energy(paths.x0), 1.0),
     ], ids=["rl_rewards", "diffuco_loss_grad"])
     def test_schedule_longer_than_paths_rejected(self, call):
         policy = make_policy(2, 3)
@@ -196,9 +200,9 @@ class TestTdLambda:
         target = small_target(n_bits)
         cfg = RunConfig()
         paths = sample_reverse_path(policy, sched, 24, np.random.default_rng(30))
-        buf = build_buffer(policy, paths, target, sched, 0.9, cfg,
+        buf = build_buffer(policy, paths, target.energy(paths.x0), target, sched, 0.9, cfg,
                            RewardNormalizer(rate=0.01))
-        assert buf.rewards.shape == (24, t_steps)
+        assert buf.returns.shape == buf.advantages.shape == (24, t_steps)
         assert abs(buf.advantages.mean()) < 1e-6
         assert abs(buf.advantages.var() - 1.0) < 1e-6
         assert buf.path_weights.sum() == pytest.approx(1.0)
@@ -214,7 +218,7 @@ class TestTdLambda:
 
         advs = []
         for c in (1.0, 7.3):
-            raw = rl_rewards(paths, target, sched, 0.8) * c
+            raw = rl_rewards(paths, target.energy(paths.x0), target, sched, 0.8) * c
             normalizer = RewardNormalizer(rate=0.01)
             normalizer.update(raw)
             rew = normalizer.normalize(raw)
@@ -253,7 +257,8 @@ class TestPpo:
         policy, sched, target, temp = self._setup()
         paths = sample_reverse_path(policy, sched, 12, np.random.default_rng(5))
         cfg = RunConfig()
-        buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
+        buf = build_buffer(policy, paths, target.energy(paths.x0), target, sched, temp, cfg,
+                           identity_normalizer())
         _, _, stats = ppo_minibatch_grad(
             policy, buf, cfg, np.arange(12), np.tile(np.arange(2), (12, 1))
         )
@@ -265,7 +270,8 @@ class TestPpo:
         policy, sched, target, temp = self._setup(seed=3)
         paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(6))
         cfg = RunConfig(clip=0.2, value_weight=0.0)
-        buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
+        buf = build_buffer(policy, paths, target.energy(paths.x0), target, sched, temp, cfg,
+                           identity_normalizer())
         buf.advantages[:] = 1.0
         buf.paths.step_logq[:] = buf.paths.step_logq - 1.0  # inflate the ratio to e > 1.2
         _, grads, stats = ppo_minibatch_grad(
@@ -283,7 +289,7 @@ class TestPpo:
         probs = np.exp(batch.log_q)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         cfg = RunConfig(clip=0.2, value_weight=0.0, trace_decay=1.0)
-        buf = build_buffer(policy, batch, target, sched, temp, cfg,
+        buf = build_buffer(policy, batch, target.energy(batch.x0), target, sched, temp, cfg,
                            identity_normalizer(), normalize=False, path_weights=probs)
         m = batch.n_paths
         _, grads, _ = ppo_minibatch_grad(
@@ -296,7 +302,8 @@ class TestPpo:
         policy, sched, target, temp = self._setup(seed=7)
         paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(8))
         cfg = RunConfig()
-        buf = build_buffer(policy, paths, target, sched, temp, cfg, identity_normalizer())
+        buf = build_buffer(policy, paths, target.energy(paths.x0), target, sched, temp, cfg,
+                           identity_normalizer())
         buf.paths.step_logq[:] = -np.inf
         with pytest.raises(FloatingPointError):
             ppo_minibatch_grad(policy, buf, cfg, np.arange(4),
@@ -342,7 +349,7 @@ class TestFklMc:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         paths = sample_reverse_path(policy, sched, 64, np.random.default_rng(0))
-        w = fkl_importance_weights(paths, paths.log_q, target, sched).weights
+        w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).weights
         assert np.allclose(w, 1.0 / 64, atol=1e-12)
 
     def test_two_weight_softmax(self):
@@ -365,7 +372,7 @@ class TestFklMc:
         target = BoltzmannTarget(Tilt(), math.log(3.0))
         paths.states[0, 0, 0] = 1
         paths.states[1, 0, 0] = 0
-        w = fkl_importance_weights(paths, paths.log_q, target, sched).weights
+        w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).weights
         assert np.allclose(w, [0.25, 0.75], atol=1e-12)
 
     def test_full_batch_equals_direct_weighted_gradient(self):
@@ -374,7 +381,7 @@ class TestFklMc:
         sched = exp_schedule(t_steps)
         target = small_target(n_bits, beta=0.7)
         paths = sample_reverse_path(policy, sched, 10, np.random.default_rng(2))
-        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        log_w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).log_w
         all_k = np.tile(np.arange(t_steps), (10, 1))
         _, grads, weights = fkl_mc_grad(policy, paths, log_w, np.arange(10), all_k)
 
@@ -396,7 +403,7 @@ class TestFklMc:
         sched = exp_schedule(t_steps)
         target = small_target(n_bits, beta=0.6)
         paths = sample_reverse_path(policy, sched, 8, np.random.default_rng(3))
-        log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+        log_w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).log_w
         all_k = np.tile(np.arange(t_steps), (8, 1))
         _, full, _ = fkl_mc_grad(policy, paths, log_w, np.arange(8), all_k)
         acc = None
@@ -419,7 +426,7 @@ class TestFklMc:
                 paths = sample_reverse_path(
                     policy, sched, m, np.random.default_rng(97 * m + rep)
                 )
-                log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+                log_w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).log_w
                 all_k = np.tile(np.arange(t_steps), (m, 1))
                 _, grads, _ = fkl_mc_grad(policy, paths, log_w, np.arange(m), all_k)
                 acc += np.linalg.norm(grads_to_vec(grads))
@@ -433,7 +440,7 @@ class TestFklMc:
         policy = ConstantPolicy(n_bits, t_steps, 0.5)
         paths = sample_reverse_path(policy, sched, 3, np.random.default_rng(4))
         with pytest.raises(FloatingPointError):
-            fkl_importance_weights(paths, paths.log_q + np.inf, small_target(2), sched)
+            fkl_importance_weights(paths, np.full(3, np.inf), small_target(2), sched)
 
 
 class TestRecordsInT:
@@ -456,11 +463,13 @@ class TestRecordsInT:
             sched = exp_schedule(t_steps)
             target = small_target(4)
             paths = sample_reverse_path(policy, sched, m, np.random.default_rng(2))
-            log_w = fkl_importance_weights(paths, paths.log_q, target, sched).log_w
+            energy = target.energy(paths.x0)
+            log_w = fkl_importance_weights(paths, energy, target, sched).log_w
             count("fkl_mc", fkl_mc_grad, policy, paths, log_w, path_idx, k_idx)
-            buf = build_buffer(policy, paths, target, sched, 1.0, cfg, identity_normalizer())
+            buf = build_buffer(policy, paths, energy, target, sched, 1.0, cfg,
+                               identity_normalizer())
             count("ppo", ppo_minibatch_grad, policy, buf, cfg, path_idx, k_idx)
-            count("diffuco", diffuco_loss_grad, policy, target, sched, paths, 1.0)
+            count("diffuco", diffuco_loss_grad, policy, target, sched, paths, energy, 1.0)
         assert len(set(records["fkl_mc"])) == 1, records
         assert len(set(records["ppo"])) == 1, records
         d8, d32, d128 = records["diffuco"]
@@ -478,8 +487,8 @@ class TestDiffuco:
         probs = np.exp(batch.log_q)
         tiny = 1e-9
         _, grads, _ = diffuco_loss_grad(
-            policy, BoltzmannTarget(target.model, 1.0 / tiny), sched, batch, tiny,
-            path_weights=probs,
+            policy, BoltzmannTarget(target.model, 1.0 / tiny), sched, batch,
+            target.energy(batch.x0), tiny, path_weights=probs,
         )
 
         def mean_energy():
@@ -498,8 +507,8 @@ class TestDiffuco:
         states = all_paths(n_bits, t_steps)
         batch = teacher_forced_batch(policy, states)
         probs = np.exp(batch.log_q)
-        _, grads, _ = diffuco_loss_grad(policy, target, sched, batch, temp,
-                                        path_weights=probs)
+        _, grads, _ = diffuco_loss_grad(policy, target, sched, batch, target.energy(batch.x0),
+                                        temp, path_weights=probs)
         fd = finite_diff_grads(
             lambda: exact_joint_kl(policy, target, sched, temp),
             policy.params, h=1e-3, order=4,
@@ -534,8 +543,8 @@ class TestDiffuco:
         states = all_paths(n_bits, t_steps)
         batch = teacher_forced_batch(policy, states)
         probs = np.exp(batch.log_q)
-        _, grads, _ = diffuco_loss_grad(policy, target, sched, batch, 1.0,
-                                        path_weights=probs)
+        _, grads, _ = diffuco_loss_grad(policy, target, sched, batch, target.energy(batch.x0),
+                                        1.0, path_weights=probs)
         fd = finite_diff_grads(
             lambda: exact_joint_kl(policy, target, sched, 1.0),
             policy.params, h=1e-3, order=4,

@@ -11,7 +11,7 @@ from bitdiff import cli
 from bitdiff import config
 from bitdiff.config import ConfigError, RunConfig, parse_config
 from bitdiff.diffusion import exp_schedule, sample_reverse_path
-from bitdiff.energies import EAInstance, IsingLattice2D, write_instance_text
+from bitdiff.energies import CoProblem, EAInstance, IsingLattice2D, write_instance_text
 from bitdiff.graphs import Graph, is_feasible, solution_size
 from bitdiff.nets import GraphCondition
 from bitdiff.train import load_checkpoint, load_dataset, train
@@ -47,6 +47,14 @@ def write_single_edge_dataset(root: Path) -> Path:
     (ds / "manifest.json").write_text(
         json.dumps({"files": ["graph_00000.txt"]}), encoding="utf-8"
     )
+    return ds
+
+
+def write_two_graph_dataset(root: Path) -> Path:
+    ds = root / "dataset"
+    ds.mkdir()
+    for i, g in enumerate((Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (2, 3)]))):
+        (ds / f"graph_{i:05d}.txt").write_text(g.to_text(), encoding="utf-8")
     return ds
 
 
@@ -228,10 +236,7 @@ class TestTraining:
         # every minibatch update reuses its rollout's log-weights, so the
         # target scores each selected instance once per epoch, however many
         # updates the epoch makes
-        ds = tmp_path / "dataset"
-        ds.mkdir()
-        for i, g in enumerate((Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (2, 3)]))):
-            (ds / f"graph_{i:05d}.txt").write_text(g.to_text(), encoding="utf-8")
+        ds = write_two_graph_dataset(tmp_path)
         cfg = dataclasses.replace(
             parse_config(co_cfg(ds, tmp_path / "run", objective="fkl_mc", epochs=2)),
             n_instances=2, path_minibatch=path_minibatch, t_minibatch=t_minibatch)
@@ -241,6 +246,26 @@ class TestTraining:
                             lambda *args: scored.append(1) or log_p_hat(*args))
         train(cfg)
         assert len(scored) == cfg.epochs * cfg.n_instances, bitdiff.train.updates_per_epoch(cfg)
+
+    @pytest.mark.parametrize("objective", ["diffuco", "rkl_rl", "fkl_mc"])
+    @pytest.mark.parametrize("kind", ["ising", "co"])
+    def test_each_rollout_is_scored_once(self, tmp_path, monkeypatch, objective, kind):
+        # the energies a rollout draws feed its metrics row, weights, rewards
+        # and costs; no step evaluates them again
+        if kind == "co":
+            ds = write_two_graph_dataset(tmp_path)
+            text, model = co_cfg(ds, tmp_path / "run", objective=objective, epochs=1), CoProblem
+        else:
+            text = ISING_CFG.format(objective=objective, epochs=1, seed=0, out_dir=tmp_path / "run")
+            model = IsingLattice2D
+        cfg = dataclasses.replace(parse_config(text), n_instances=2)
+        rows = []
+        energy = model.energy
+        monkeypatch.setattr(model, "energy",
+                            lambda self, x: rows.append(len(x)) or energy(self, x))
+        train(cfg)
+        n_rollouts = 2 if kind == "co" else 1
+        assert rows == [cfg.n_paths] * n_rollouts
 
     def test_single_edge_mis_reaches_optimum(self, tmp_path):
         ds = write_single_edge_dataset(tmp_path)
@@ -378,6 +403,36 @@ class TestCli:
         assert cli.main([*argv, flag, str(ckpt)]) == 2
         assert "cannot read checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", ["both", "neither"])
+    def test_train_takes_exactly_one_of_config_and_resume(self, tmp_path, capsys, flags):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0,
+                                             out_dir=tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+        argv = {"both": ["--config", str(cfg_file), "--resume",
+                         str(tmp_path / "run" / "checkpoint.npz")],
+                "neither": []}[flags]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["train", *argv])
+        assert exit_info.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_resume_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        cfg = parse_config(ISING_CFG.format(objective="rkl_rl", epochs=2, seed=0,
+                                            out_dir=tmp_path / "run"))
+        ckpt = train(cfg, stop_after=1)["checkpoint"]
+        loads = []
+
+        def counted(path):
+            loads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counted)
+        monkeypatch.setattr(bitdiff.train, "load_checkpoint", counted)
+        assert cli.main(["train", "--resume", ckpt]) == 0
+        assert loads == [ckpt]
+
     def test_exit_code_ea_oracle_on_ising_instance(self, tmp_path, capsys):
         inst = tmp_path / "ising.txt"
         inst.write_text(write_instance_text(IsingLattice2D(3)))
@@ -497,6 +552,13 @@ class TestCli:
         out = train(cfg)
         assert cli.main(["estimate", "--checkpoint", out["checkpoint"], *counts]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_exit_code_non_positive_graph_count(self, tmp_path, capsys, count):
+        out = tmp_path / "ds"
+        assert cli.main(["gen-graphs", "--kind", "ba", "--out", str(out), "--count", count]) == 2
+        assert "--count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_samples", ["0", "-3"])
     def test_exit_code_non_positive_solve_samples(self, tmp_path, capsys, n_samples):

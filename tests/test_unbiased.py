@@ -8,7 +8,6 @@ from bitdiff.diffusion import (
     NoiseSchedule,
     exp_schedule,
     path_log_p_hat,
-    path_log_q,
     sample_reverse_path,
 )
 from bitdiff.energies import (
@@ -26,11 +25,8 @@ from bitdiff.unbiased import (
     effective_sample_size,
     estimate_from_series,
     nmcmc_estimate,
-    nmcmc_advance,
-    nmcmc_init,
     nmcmc_run,
     observable_estimates,
-    snis_expectation,
     snis_sample,
     snis_weights_from_logs,
 )
@@ -55,7 +51,7 @@ class TestSnisWeights:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         paths = sample_reverse_path(policy, sched, 32, np.random.default_rng(0))
-        ws = fkl_importance_weights(paths, paths.log_q, target, sched)
+        ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
         assert np.allclose(ws.weights, 1 / 32, atol=1e-12)
         assert ws.log_z_hat == pytest.approx(n_bits * math.log(2), abs=1e-12)
 
@@ -64,7 +60,7 @@ class TestSnisWeights:
         sched = NoiseSchedule(np.array([0.5]))
         target = BoltzmannTarget(SpinCouplingModel(2, [(0, 1)], [1.0]), 0.5)
         paths = sample_reverse_path(policy, sched, 1, np.random.default_rng(1))
-        ws = fkl_importance_weights(paths, paths.log_q, target, sched)
+        ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
         assert ws.weights[0] == 1.0
         assert ws.log_z_hat == pytest.approx(ws.log_w[0])
 
@@ -79,7 +75,7 @@ class TestSnisWeights:
         policy = ConstantPolicy(2, t_steps, 0.5)
         rng = np.random.default_rng(2)
         paths = sample_reverse_path(policy, sched, m * reps, rng)
-        log_w = path_log_p_hat(target, sched, paths) - paths.log_q
+        log_w = path_log_p_hat(target, sched, paths, target.energy(paths.x0)) - paths.log_q
         z_hats = np.exp(log_w).reshape(reps, m).mean(axis=1)
         stderr = z_hats.std(ddof=1) / math.sqrt(reps)
         assert abs(z_hats.mean() - exact.z) < 3 * stderr
@@ -95,23 +91,23 @@ class TestSnisWeights:
             target = BoltzmannTarget(model, 0.8)
             batch = teacher_forced_batch(policy, all_paths(n_bits, t_steps))
             q = np.exp(batch.log_q)
-            w_hat = np.exp(path_log_p_hat(target, sched, batch) - batch.log_q)
+            log_p_hat = path_log_p_hat(target, sched, batch, target.energy(batch.x0))
+            w_hat = np.exp(log_p_hat - batch.log_q)
             exact = enumerate_observables(target)
             assert float(q @ w_hat) == pytest.approx(exact.z, rel=1e-12)
 
     def test_extreme_log_weight_spread(self):
         log_w = np.array([0.0, -700.0, 350.0, -350.0])
-        ws = snis_weights_from_logs(np.zeros((4, 1), dtype=np.int8), log_w, np.zeros(4))
+        ws = snis_weights_from_logs(np.zeros(4), log_w, np.zeros(4))
         assert ws.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(ws.log_z_hat)
 
 
 class TestSnisExpectation:
     def test_constant_observable(self):
-        ws = snis_weights_from_logs(
-            np.zeros((5, 1), dtype=np.int8), np.arange(5.0), np.zeros(5)
-        )
-        assert snis_expectation(ws, lambda x: np.ones(len(x))) == pytest.approx(1.0)
+        ws = snis_weights_from_logs(np.ones(5), np.arange(5.0), np.zeros(5))
+        target = BoltzmannTarget(SpinCouplingModel(1, [], []), 1.0)
+        assert observable_estimates(ws, target).internal_energy == pytest.approx(1.0)
 
     def test_energy_under_perfect_proposal_is_sample_mean(self):
         n_bits, t_steps = 3, 2
@@ -120,9 +116,9 @@ class TestSnisExpectation:
         model = SpinCouplingModel(n_bits, [(0, 1)], [1.0])
         target = BoltzmannTarget(model, 0.0)
         paths = sample_reverse_path(policy, sched, 50, np.random.default_rng(3))
-        ws = fkl_importance_weights(paths, paths.log_q, target, sched)
+        ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
         want = float(model.energy(paths.x0).mean())
-        assert snis_expectation(ws, model.energy) == pytest.approx(want, abs=1e-10)
+        assert float(ws.weights @ ws.energy) == pytest.approx(want, abs=1e-10)
 
     def test_energy_matches_enumeration_within_3_sigma(self):
         chain = SpinCouplingModel(2, [(0, 1)], [1.0])
@@ -135,8 +131,8 @@ class TestSnisExpectation:
         estimates = []
         for _ in range(reps):
             paths = sample_reverse_path(policy, sched, m, rng)
-            ws = fkl_importance_weights(paths, paths.log_q, target, sched)
-            estimates.append(snis_expectation(ws, chain.energy))
+            ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
+            estimates.append(observable_estimates(ws, target).internal_energy)
         estimates = np.array(estimates)
         stderr = estimates.std(ddof=1) / math.sqrt(reps)
         assert abs(estimates.mean() - exact.internal_energy) < 3 * stderr
@@ -144,19 +140,17 @@ class TestSnisExpectation:
 
 class TestEffectiveSampleSize:
     def test_equal_weights(self):
-        ws = snis_weights_from_logs(np.zeros((10, 1), dtype=np.int8), np.zeros(10), np.zeros(10))
+        ws = snis_weights_from_logs(np.zeros(10), np.zeros(10), np.zeros(10))
         assert effective_sample_size(ws) == pytest.approx(1.0)
 
     def test_one_hot(self):
         log_w = np.full(8, -800.0)
         log_w[3] = 0.0
-        ws = snis_weights_from_logs(np.zeros((8, 1), dtype=np.int8), log_w, np.zeros(8))
+        ws = snis_weights_from_logs(np.zeros(8), log_w, np.zeros(8))
         assert effective_sample_size(ws) == pytest.approx(1 / 8, rel=1e-9)
 
     def test_hand_value(self):
-        ws = snis_weights_from_logs(
-            np.zeros((2, 1), dtype=np.int8), np.log([0.75, 0.25]), np.zeros(2)
-        )
+        ws = snis_weights_from_logs(np.zeros(2), np.log([0.75, 0.25]), np.zeros(2))
         assert effective_sample_size(ws) == pytest.approx(0.8)
 
     def test_bounds_fuzz(self):
@@ -164,7 +158,7 @@ class TestEffectiveSampleSize:
         for _ in range(10000):
             m = int(rng.integers(1, 40))
             log_w = rng.uniform(-700, 700, m)
-            ws = snis_weights_from_logs(np.zeros((m, 1), dtype=np.int8), log_w, np.zeros(m))
+            ws = snis_weights_from_logs(np.zeros(m), log_w, np.zeros(m))
             e = effective_sample_size(ws)
             assert 1.0 / m <= e <= 1.0
 
@@ -177,8 +171,8 @@ class TestObservableEstimates:
         exact = enumerate_observables(target, with_probabilities=False)
         states = all_states(9)
         log_q = np.full(len(states), -9 * math.log(2))
-        log_p = -beta * lat.energy(states)
-        ws = snis_weights_from_logs(states, log_p, log_q)
+        energy = lat.energy(states)
+        ws = snis_weights_from_logs(energy, -beta * energy, log_q)
         est = observable_estimates(ws, target)
         assert est.free_energy == pytest.approx(exact.free_energy, abs=1e-10)
         assert est.internal_energy == pytest.approx(exact.internal_energy, abs=1e-10)
@@ -186,17 +180,17 @@ class TestObservableEstimates:
 
     def test_entropy_identity_exact(self):
         rng = np.random.default_rng(6)
+        target = BoltzmannTarget(IsingLattice2D(3), 0.44)
         ws = snis_weights_from_logs(
-            rng.integers(0, 2, (20, 9), dtype=np.int8),
+            target.energy(rng.integers(0, 2, (20, 9), dtype=np.int8)),
             rng.standard_normal(20),
             rng.standard_normal(20),
         )
-        target = BoltzmannTarget(IsingLattice2D(3), 0.44)
         est = observable_estimates(ws, target)
         assert est.entropy == target.beta * (est.internal_energy - est.free_energy)
 
     def test_beta_zero_rejected(self):
-        ws = snis_weights_from_logs(np.zeros((2, 9), dtype=np.int8), np.zeros(2), np.zeros(2))
+        ws = snis_weights_from_logs(np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
             observable_estimates(ws, BoltzmannTarget(IsingLattice2D(3), 0.0))
 
@@ -217,12 +211,13 @@ class TestObservableEstimates:
         rng = np.random.default_rng(3)
         blocks = [sample_reverse_path(policy, sched, n, rng)
                   for n in (PROPOSAL_ROWS, PROPOSAL_ROWS, 44)]
+        energies = [target.energy(b.x0) for b in blocks]
         want = snis_weights_from_logs(
-            np.concatenate([b.x0 for b in blocks]),
-            np.concatenate([path_log_p_hat(target, sched, b) for b in blocks]),
+            np.concatenate(energies),
+            np.concatenate([path_log_p_hat(target, sched, b, e) for b, e in zip(blocks, energies)]),
             np.concatenate([b.log_q for b in blocks]),
         )
-        assert np.array_equal(ws.x0, want.x0)
+        assert np.array_equal(ws.energy, want.energy)
         assert np.array_equal(ws.log_w, want.log_w)
         assert np.array_equal(ws.weights, want.weights)
 
@@ -234,40 +229,8 @@ class TestNmcmc:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         rng = np.random.default_rng(8)
-        chain = nmcmc_init(policy, target, sched, 16, rng)
-        for _ in range(50):
-            nmcmc_advance(chain, policy, target, sched, 1, rng)
-        assert np.all(chain.n_accepted == 50)
-        # a move carries the proposal's last-step probabilities with its states
-        assert np.array_equal(chain.paths.x0_probs, policy.probs(chain.paths.states[:, 1], 1))
-
-    def test_cache_verification(self):
-        policy = ConstantPolicy(3, 2, 0.6)
-        sched = exp_schedule(2)
-        target = BoltzmannTarget(SpinCouplingModel(3, [(0, 1)], [1.0]), 0.7)
-        rng = np.random.default_rng(9)
-        chain = nmcmc_init(policy, target, sched, 4, rng)
-        chain.verify_cache(policy, target, sched)
-        # the cached log p_hat, then the paths' stored log q, no longer match
-        # what teacher forcing recomputes from the states
-        for cached in (chain.log_p_hat, chain.paths.prior_logq):
-            kept = cached.copy()
-            cached[0] += 1.0
-            with pytest.raises(RuntimeError):
-                chain.verify_cache(policy, target, sched)
-            cached[:] = kept
-            chain.verify_cache(policy, target, sched)
-
-    def test_cache_verification_catches_stale_step_log_q(self):
-        # a chain whose stored per-step likelihoods no longer sum to its cached
-        # log q, while its states and cached values still agree
-        policy = ConstantPolicy(3, 2, 0.6)
-        sched = exp_schedule(2)
-        target = BoltzmannTarget(SpinCouplingModel(3, [(0, 1)], [1.0]), 0.7)
-        chain = nmcmc_init(policy, target, sched, 4, np.random.default_rng(9))
-        chain.paths.step_logq[1, 0] -= 0.5
-        with pytest.raises(RuntimeError):
-            chain.verify_cache(policy, target, sched)
+        _, n_accepted, _ = nmcmc_run(policy, target, sched, 16, 50, rng)
+        assert np.all(n_accepted == 50)
 
     def test_two_state_chain_matches_target_distribution(self):
         # biased frozen proposal against a tilted single-bit target
@@ -276,11 +239,8 @@ class TestNmcmc:
         target = BoltzmannTarget(FieldModel(), 1.0)
         rng = np.random.default_rng(10)
         n_chains, n_steps = 20, 6000
-        series, chain = nmcmc_run(
-            policy, target, sched, n_chains, n_steps, rng,
-            observable=lambda x: np.asarray(x, dtype=np.float64)[:, 0],
-        )
-        occupancy = series[:, 500:].mean()
+        series, _, _ = nmcmc_run(policy, target, sched, n_chains, n_steps, rng)
+        occupancy = -series[:, 500:].mean()  # the series is H = -x_0
         p1 = math.e / (1 + math.e)  # p_B(x=1)
         tv = abs(occupancy - p1)  # two-state TV distance
         assert tv < 0.01
@@ -293,18 +253,14 @@ class TestNmcmc:
         policy = ConstantPolicy(3, 2, 0.6)
         sched = exp_schedule(2)
         target = BoltzmannTarget(SpinCouplingModel(3, [(0, 1), (1, 2)], [1.0, -0.5]), 0.7)
-        observable = lambda x: np.asarray(target.model.energy(x), dtype=np.float64)
-        series, chain = nmcmc_run(
-            policy, target, sched, n_chains, n_steps, np.random.default_rng(16), observable
+        series, n_accepted, energy = nmcmc_run(
+            policy, target, sched, n_chains, n_steps, np.random.default_rng(16)
         )
-        chain.verify_cache(policy, target, sched)
-        assert np.allclose(path_log_q(policy, chain.paths), chain.paths.log_q, rtol=0, atol=1e-12)
         assert series.shape == (n_chains, n_steps)
-        assert np.array_equal(series[:, -1], observable(chain.paths.x0))
+        assert np.array_equal(series[:, -1], energy)
         changes = (np.diff(series, axis=1) != 0).sum(axis=1)
-        assert np.all(changes <= chain.n_accepted)
-        assert chain.n_steps == n_steps
-        assert 0 < chain.n_accepted.min() and chain.n_accepted.max() < n_steps
+        assert np.all(changes <= n_accepted)
+        assert 0 < n_accepted.min() and n_accepted.max() < n_steps
 
     def test_detailed_balance_enumerable(self):
         # build the full 4x4 transition matrix over single-bit, single-step
@@ -314,7 +270,7 @@ class TestNmcmc:
         target = BoltzmannTarget(FieldModel(), 0.9)
         batch = teacher_forced_batch(policy, all_paths(1, 1))
         q = np.exp(batch.log_q)
-        p_hat = np.exp(path_log_p_hat(target, sched, batch))
+        p_hat = np.exp(path_log_p_hat(target, sched, batch, target.energy(batch.x0)))
         pi = p_hat / p_hat.sum()
         n = len(q)
         trans = np.zeros((n, n))
@@ -326,6 +282,35 @@ class TestNmcmc:
                 trans[a, b] = q[b] * alpha
             trans[a, a] = 1.0 - trans[a].sum()
         assert np.allclose(pi @ trans, pi, atol=1e-12)
+
+
+class TestOneEnergyEvaluationPerSample:
+    """Both estimators score each path they draw once, where they draw it:
+    log p_hat, the reweighted energy and the chain series read that array."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        rows = []
+        energy = IsingLattice2D.energy
+        monkeypatch.setattr(IsingLattice2D, "energy",
+                            lambda self, x: rows.append(len(x)) or energy(self, x))
+        return rows
+
+    def problem(self):
+        return ConstantPolicy(16, 1, 0.5), exp_schedule(1), BoltzmannTarget(IsingLattice2D(4), 0.1)
+
+    def test_snis_estimate(self, rows):
+        policy, sched, target = self.problem()
+        ws = snis_sample(policy, target, sched, 20000, np.random.default_rng(20))
+        observable_estimates(ws, target)
+        assert sum(rows) == 20000
+
+    def test_nmcmc_estimate(self, rows):
+        # the chains' starting states, then every proposal
+        policy, sched, target = self.problem()
+        nmcmc_estimate(policy, target, sched, n_chains=16, n_steps=3000,
+                       rng=np.random.default_rng(21))
+        assert sum(rows) == 16 + 16 * 3000
 
 
 class TestAutocorr:
@@ -401,14 +386,14 @@ class TestNmcmcEstimate:
         assert res.per_site(9) == {"estimate": res.estimate / 9, "stderr": res.stderr / 9}
 
     def test_constant_observable_degenerate_flag(self):
+        # a bond-free model: every state has zero energy
         policy = ConstantPolicy(2, 1, 0.5)
         sched = NoiseSchedule(np.array([0.5]))
         target = BoltzmannTarget(SpinCouplingModel(2, [], []), 0.5)
         res = nmcmc_estimate(
-            policy, target, sched, observable=lambda x: np.full(len(x), 4.2),
-            n_chains=3, n_steps=300, rng=np.random.default_rng(14),
+            policy, target, sched, n_chains=3, n_steps=300, rng=np.random.default_rng(14),
         )
-        assert res.estimate == pytest.approx(4.2)
+        assert res.estimate == pytest.approx(0.0)
         assert res.stderr is None
         assert res.tau is None
         assert res.per_site(2) == {"estimate": res.estimate / 2, "stderr": None}
