@@ -4,12 +4,13 @@ A `Tensor` wraps a float64 ndarray and records its parents plus a
 vector-Jacobian closure; `backward()` on a scalar output accumulates exact
 gradients into the leaves. The op set is what the networks and losses use:
 `+ - * @` and `minimum` with a constant or Tensor on either side, `/` of a
-Tensor, pointwise `exp log tanh sigmoid sqrt clip`, `sum mean reshape`, and
+Tensor, pointwise `exp log tanh sigmoid sqrt clip`, `tsum tmean`, `reshape`, and
 `spmm` by a fixed sparse matrix; no `**` and no division of a constant by a
 Tensor. Every binary op builds its node through `_node`.
 
-Module-level functions (`tanh`, `sigmoid`, ...) dispatch on their argument, so
-the same forward code runs traced (Tensor inputs) or untraced (ndarray inputs).
+The pointwise ops and reductions are module functions (`tanh`, `tsum`, ...)
+that dispatch on their argument, so the same forward code runs traced (Tensor
+inputs) or untraced (ndarray inputs).
 
 Every non-leaf Tensor counts as one stored activation record; the running
 count (`activation_records`) is the measure behind the training-memory
@@ -167,68 +168,7 @@ class Tensor:
     def __rmatmul__(self, other):
         return matmul(other, self)
 
-    # -- pointwise ------------------------------------------------------
-
-    def exp(self):
-        out = np.exp(self.data)
-        return Tensor(out, (self,), lambda g: [g * out])
-
-    def log(self):
-        return Tensor(np.log(self.data), (self,), lambda g: [g / self.data])
-
-    def tanh(self):
-        out = np.tanh(self.data)
-
-        def vjp(g):
-            # g * (1 - out*out) in one array
-            d = np.multiply(out, out, out=np.empty_like(out))
-            np.subtract(1.0, d, out=d)
-            return [np.multiply(g, d, out=d)]
-
-        return Tensor(out, (self,), vjp)
-
-    def sigmoid(self):
-        out = _sigmoid(self.data)
-
-        def vjp(g):
-            # (g*out) * (1 - out) in two arrays
-            d = g * out
-            d *= 1.0 - out
-            return [d]
-
-        return Tensor(out, (self,), vjp)
-
-    def sqrt(self):
-        out = np.sqrt(self.data)
-        return Tensor(out, (self,), lambda g: [g * 0.5 / out])
-
-    def clip(self, lo: float, hi: float):
-        """Clamp values; gradient is identity inside [lo, hi], zero outside."""
-        out = np.clip(self.data, lo, hi)
-        inside = ((self.data >= lo) & (self.data <= hi)).astype(np.float64)
-        return Tensor(out, (self,), lambda g: [g * inside])
-
-    # -- reductions / shape ----------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.data.shape
-
-        def vjp(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(a % len(shape) for a in axes):
-                    g = np.expand_dims(g, ax)
-            return [np.broadcast_to(g, shape).copy()]
-
-        return Tensor(out, (self,), vjp)
-
-    def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else (
-            np.prod([self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-        )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+    # -- shape ------------------------------------------------------------
 
     def reshape(self, shape):
         old = self.data.shape
@@ -293,7 +233,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- dispatching wrappers (Tensor or ndarray) --------------------------------
+# -- ops on a Tensor or an ndarray ------------------------------------------
 
 
 def affine(x, w, b, squash: bool = False, out=None):
@@ -309,40 +249,86 @@ def affine(x, w, b, squash: bool = False, out=None):
     return tanh(out) if squash else out
 
 
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
-
-
-def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(np.asarray(x, dtype=np.float64))
-
-
 def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+    if not isinstance(x, Tensor):
+        return np.exp(x)
+    out = np.exp(x.data)
+    return Tensor(out, (x,), lambda g: [g * out])
 
 
 def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
+    if not isinstance(x, Tensor):
+        return np.log(x)
+    return Tensor(np.log(x.data), (x,), lambda g: [g / x.data])
+
+
+def tanh(x):
+    if not isinstance(x, Tensor):
+        return np.tanh(x)
+    out = np.tanh(x.data)
+
+    def vjp(g):
+        # g * (1 - out*out) in one array
+        d = np.multiply(out, out, out=np.empty_like(out))
+        np.subtract(1.0, d, out=d)
+        return [np.multiply(g, d, out=d)]
+
+    return Tensor(out, (x,), vjp)
+
+
+def sigmoid(x):
+    if not isinstance(x, Tensor):
+        return _sigmoid(np.asarray(x, dtype=np.float64))
+    out = _sigmoid(x.data)
+
+    def vjp(g):
+        # (g*out) * (1 - out) in two arrays
+        d = g * out
+        d *= 1.0 - out
+        return [d]
+
+    return Tensor(out, (x,), vjp)
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
+    if not isinstance(x, Tensor):
+        return np.sqrt(x)
+    out = np.sqrt(x.data)
+    return Tensor(out, (x,), lambda g: [g * 0.5 / out])
 
 
-def clip(x, lo, hi):
-    return x.clip(lo, hi) if isinstance(x, Tensor) else np.clip(x, lo, hi)
+def clip(x, lo: float, hi: float):
+    """Clamp values; gradient is identity inside [lo, hi], zero outside."""
+    if not isinstance(x, Tensor):
+        return np.clip(x, lo, hi)
+    out = np.clip(x.data, lo, hi)
+    inside = ((x.data >= lo) & (x.data <= hi)).astype(np.float64)
+    return Tensor(out, (x,), lambda g: [g * inside])
 
 
 def tsum(x, axis=None, keepdims=False):
-    return x.sum(axis=axis, keepdims=keepdims) if isinstance(x, Tensor) else np.sum(
-        x, axis=axis, keepdims=keepdims
-    )
+    if not isinstance(x, Tensor):
+        return np.sum(x, axis=axis, keepdims=keepdims)
+    shape = x.data.shape
+
+    def vjp(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            for ax in sorted(a % len(shape) for a in axes):
+                g = np.expand_dims(g, ax)
+        return [np.broadcast_to(g, shape).copy()]
+
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
 
 def tmean(x, axis=None, keepdims=False):
-    return x.mean(axis=axis, keepdims=keepdims) if isinstance(x, Tensor) else np.mean(
-        x, axis=axis, keepdims=keepdims
+    if not isinstance(x, Tensor):
+        return np.mean(x, axis=axis, keepdims=keepdims)
+    count = x.data.size if axis is None else (
+        np.prod([x.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
     )
+    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
 
 def leaves(params: dict) -> dict:

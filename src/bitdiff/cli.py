@@ -42,6 +42,12 @@ def _write_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _per_site(n_sites: int, **totals) -> dict:
+    """Each total divided by the site count, keyed `<name>_per_site`; a None
+    (an undefined total) stays None."""
+    return {f"{k}_per_site": None if v is None else v / n_sites for k, v in totals.items()}
+
+
 def cmd_gen_graphs(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
@@ -176,12 +182,9 @@ def cmd_estimate(args) -> int:
     if args.method == "snis":
         ws = snis_sample(policy, target, schedule, args.n_samples, rng)
         est = observable_estimates(ws, target)
-        per = est.per_site()
         payload.update(
             n_samples=args.n_samples,
-            F_per_site=per["F"],
-            U_per_site=per["U"],
-            S_per_site=per["S"],
+            **_per_site(n_sites, F=est.free_energy, U=est.internal_energy, S=est.entropy),
             ess_per_sample=est.ess_per_sample,
         )
     else:
@@ -189,12 +192,10 @@ def cmd_estimate(args) -> int:
             policy, target, schedule,
             n_chains=args.chains, n_steps=args.chain_steps, rng=rng,
         )
-        per = res.per_site(n_sites)
         payload.update(
             chains=args.chains,
             chain_steps=args.chain_steps,
-            U_per_site=per["estimate"],
-            U_stderr_per_site=per["stderr"],
+            **_per_site(n_sites, U=res.estimate, U_stderr=res.stderr),
             tau=res.tau,
             burn_in=res.burn_in,
             acceptance_rate=res.acceptance_rate,
@@ -215,7 +216,6 @@ def cmd_oracle(args) -> int:
         model = build_lattice(args.problem, size, args.coupling, args.ea_dist, args.ea_seed, text)
         target = BoltzmannTarget(model, args.beta)
         obs = enumerate_observables(target, with_probabilities=False)
-        per = obs.per_site()
         payload = {
             "problem": args.problem,
             "beta": args.beta,
@@ -224,9 +224,8 @@ def cmd_oracle(args) -> int:
             "F": obs.free_energy,
             "U": obs.internal_energy,
             "S": obs.entropy,
-            "F_per_site": per["F"],
-            "U_per_site": per["U"],
-            "S_per_site": per["S"],
+            **_per_site(model.n_sites, F=obs.free_energy, U=obs.internal_energy,
+                        S=obs.entropy),
         }
     else:
         if not args.graph:

@@ -20,7 +20,6 @@ __all__ = [
     "NoiseSchedule",
     "PathBatch",
     "exp_schedule",
-    "forward_kernel_logprob",
     "forward_step_logp",
     "stationary_logprob",
     "sample_reverse_path",
@@ -121,19 +120,6 @@ def bernoulli_logpmf(bits, probs) -> np.ndarray:
     return np.where(np.asarray(bits, dtype=bool), np.log(probs), log_off).sum(axis=-1)
 
 
-def forward_kernel_logprob(x_t, x_prev, beta_t: float) -> np.ndarray:
-    """log p(X_t | X_{t-1}) of the factorized flip kernel with rate beta_t."""
-    if not 0.0 < beta_t <= 0.5:
-        raise ValueError("beta_t must be in (0, 0.5]")
-    x_t = np.asarray(x_t)
-    x_prev = np.asarray(x_prev)
-    if x_t.shape[-1] != x_prev.shape[-1]:
-        raise ValueError("state dimensions differ")
-    flips = (x_t != x_prev).sum(axis=-1).astype(np.float64)
-    n = x_t.shape[-1]
-    return flips * math.log(beta_t) + (n - flips) * math.log1p(-beta_t)
-
-
 def stationary_logprob(x) -> np.ndarray:
     """log probability of x under the uniform stationary distribution."""
     x = np.asarray(x)
@@ -181,12 +167,15 @@ def path_log_q(policy, path: PathBatch, condition=None) -> np.ndarray:
 
 def forward_step_logp(path: PathBatch, schedule: NoiseSchedule) -> np.ndarray:
     """(M, T) noising log-probabilities of stored paths, indexed like
-    `step_logq`: column t-1 holds log p(X_t | X_{t-1})."""
+    `step_logq`: column t-1 holds log p(X_t | X_{t-1}) of the factorized flip
+    kernel with rate beta_t, flips * log(beta_t) + stays * log1p(-beta_t)."""
     if path.n_steps != schedule.n_steps:
         raise ValueError("path and schedule disagree on the number of steps")
     s = path.states
-    return np.stack([forward_kernel_logprob(s[:, t], s[:, t - 1], schedule.beta(t))
-                     for t in range(1, path.n_steps + 1)], axis=1)
+    flips = (s[:, 1:] != s[:, :-1]).sum(axis=-1).astype(np.float64)
+    log_flip = np.array([math.log(b) for b in schedule.betas])
+    log_stay = np.array([math.log1p(-b) for b in schedule.betas])
+    return flips * log_flip + (path.n_bits - flips) * log_stay
 
 
 def path_log_p_hat(target: BoltzmannTarget, schedule: NoiseSchedule, path: PathBatch,

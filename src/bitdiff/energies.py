@@ -307,18 +307,12 @@ class ExactObservables:
     """
 
     beta: float
-    n_sites: int
     log_z: float
     z: float
     internal_energy: float
     entropy: float
     free_energy: float | None
     probabilities: np.ndarray | None
-
-    def per_site(self) -> dict:
-        out = {"U": self.internal_energy / self.n_sites, "S": self.entropy / self.n_sites}
-        out["F"] = None if self.free_energy is None else self.free_energy / self.n_sites
-        return out
 
 
 MAX_ENUMERATION_BITS = 26  # a sweep visits all 2^N states
@@ -385,7 +379,6 @@ def enumerate_observables(
     s = n * math.log(2) if f is None else beta * (u - f)
     return ExactObservables(
         beta=beta,
-        n_sites=n,
         log_z=log_z,
         z=z,
         internal_energy=u,
@@ -399,8 +392,10 @@ def enumerate_observables(
 # text formats
 
 
-def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int, float]]]:
-    """Parse the `N M` / `i j w` edge-list format (0-indexed nodes)."""
+def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse the edge-list format: an `N M` header, then M lines `i j` or
+    `i j 1` (0-indexed nodes). Graphs are unweighted, so a third column other
+    than 1 is an error rather than a weight to drop."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty edge list")
@@ -410,25 +405,25 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int, float]]]:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    triples = []
+    pairs = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) == 2:
-            i, j, w = int(parts[0]), int(parts[1]), 1.0
-        elif len(parts) == 3:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        else:
+        if len(parts) not in (2, 3):
             raise ValueError(f"bad edge line: {ln!r}")
+        if len(parts) == 3 and float(parts[2]) != 1.0:
+            raise ValueError(f"edge weights are not supported; the third column must be 1 "
+                             f"in line {ln!r}")
+        i, j = int(parts[0]), int(parts[1])
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge index out of range in line {ln!r}")
-        triples.append((i, j, w))
-    return n, triples
+        pairs.append((i, j))
+    return n, pairs
 
 
-def format_edge_list(n: int, triples) -> str:
-    rows = [f"{n} {len(triples)}"]
-    for i, j, w in triples:
-        rows.append(f"{i} {j} {w:.17g}")
+def format_edge_list(n: int, pairs) -> str:
+    rows = [f"{n} {len(pairs)}"]
+    for i, j in pairs:
+        rows.append(f"{i} {j} 1")
     return "\n".join(rows) + "\n"
 
 

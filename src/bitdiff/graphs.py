@@ -54,12 +54,12 @@ class Graph:
         return deg
 
     def to_text(self) -> str:
-        return format_edge_list(self.n_nodes, [(int(a), int(b), 1.0) for a, b in self.edges])
+        return format_edge_list(self.n_nodes, [(int(a), int(b)) for a, b in self.edges])
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        n, triples = parse_edge_list(text)
-        return cls(n, np.array([(i, j) for i, j, _ in triples], dtype=np.int64).reshape(-1, 2))
+        n, pairs = parse_edge_list(text)
+        return cls(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
     def co_problem(self, kind: str, penalty_a: float = 1.0, penalty_b: float = 1.1) -> CoProblem:
         return CoProblem(kind, self.n_nodes, self.edges, penalty_a, penalty_b)

@@ -40,7 +40,6 @@ from .nets import bernoulli_entropy, bernoulli_log_q
 from .unbiased import WeightedSamples, self_normalize, snis_weights_from_logs
 
 __all__ = [
-    "AnnealSchedule",
     "RewardNormalizer",
     "rl_rewards",
     "td_lambda_targets",
@@ -53,35 +52,6 @@ __all__ = [
     "fkl_mc_grad",
     "diffuco_loss_grad",
 ]
-
-
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Temperature as a function of the epoch.
-
-    `linear_to_zero`: T_start * (1 - n / n_epochs), floored at zero.
-    `ising_decay`: target_temperature / (1 - 0.998^(h * (n + 1))), which decays
-    from above toward the target temperature.
-    """
-
-    kind: str
-    n_epochs: int
-    t_start: float = 1.0
-    decay_rate: float = 1.0
-    target_temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear_to_zero", "ising_decay"):
-            raise ValueError(f"unknown anneal kind {self.kind!r}")
-        if self.n_epochs < 1:
-            raise ValueError("n_epochs must be >= 1")
-
-    def temperature(self, epoch: int) -> float:
-        if epoch < 0:
-            raise ValueError("epoch must be >= 0")
-        if self.kind == "linear_to_zero":
-            return self.t_start * max(0.0, 1.0 - epoch / self.n_epochs)
-        return self.target_temperature / (1.0 - 0.998 ** (self.decay_rate * (epoch + 1)))
 
 
 @dataclass
@@ -377,9 +347,5 @@ def diffuco_loss_grad(
     loss = baseline  # weighted-mean cost = objective estimate up to constants
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss")
-    stats = {
-        "loss": loss,
-        "mean_energy": float(energy @ pw),
-        "mean_step_entropy": float(ent_data @ pw),
-    }
+    stats = {"loss": loss, "mean_step_entropy": float(ent_data @ pw)}
     return loss, grads, stats

@@ -33,7 +33,6 @@ from .energies import BoltzmannTarget, build_lattice, write_instance_text
 from .graphs import Graph
 from .nets import GnnSpec, GraphCondition, MlpSpec, make_policy, param_shapes
 from .objectives import (
-    AnnealSchedule,
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
@@ -49,7 +48,7 @@ __all__ = [
     "Instance",
     "build_instances",
     "build_policy_spec",
-    "build_anneal",
+    "anneal_temperature",
     "load_dataset",
     "train",
     "save_checkpoint",
@@ -123,15 +122,16 @@ def build_policy_spec(cfg: RunConfig):
                    value_head=value_head, kernel_start=cfg.kernel_start)
 
 
-def build_anneal(cfg: RunConfig) -> AnnealSchedule:
+def anneal_temperature(cfg: RunConfig, epoch: int) -> float:
+    """The temperature of `epoch` under the config's anneal.
+
+    `linear_to_zero`: t_start * (1 - epoch / epochs), floored at zero.
+    `ising_decay`: (1 / beta) / (1 - 0.998^(anneal_h * (epoch + 1))), which
+    decays from above toward the target temperature 1 / beta.
+    """
     if cfg.anneal == "linear_to_zero":
-        return AnnealSchedule("linear_to_zero", max(1, cfg.epochs), t_start=cfg.t_start)
-    return AnnealSchedule(
-        "ising_decay",
-        max(1, cfg.epochs),
-        decay_rate=cfg.anneal_h,
-        target_temperature=1.0 / cfg.beta,
-    )
+        return cfg.t_start * max(0.0, 1.0 - epoch / max(1, cfg.epochs))
+    return (1.0 / cfg.beta) / (1.0 - 0.998 ** (cfg.anneal_h * (epoch + 1)))
 
 
 def updates_per_epoch(cfg: RunConfig) -> int:
@@ -255,15 +255,13 @@ def _mean_grads(per_instance: list) -> dict:
 
 
 def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
-    # the mean energy comes from the gradient's own weighted energy mean
-    rollouts, _, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
-    grads, loss_acc, energy_acc = [], 0.0, 0.0
+    rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
+    grads, loss_acc = [], 0.0
     for inst, target, paths, energy in rollouts:
-        loss, g, stats = diffuco_loss_grad(
+        loss, g, _ = diffuco_loss_grad(
             policy, target, schedule, paths, energy, temperature, inst.condition
         )
         loss_acc += loss
-        energy_acc += stats["mean_energy"]
         grads.append(g)
     adam_step(policy.params, _mean_grads(grads), adam, lr())
     n = len(inst_batch)
@@ -351,7 +349,6 @@ def train(cfg: RunConfig | None, resume: str | None = None, stop_after: int | No
     ckpt_path = out_dir / "checkpoint.npz"
     metrics_path = out_dir / "metrics.csv"
     schedule = exp_schedule(cfg.t_steps)
-    anneal = build_anneal(cfg)
     total_updates = max(1, cfg.epochs * updates_per_epoch(cfg))
     lr_sched = LrSchedule(cfg.lr_max, total_updates)
 
@@ -372,7 +369,7 @@ def train(cfg: RunConfig | None, resume: str | None = None, stop_after: int | No
             metrics.write(METRICS_HEADER + "\n")
             metrics.flush()
         for epoch in range(start_epoch, end_epoch):
-            temperature = max(anneal.temperature(epoch), TEMPERATURE_FLOOR)
+            temperature = max(anneal_temperature(cfg, epoch), TEMPERATURE_FLOOR)
             beta_eff = 1.0 / temperature
             inst_batch = _select_instances(instances, cfg.n_instances, rng)
             lr = lambda: lr_sched.lr(adam.step)

@@ -109,15 +109,6 @@ class ObservableEstimates:
     internal_energy: float
     entropy: float
     ess_per_sample: float
-    n_sites: int
-
-    def per_site(self) -> dict:
-        n = self.n_sites
-        return {
-            "F": self.free_energy / n,
-            "U": self.internal_energy / n,
-            "S": self.entropy / n,
-        }
 
 
 def observable_estimates(ws: WeightedSamples, target) -> ObservableEstimates:
@@ -128,7 +119,7 @@ def observable_estimates(ws: WeightedSamples, target) -> ObservableEstimates:
     f = -ws.log_z_hat / target.beta
     u = float(ws.weights @ ws.energy)
     s = target.beta * (u - f)
-    return ObservableEstimates(f, u, s, effective_sample_size(ws), target.n_sites)
+    return ObservableEstimates(f, u, s, effective_sample_size(ws))
 
 
 def nmcmc_run(policy, target, schedule, n_chains: int, n_steps: int,
@@ -223,13 +214,6 @@ class NmcmcEstimate:
     acceptance_rate: float
     n_chains_used: int
     n_flagged: int  # chains that never accepted, excluded from the average
-
-    def per_site(self, n_sites: int) -> dict:
-        """The estimate and its standard error per site of the target."""
-        return {
-            "estimate": self.estimate / n_sites,
-            "stderr": None if self.stderr is None else self.stderr / n_sites,
-        }
 
 
 def estimate_from_series(series: np.ndarray, acceptance: np.ndarray) -> NmcmcEstimate:

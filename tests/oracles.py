@@ -280,6 +280,18 @@ def truediv_vjp_direct(g, a, b) -> tuple:
     return g / b, -g * a / (b * b)
 
 
+def forward_step_logp_direct(states, betas) -> np.ndarray:
+    """(M, T) log p(X_t | X_{t-1}) of (M, T+1, n) paths, one step at a time:
+    flips * log(beta_t) + stays * log1p(-beta_t)."""
+    n = states.shape[-1]
+    out = np.empty((states.shape[0], states.shape[1] - 1))
+    for t in range(1, states.shape[1]):
+        flips = (states[:, t] != states[:, t - 1]).sum(axis=-1).astype(np.float64)
+        beta = float(betas[t - 1])
+        out[:, t - 1] = flips * math.log(beta) + (n - flips) * math.log1p(-beta)
+    return out
+
+
 def bernoulli_logpmf_direct(bits, probs) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)

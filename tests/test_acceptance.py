@@ -35,7 +35,6 @@ from bitdiff.nets import (
     bernoulli_log_q,
 )
 from bitdiff.objectives import (
-    AnnealSchedule,
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
@@ -43,7 +42,7 @@ from bitdiff.objectives import (
     fkl_mc_grad,
     ppo_minibatch_grad,
 )
-from bitdiff.train import load_checkpoint, train
+from bitdiff.train import anneal_temperature, load_checkpoint, train
 from bitdiff.unbiased import (
     autocorr_time,
     effective_sample_size,
@@ -207,15 +206,17 @@ class TestCriterion4PathLikelihoodExactness:
             worst_q = max(worst_q, abs(float(np.exp(batch.log_q).sum()) - 1.0))
 
         # forward-kernel normalization: sum over X_{1:T} of p(X_{1:T}|X_0) = 1
-        from bitdiff.diffusion import forward_kernel_logprob
+        from bitdiff.diffusion import PathBatch, forward_step_logp
 
         worst_p = 0.0
         for n_bits, t_steps in ((2, 3), (4, 2)):
             sched = exp_schedule(t_steps)
             paths = all_paths(n_bits, t_steps)
+            batch = PathBatch(paths.astype(np.int8), np.zeros((len(paths), t_steps)),
+                              np.zeros(len(paths)))
             logp = np.zeros(len(paths))
-            for t in range(1, t_steps + 1):
-                logp += forward_kernel_logprob(paths[:, t], paths[:, t - 1], sched.beta(t))
+            for logp_t in forward_step_logp(batch, sched).T:
+                logp += logp_t
             x0_ids = (paths[:, 0].astype(np.int64) << np.arange(n_bits)).sum(axis=1)
             for x0 in range(1 << n_bits):
                 total = float(np.exp(logp[x0_ids == x0]).sum())
@@ -514,13 +515,12 @@ class TestCriterion11MicroChecks:
         tau_ok = abs(res.tau - 3.0) / 3.0 < 0.10
 
         beta_c = 0.4407
-        decay = AnnealSchedule("ising_decay", 10, decay_rate=2.0,
-                               target_temperature=1.0 / beta_c)
+        decay = RunConfig(anneal="ising_decay", epochs=10, anneal_h=2.0, beta=beta_c)
         want = (1.0 / beta_c) / (1.0 - 0.998 ** 2.0)
-        linear = AnnealSchedule("linear_to_zero", 10, t_start=2.5)
-        anneal_ok = (decay.temperature(0) == pytest.approx(want, rel=1e-12)
-                     and linear.temperature(0) == 2.5
-                     and linear.temperature(10) == 0.0)
+        linear = RunConfig(anneal="linear_to_zero", epochs=10, t_start=2.5)
+        anneal_ok = (anneal_temperature(decay, 0) == pytest.approx(want, rel=1e-12)
+                     and anneal_temperature(linear, 0) == 2.5
+                     and anneal_temperature(linear, 10) == 0.0)
         report(11, sched_ok and tau_ok and anneal_ok,
                f"schedule endpoints exact; AR(1) tau {res.tau:.3f} (want 3 +/- 10%); "
                f"anneal hand values match")

@@ -76,25 +76,25 @@ class TestBasicOps:
 
     def test_clip_gradient_mask(self):
         x = Tensor(np.array([-1.0, 0.5, 2.0]))
-        out = tsum(x.clip(0.0, 1.0) * np.array([1.0, 1.0, 1.0]))
+        out = tsum(ad.clip(x, 0.0, 1.0) * np.array([1.0, 1.0, 1.0]))
         out.backward()
         assert np.allclose(x.grad, [0.0, 1.0, 0.0])
 
     def test_sum_axis_keepdims(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = tsum(x.sum(axis=1, keepdims=True) * np.array([[2.0], [3.0]]))
+        out = tsum(tsum(x, axis=1, keepdims=True) * np.array([[2.0], [3.0]]))
         out.backward()
         assert np.allclose(x.grad, [[2, 2, 2], [3, 3, 3]])
 
     def test_mean_axis(self):
         x = Tensor(np.ones((4, 2)))
-        out = tsum(x.mean(axis=0))
+        out = tsum(ad.tmean(x, axis=0))
         out.backward()
         assert np.allclose(x.grad, 0.25)
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
-            Tensor(np.ones(3)).sum(axis=0, keepdims=True).backward()
+            tsum(Tensor(np.ones(3)), axis=0, keepdims=True).backward()
 
 
 # name: (Tensor shape, constant shape, op, gradient of sum(op(x, c) * g) in x)
@@ -142,16 +142,16 @@ class TestPointwise:
 
         def f(xv):
             t = Tensor(xv)
-            return float(ad.as_array(tsum(getattr(t, name)() * np.arange(1.0, 6.0))))
+            return float(ad.as_array(tsum(getattr(ad, name)(t) * np.arange(1.0, 6.0))))
 
         t = Tensor(x)
-        loss = tsum(getattr(t, name)() * np.arange(1.0, 6.0))
+        loss = tsum(getattr(ad, name)(t) * np.arange(1.0, 6.0))
         loss.backward()
         assert rel_err(t.grad, scalar_fd(f, x)) < 1e-6
 
     def test_sigmoid_extreme_inputs_finite(self):
         t = Tensor(np.array([-800.0, 800.0]))
-        out = t.sigmoid()
+        out = ad.sigmoid(t)
         assert np.all(np.isfinite(out.data))
         assert out.data[0] == pytest.approx(0.0, abs=1e-300)
         assert out.data[1] == pytest.approx(1.0)
@@ -254,13 +254,13 @@ class TestExactRewrites:
         z = special_and_random(n, n)
         want = sigmoid_direct(z)
         assert np.array_equal(ad.sigmoid(z), want)
-        assert np.array_equal(Tensor(z).sigmoid().data, want)
+        assert np.array_equal(ad.sigmoid(Tensor(z)).data, want)
         assert np.array_equal(ad.sigmoid(z.reshape(n, 1)), want.reshape(n, 1))
 
     @pytest.mark.parametrize("z", SPECIAL_Z)
     def test_sigmoid_scalar_matches_direct(self, z):
         want = sigmoid_direct(z)
-        for got in (ad.sigmoid(z), Tensor(np.asarray(z)).sigmoid().data):
+        for got in (ad.sigmoid(z), ad.sigmoid(Tensor(np.asarray(z))).data):
             assert np.array_equal(got, want)
             assert np.signbit(got) == np.signbit(want)
 
@@ -272,7 +272,7 @@ class TestExactRewrites:
         for name, direct, fwd in (("tanh", tanh_vjp_direct, np.tanh),
                                   ("sigmoid", sigmoid_vjp_direct, sigmoid_direct)):
             t = Tensor(x)
-            tsum(getattr(t, name)() * g).backward()  # d(sum(y*g))/dy is g exactly
+            tsum(getattr(ad, name)(t) * g).backward()  # d(sum(y*g))/dy is g exactly
             assert np.array_equal(t.grad, direct(g, fwd(x))), name
 
     @pytest.mark.parametrize("shape_b", [(9, 5), (9, 1), ()])
@@ -309,7 +309,7 @@ class TestExactRewrites:
             elif tape == "bias":
                 loss = tsum(ad.tanh(ad.matmul(x, w) + b) * g) + tsum(b * b)
             elif tape == "reshape":
-                v = (x * w.sum(axis=0)).reshape((24,))
+                v = (x * tsum(w, axis=0)).reshape((24,))
                 loss = tsum(v * g.reshape(24)) + tsum(x * x * g)
             else:
                 # the add VJP hands the same array to both operands; x then

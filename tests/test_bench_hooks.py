@@ -91,6 +91,23 @@ def runs(tmp_path_factory):
     return root
 
 
+# the workloads whose post-checks read only what their set-up wrote
+SETUP_CHECKED = ("lattice-snis", "lattice-nmcmc", "graph-solve", "oracle-ea4")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_setup_and_its_post_checks(name, tmp_path, monkeypatch):
+    """Each set-up calls the library the way a benchmark run does (seed-only
+    checkpoints, graph datasets, enumeration keywords), and the post-checks
+    that need no stage output pass on what it wrote."""
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])  # the golden file path is relative
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(1, tmp_path / name)
+    if name in SETUP_CHECKED:
+        for _, post_check in workload.post_checks(inputs):
+            post_check()
+
+
 def stage_ticks() -> set:
     """Every (owner, attribute) a benchmark stage marks its units on."""
     ticks = {workload.stage(defaultdict(list)).tick for workload in workloads.WORKLOADS.values()}

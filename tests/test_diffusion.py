@@ -9,7 +9,7 @@ from bitdiff.diffusion import (
     PathBatch,
     bernoulli_logpmf,
     exp_schedule,
-    forward_kernel_logprob,
+    forward_step_logp,
     path_log_p_hat,
     path_log_q,
     sample_reverse_path,
@@ -17,7 +17,12 @@ from bitdiff.diffusion import (
 )
 from bitdiff.energies import BoltzmannTarget, SpinCouplingModel
 
-from oracles import all_paths, bernoulli_logpmf_direct, teacher_forced_batch
+from oracles import (
+    all_paths,
+    bernoulli_logpmf_direct,
+    forward_step_logp_direct,
+    teacher_forced_batch,
+)
 from toy_policies import ConstantPolicy
 
 
@@ -44,21 +49,31 @@ class TestSchedule:
             exp_schedule(0)
 
 
+def one_step_logp(x_t, x_prev, beta_t: float) -> np.ndarray:
+    """log p(X_1 | X_0) by `forward_step_logp` on one-step paths X_0 = x_prev,
+    X_1 = x_t (broadcast against each other)."""
+    x_t, x_prev = np.broadcast_arrays(np.asarray(x_t, dtype=np.int8),
+                                      np.asarray(x_prev, dtype=np.int8))
+    m = len(x_t)
+    batch = PathBatch(np.stack([x_prev, x_t], axis=1), np.zeros((m, 1)), np.zeros(m))
+    return forward_step_logp(batch, NoiseSchedule(np.array([beta_t])))[:, 0]
+
+
 class TestForwardKernel:
     def test_identical_states(self):
         x = np.zeros((1, 3), dtype=np.int8)
-        assert forward_kernel_logprob(x, x, 0.1) == pytest.approx(3 * math.log(0.9))
+        assert one_step_logp(x, x, 0.1) == pytest.approx(3 * math.log(0.9))
 
     def test_all_flipped(self):
         x = np.zeros((1, 3), dtype=np.int8)
         y = np.ones((1, 3), dtype=np.int8)
-        assert forward_kernel_logprob(y, x, 0.1) == pytest.approx(3 * math.log(0.1))
+        assert one_step_logp(y, x, 0.1) == pytest.approx(3 * math.log(0.1))
 
     def test_uniform_at_half(self):
         rng = np.random.default_rng(0)
         a = rng.integers(0, 2, (5, 4))
         b = rng.integers(0, 2, (5, 4))
-        assert np.allclose(forward_kernel_logprob(a, b, 0.5), 4 * math.log(0.5))
+        assert np.allclose(one_step_logp(a, b, 0.5), 4 * math.log(0.5))
 
     def test_normalization(self):
         # sum over all x_t of p(x_t | x_prev) is 1, for small n
@@ -66,8 +81,24 @@ class TestForwardKernel:
 
         states = all_states(4)
         for beta in (0.05, 0.3, 0.5):
-            lp = forward_kernel_logprob(states, np.zeros(4, dtype=np.int8), beta)
+            lp = one_step_logp(states, np.zeros(4, dtype=np.int8), beta)
             assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,t_steps,n", [(1, 1, 1), (7, 5, 3), (64, 24, 16), (300, 3, 37)])
+    def test_matches_per_step_formula_exactly(self, m, t_steps, n):
+        """The one-pass flip count gives the same bits as scoring each step
+        on its own."""
+        rng = np.random.default_rng(m + n)
+        states = rng.integers(0, 2, (m, t_steps + 1, n), dtype=np.int8)
+        batch = PathBatch(states, np.zeros((m, t_steps)), np.zeros(m))
+        for sched in (exp_schedule(t_steps), NoiseSchedule(rng.uniform(1e-6, 0.5, t_steps))):
+            assert np.array_equal(forward_step_logp(batch, sched),
+                                  forward_step_logp_direct(states, sched.betas))
+
+    def test_rejects_a_schedule_of_another_length(self):
+        batch = PathBatch(np.zeros((2, 4, 3), dtype=np.int8), np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError):
+            forward_step_logp(batch, exp_schedule(2))
 
 
 class TestForwardPath:
@@ -75,17 +106,13 @@ class TestForwardPath:
         # sum over all forward trajectories of exp(log p(X_{1:T}|X_0)) == 1
         sched = exp_schedule(3)
         n_bits = 2
-        paths = all_paths(n_bits, 3)
+        paths = all_paths(n_bits, 3).astype(np.int8)
+        batch = PathBatch(paths, np.zeros((len(paths), 3)), np.zeros(len(paths)))
+        logp = forward_step_logp(batch, sched).sum(axis=1)
         for x0_int in range(1 << n_bits):
-            sel = paths[np.all(paths[:, 0] == paths[x0_int * (4 ** 3), 0], axis=1)]
-            # recompute: fix X_0, enumerate X_{1:T}
-            total = 0.0
-            for p in sel:
-                lp = sum(
-                    forward_kernel_logprob(p[t], p[t - 1], sched.beta(t))
-                    for t in range(1, 4)
-                )
-                total += math.exp(lp)
+            # fix X_0, enumerate X_{1:T}
+            sel = np.all(paths[:, 0] == paths[x0_int * (4 ** 3), 0], axis=1)
+            total = sum(math.exp(lp) for lp in logp[sel])
             assert total == pytest.approx(1.0, abs=1e-10)
 
 

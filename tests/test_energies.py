@@ -346,16 +346,25 @@ class TestEnumeration:
 
 class TestTextFormats:
     def test_edge_list_roundtrip(self):
-        text = format_edge_list(4, [(0, 1, 1.0), (1, 2, -0.5)])
-        n, triples = parse_edge_list(text)
+        text = format_edge_list(4, [(0, 1), (1, 2)])
+        n, pairs = parse_edge_list(text)
         assert n == 4
-        assert triples == [(0, 1, 1.0), (1, 2, -0.5)]
+        assert pairs == [(0, 1), (1, 2)]
 
     def test_edge_list_validation(self):
         with pytest.raises(ValueError):
             parse_edge_list("2 1\n0 5 1.0\n")
         with pytest.raises(ValueError):
             parse_edge_list("2 2\n0 1 1.0\n")
+
+    @pytest.mark.parametrize("line", ["0 1", "0 1 1", "0 1 1.0"])
+    def test_edge_list_unit_weight_column_loads(self, line):
+        assert parse_edge_list(f"2 1\n{line}\n") == (2, [(0, 1)])
+
+    @pytest.mark.parametrize("weight", ["2.5", "-7", "0", "nan"])
+    def test_edge_list_rejects_other_weights(self, weight):
+        with pytest.raises(ValueError, match="third column must be 1"):
+            parse_edge_list(f"3 2\n0 1 {weight}\n1 2\n")
 
     def test_instance_roundtrip_ising(self):
         lat = IsingLattice2D(4, 1.5)
@@ -372,5 +381,5 @@ class TestTextFormats:
         assert np.array_equal(back.couplings, ea.couplings)
 
     def test_edge_list_roundtrip_self_pairs(self):
-        triples = [(0, 0, -1.0), (1, 1, -1.0), (0, 1, 1.1), (1, 2, 0.1 + 0.2)]
-        assert parse_edge_list(format_edge_list(3, triples)) == (3, triples)
+        pairs = [(0, 0), (1, 1), (0, 1), (1, 2)]
+        assert parse_edge_list(format_edge_list(3, pairs)) == (3, pairs)

@@ -10,7 +10,6 @@ from bitdiff.diffusion import NoiseSchedule, exp_schedule, sample_reverse_path
 from bitdiff.energies import BoltzmannTarget, SpinCouplingModel
 from bitdiff.nets import MlpPolicy, MlpSpec
 from bitdiff.objectives import (
-    AnnealSchedule,
     RewardNormalizer,
     build_buffer,
     diffuco_loss_grad,
@@ -22,6 +21,7 @@ from bitdiff.objectives import (
     rl_rewards,
     td_lambda_targets,
 )
+from bitdiff.train import anneal_temperature
 
 from oracles import (
     all_paths,
@@ -60,27 +60,25 @@ def identity_normalizer():
 
 class TestAnneal:
     def test_linear_hits_zero(self):
-        s = AnnealSchedule("linear_to_zero", n_epochs=10, t_start=3.0)
-        assert s.temperature(10) == 0.0
-        assert s.temperature(15) == 0.0
-        assert s.temperature(0) == 3.0
+        cfg = RunConfig(anneal="linear_to_zero", epochs=10, t_start=3.0)
+        assert anneal_temperature(cfg, 10) == 0.0
+        assert anneal_temperature(cfg, 15) == 0.0
+        assert anneal_temperature(cfg, 0) == 3.0
 
     def test_ising_decay_limit(self):
         beta_c = 0.4407
-        s = AnnealSchedule("ising_decay", n_epochs=100, decay_rate=5.0,
-                           target_temperature=1.0 / beta_c)
-        assert s.temperature(10 ** 7) == pytest.approx(1.0 / beta_c, rel=1e-9)
+        cfg = RunConfig(anneal="ising_decay", epochs=100, anneal_h=5.0, beta=beta_c)
+        assert anneal_temperature(cfg, 10 ** 7) == pytest.approx(1.0 / beta_c, rel=1e-9)
 
     def test_ising_decay_hand_value_at_zero(self):
         # T(n) = target / (1 - 0.998^(h*(n+1))): at n=0, h=1 the exponent is 1
         beta_c = 0.5
-        s = AnnealSchedule("ising_decay", n_epochs=10, decay_rate=1.0,
-                           target_temperature=1.0 / beta_c)
-        assert s.temperature(0) == pytest.approx((1 / beta_c) / (1 - 0.998))
+        cfg = RunConfig(anneal="ising_decay", epochs=10, anneal_h=1.0, beta=beta_c)
+        assert anneal_temperature(cfg, 0) == pytest.approx((1 / beta_c) / (1 - 0.998))
 
     def test_temperature_non_increasing(self):
-        s = AnnealSchedule("ising_decay", n_epochs=50, decay_rate=3.0, target_temperature=2.0)
-        temps = [s.temperature(n) for n in range(200)]
+        cfg = RunConfig(anneal="ising_decay", epochs=50, anneal_h=3.0, beta=0.5)
+        temps = [anneal_temperature(cfg, n) for n in range(200)]
         assert np.all(np.diff(temps) <= 0)
 
 

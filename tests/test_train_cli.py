@@ -322,6 +322,15 @@ class TestCli:
         assert payload["optimal_size"] == 1
         assert payload["optimal_energy"] == pytest.approx(-1.0)
 
+    def test_oracle_beta_zero_per_site_nulls(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert cli.main(["oracle", "--problem", "ising", "--lattice-size", "3",
+                         "--beta", "0", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["F"] is None and payload["F_per_site"] is None
+        assert payload["U_per_site"] == payload["U"] / 9
+        assert payload["S_per_site"] == payload["S"] / 9
+
     def test_train_solve_estimate_pipeline(self, tmp_path):
         # tiny end-to-end: train a co model, solve with and without rounding
         ds = write_single_edge_dataset(tmp_path)
@@ -374,6 +383,19 @@ class TestCli:
         assert payload["U_per_site"] is not None
         assert payload["acceptance_rate"] > 0
         assert payload["tau"] is not None
+
+    def test_estimate_nmcmc_constant_energy_nulls(self, tmp_path):
+        # a zero coupling makes every energy 0: the series is constant, so
+        # the estimate is exact and its error bar and tau are undefined
+        text = ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0, out_dir=tmp_path / "free")
+        out = train(parse_config(text.replace("beta = 0.5", "beta = 0.5\ncoupling = 0.0")))
+        report = tmp_path / "est.json"
+        assert cli.main(["estimate", "--checkpoint", out["checkpoint"], "--method", "nmcmc",
+                         "--chains", "4", "--chain-steps", "300", "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["U_per_site"] == 0.0
+        assert payload["U_stderr_per_site"] is None
+        assert payload["tau"] is None
 
     def test_exit_code_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -586,6 +608,17 @@ class TestCli:
         assert cli.main(["solve", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
                          "--dataset", str(ds)]) == 2
         assert "manifest.json must be an object" in capsys.readouterr().err
+
+    def test_exit_code_weighted_graph(self, tmp_path, capsys):
+        ds = write_single_edge_dataset(tmp_path)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(co_cfg(ds, tmp_path / "run", epochs=0))
+        weighted = ds / "graph_00000.txt"
+        weighted.write_text("3 2\n0 1 2.5\n1 2 -7\n", encoding="utf-8")
+        assert cli.main(["oracle", "--problem", "mis", "--graph", str(weighted)]) == 2
+        assert "third column must be 1" in capsys.readouterr().err
+        assert cli.main(["train", "--config", str(cfg_file)]) == 2
+        assert "third column must be 1" in capsys.readouterr().err
 
     def test_exit_code_numerical(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "run.cfg"
