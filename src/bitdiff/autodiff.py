@@ -16,9 +16,21 @@ Every non-leaf Tensor counts as one stored activation record; the running
 count (`activation_records`) is the measure behind the training-memory
 contract: objectives that minibatch over diffusion steps must trace
 proportionally fewer records than backpropagation through the full path.
+`activation_bytes` counts the same records in bytes: each record's output
+plus the masks that the `clip` and `minimum` closures keep.
+
+Inside `tape_arena()`, each tape (from one `leaves()` call to the next) writes
+the arrays its ops and VJPs make (all but the sigmoid's own) into one reused
+block instead of fresh arrays, so a loop of gradient calls stops mapping and
+faulting new pages per call. A tape's arrays are then valid only until the next `leaves()` call;
+`collect_grads` returns copies, which stay valid. Outside it every op
+allocates fresh arrays.
 """
 
 from __future__ import annotations
+
+import contextlib
+import math
 
 import numpy as np
 
@@ -26,7 +38,9 @@ __all__ = [
     "Tensor",
     "leaves",
     "collect_grads",
+    "tape_arena",
     "activation_records",
+    "activation_bytes",
     "reset_activation_records",
     "affine",
     "tanh",
@@ -44,6 +58,7 @@ __all__ = [
 ]
 
 _N_RECORDS = 0
+_N_BYTES = 0
 
 
 def activation_records() -> int:
@@ -51,9 +66,100 @@ def activation_records() -> int:
     return _N_RECORDS
 
 
+def activation_bytes() -> int:
+    """Bytes of the non-leaf tensors' outputs and of the masks their VJP
+    closures hold, recorded since the last reset."""
+    return _N_BYTES
+
+
 def reset_activation_records() -> None:
-    global _N_RECORDS
-    _N_RECORDS = 0
+    """Zero both the record and the byte count."""
+    global _N_RECORDS, _N_BYTES
+    _N_RECORDS = _N_BYTES = 0
+
+
+def _held(mask: np.ndarray) -> np.ndarray:
+    """`mask`, counted in `activation_bytes` as kept by a VJP closure."""
+    global _N_BYTES
+    _N_BYTES += mask.nbytes
+    return mask
+
+
+class _Arena:
+    """Bump allocator of one tape at a time. Arrays are cut from one block
+    at 64-byte aligned offsets; a tape that outgrows the block gets fresh
+    arrays for the rest, and the next tape gets a block of the size the
+    last one needed."""
+
+    ALIGN = 64
+
+    def __init__(self):
+        self._block = np.empty(0, np.uint8)
+        self._base = 0  # offset of the block's first aligned byte
+        self._used = 0  # bytes the current tape asked for, aligned
+        self.blocks = 0  # blocks allocated so far
+
+    def new_tape(self) -> None:
+        if self._used > self._block.size - self._base:
+            self._block = np.empty(self._used + self.ALIGN, np.uint8)
+            self._base = -self._block.ctypes.data % self.ALIGN
+            self.blocks += 1
+        self._used = 0
+
+    def take(self, shape: tuple) -> np.ndarray:
+        """An uninitialized float64 array of `shape`."""
+        nbytes = 8 * math.prod(shape)
+        start = self._base + self._used
+        self._used += -(-nbytes // self.ALIGN) * self.ALIGN
+        if self._base + self._used > self._block.size:
+            return np.empty(shape)
+        return self._block[start:start + nbytes].view(np.float64).reshape(shape)
+
+
+_ARENA: _Arena | None = None
+
+
+@contextlib.contextmanager
+def tape_arena():
+    """Reuse one block for the arrays of each tape started inside; the block
+    is freed on exit. Yields the arena (its `blocks` counts allocations)."""
+    global _ARENA
+    outer, _ARENA = _ARENA, _Arena()
+    try:
+        yield _ARENA
+    finally:
+        _ARENA = outer
+
+
+def _tape_array(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array for a tape op: from the arena inside
+    `tape_arena`, else fresh."""
+    return np.empty(shape) if _ARENA is None else _ARENA.take(shape)
+
+
+def _out(a, b) -> np.ndarray:
+    """A tape array of the broadcast shape of `a` and `b`."""
+    sa, sb = np.shape(a), np.shape(b)
+    return _tape_array(sa if sa == sb else np.broadcast_shapes(sa, sb))
+
+
+def _mul(a, b):
+    return np.multiply(a, b, out=_out(a, b))
+
+
+def _div(a, b):
+    return np.divide(a, b, out=_out(a, b))
+
+
+def _neg(a):
+    return np.negative(a, out=_tape_array(np.shape(a)))
+
+
+def _mm(a, b):
+    """a @ b, into a tape array when both are matrices."""
+    if a.ndim == b.ndim == 2:
+        return np.matmul(a, b, out=_tape_array((a.shape[0], b.shape[1])))
+    return a @ b
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -90,7 +196,7 @@ def matmul(a, b):
     if not isinstance(a, Tensor) and not isinstance(b, Tensor):
         return a @ b
     da, db = as_array(a), as_array(b)
-    return _node(da @ db, (a, b), (lambda g: g @ db.T, lambda g: da.T @ g))
+    return _node(_mm(da, db), (a, b), (lambda g: _mm(g, db.T), lambda g: _mm(da.T, g)))
 
 
 def minimum(a, b):
@@ -98,8 +204,9 @@ def minimum(a, b):
     if not isinstance(a, Tensor) and not isinstance(b, Tensor):
         return np.minimum(a, b)
     da, db = as_array(a), as_array(b)
-    take_a = da <= db
-    return _node(np.where(take_a, da, db), (a, b), (lambda g: g * take_a, lambda g: g * ~take_a))
+    take_a = _held(da <= db)
+    return _node(np.where(take_a, da, db), (a, b),
+                 (lambda g: _mul(g, take_a), lambda g: _mul(g, ~take_a)))
 
 
 def _identity(g):
@@ -119,8 +226,9 @@ class Tensor:
         self._parents = parents
         self._vjp = vjp
         if parents:
-            global _N_RECORDS
+            global _N_RECORDS, _N_BYTES
             _N_RECORDS += 1
+            _N_BYTES += self.data.nbytes
 
     @property
     def shape(self):
@@ -132,18 +240,20 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        return _node(self.data + as_array(other), (self, other), (_identity, _identity))
+        b = as_array(other)
+        return _node(np.add(self.data, b, out=_out(self.data, b)), (self, other),
+                     (_identity, _identity))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         a, b = self.data, as_array(other)
-        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
+        return _node(_mul(a, b), (self, other), (lambda g: _mul(g, b), lambda g: _mul(g, a)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Tensor(-self.data, (self,), lambda g: [-g])
+        return Tensor(_neg(self.data), (self,), lambda g: [_neg(g)])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Tensor) else -as_array(other))
@@ -157,11 +267,11 @@ class Tensor:
         def grad_b(g):
             # -g*a/(b*b) with one array of g's size: IEEE negation is exact,
             # so moving it onto b*b gives the same bits
-            gb = g * a
+            gb = _mul(g, a)
             gb /= -(b * b)
             return gb
 
-        return _node(a / b, (self, other), (lambda g: g / b, grad_b))
+        return _node(_div(a, b), (self, other), (lambda g: _div(g, b), grad_b))
 
     __matmul__ = matmul
 
@@ -196,9 +306,10 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.asarray(1.0)
         # A node's first gradient may be an array another node still holds
-        # (the add VJP hands `g` to both operands, a reshape VJP a view of
-        # it), so it is never written. The second contribution allocates the
-        # sum, which the node then owns and adds later contributions into.
+        # (the add VJP hands `g` to both operands, a reshape or tsum VJP a
+        # view of it), and is then never written: the second contribution
+        # allocates the sum. Any other VJP output is a new array made for
+        # that one parent, which owns it and adds later contributions into it.
         owned = set()
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
@@ -206,10 +317,12 @@ class Tensor:
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if parent.grad is None:
                     parent.grad = g
+                    if g.flags.writeable and not np.may_share_memory(g, node.grad):
+                        owned.add(id(parent))
                 elif id(parent) in owned:
                     parent.grad += g
                 else:
-                    parent.grad = parent.grad + g
+                    parent.grad = np.add(parent.grad, g, out=_out(parent.grad, g))
                     owned.add(id(parent))
 
 
@@ -223,7 +336,9 @@ def spmm(sparse, x):
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-free logistic: 1/(1+e) for z >= 0 and e/(1+e) below, with
-    e = exp(-|z|) computed once."""
+    e = exp(-|z|) computed once. Its arrays are fresh, also on a tape: they
+    are rows x bits, small beside the hidden layers, and writing the `where`
+    into a given array is slower."""
     e = np.abs(z, out=np.empty_like(z))
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -252,24 +367,25 @@ def affine(x, w, b, squash: bool = False, out=None):
 def exp(x):
     if not isinstance(x, Tensor):
         return np.exp(x)
-    out = np.exp(x.data)
-    return Tensor(out, (x,), lambda g: [g * out])
+    out = np.exp(x.data, out=_tape_array(x.data.shape))
+    return Tensor(out, (x,), lambda g: [_mul(g, out)])
 
 
 def log(x):
     if not isinstance(x, Tensor):
         return np.log(x)
-    return Tensor(np.log(x.data), (x,), lambda g: [g / x.data])
+    return Tensor(np.log(x.data, out=_tape_array(x.data.shape)), (x,),
+                  lambda g: [_div(g, x.data)])
 
 
 def tanh(x):
     if not isinstance(x, Tensor):
         return np.tanh(x)
-    out = np.tanh(x.data)
+    out = np.tanh(x.data, out=_tape_array(x.data.shape))
 
     def vjp(g):
         # g * (1 - out*out) in one array
-        d = np.multiply(out, out, out=np.empty_like(out))
+        d = np.multiply(out, out, out=_tape_array(out.shape))
         np.subtract(1.0, d, out=d)
         return [np.multiply(g, d, out=d)]
 
@@ -283,8 +399,8 @@ def sigmoid(x):
 
     def vjp(g):
         # (g*out) * (1 - out) in two arrays
-        d = g * out
-        d *= 1.0 - out
+        d = _mul(g, out)
+        d *= np.subtract(1.0, out, out=_tape_array(out.shape))
         return [d]
 
     return Tensor(out, (x,), vjp)
@@ -293,17 +409,17 @@ def sigmoid(x):
 def sqrt(x):
     if not isinstance(x, Tensor):
         return np.sqrt(x)
-    out = np.sqrt(x.data)
-    return Tensor(out, (x,), lambda g: [g * 0.5 / out])
+    out = np.sqrt(x.data, out=_tape_array(x.data.shape))
+    return Tensor(out, (x,), lambda g: [_div(_mul(g, 0.5), out)])
 
 
 def clip(x, lo: float, hi: float):
     """Clamp values; gradient is identity inside [lo, hi], zero outside."""
     if not isinstance(x, Tensor):
         return np.clip(x, lo, hi)
-    out = np.clip(x.data, lo, hi)
-    inside = ((x.data >= lo) & (x.data <= hi)).astype(np.float64)
-    return Tensor(out, (x,), lambda g: [g * inside])
+    out = np.clip(x.data, lo, hi, out=_tape_array(x.data.shape))
+    inside = _held((x.data >= lo) & (x.data <= hi))
+    return Tensor(out, (x,), lambda g: [_mul(g, inside)])
 
 
 def tsum(x, axis=None, keepdims=False):
@@ -317,7 +433,8 @@ def tsum(x, axis=None, keepdims=False):
             axes = axis if isinstance(axis, tuple) else (axis,)
             for ax in sorted(a % len(shape) for a in axes):
                 g = np.expand_dims(g, ax)
-        return [np.broadcast_to(g, shape).copy()]
+        # a read-only view: backward never writes a node's first gradient
+        return [np.broadcast_to(g, shape)]
 
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
@@ -332,12 +449,17 @@ def tmean(x, axis=None, keepdims=False):
 
 
 def leaves(params: dict) -> dict:
-    """Fresh leaf tensors for one loss evaluation."""
+    """Fresh leaf tensors for one loss evaluation: the start of a new tape,
+    which inside `tape_arena` reuses the previous tape's arrays."""
+    if _ARENA is not None:
+        _ARENA.new_tape()
     return {k: Tensor(v) for k, v in params.items()}
 
+
 def collect_grads(leaf_map: dict) -> dict:
-    """Gradients accumulated in leaves, as plain arrays (zeros where unused)."""
+    """Copies of the gradients accumulated in leaves (zeros where unused),
+    valid after the tape's arrays are reused."""
     return {
-        k: (np.zeros_like(t.data) if t.grad is None else np.asarray(t.grad))
+        k: (np.zeros_like(t.data) if t.grad is None else np.array(t.grad))
         for k, t in leaf_map.items()
     }

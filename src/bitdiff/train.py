@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import tape_arena
 from .config import ConfigError, RunConfig, check_types, is_int
 from .diffusion import exp_schedule, sample_reverse_path
 from .energies import BoltzmannTarget, build_lattice, write_instance_text
@@ -257,12 +258,13 @@ def _mean_grads(per_instance: list) -> dict:
 def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
     grads, loss_acc = [], 0.0
-    for inst, target, paths, energy in rollouts:
-        loss, g, _ = diffuco_loss_grad(
-            policy, target, schedule, paths, energy, temperature, inst.condition
-        )
-        loss_acc += loss
-        grads.append(g)
+    with tape_arena():
+        for inst, target, paths, energy in rollouts:
+            loss, g, _ = diffuco_loss_grad(
+                policy, target, schedule, paths, energy, temperature, inst.condition
+            )
+            loss_acc += loss
+            grads.append(g)
     adam_step(policy.params, _mean_grads(grads), adam, lr())
     n = len(inst_batch)
     return {"loss": loss_acc / n, "mean_energy": energy_acc / n,
@@ -273,17 +275,19 @@ def _minibatch_updates(policy, grad, items, plans, adam, lr) -> float:
     """One Adam step per (path_idx, k_idx) of each plan, on the mean over the
     (a, b, condition) `items` of `grad(policy, a, b, path_idx, k_idx,
     condition)`, summed in item order. Returns the mean loss over all
-    updates and items."""
+    updates and items. The gradient calls share one tape arena, freed when
+    the updates end."""
     loss_acc, n_updates = 0.0, 0
-    for plan in plans:
-        for path_idx, k_idx in plan:
-            grads = []
-            for a, b, condition in items:
-                loss, g, _ = grad(policy, a, b, path_idx, k_idx, condition)
-                loss_acc += loss
-                grads.append(g)
-            adam_step(policy.params, _mean_grads(grads), adam, lr())
-            n_updates += 1
+    with tape_arena():
+        for plan in plans:
+            for path_idx, k_idx in plan:
+                grads = []
+                for a, b, condition in items:
+                    loss, g, _ = grad(policy, a, b, path_idx, k_idx, condition)
+                    loss_acc += loss
+                    grads.append(g)
+                adam_step(policy.params, _mean_grads(grads), adam, lr())
+                n_updates += 1
     return loss_acc / max(1, n_updates * len(items))
 
 

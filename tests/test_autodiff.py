@@ -223,6 +223,19 @@ class TestActivationRecords:
         fifty = ad.activation_records()
         assert fifty == 5 * ten
 
+    def test_bytes_count_outputs_and_held_masks(self):
+        x = Tensor(np.ones((3, 4)))
+        ad.reset_activation_records()
+        _ = x * 2.0  # one (3, 4) float64 output
+        assert ad.activation_bytes() == 96
+        _ = ad.clip(x, 0.0, 2.0)  # output plus a (3, 4) bool mask
+        _ = minimum(x, 0.5)
+        assert ad.activation_bytes() == 96 + 2 * (96 + 12)
+        _ = ad.tsum(x, axis=1)
+        assert ad.activation_bytes() == 96 + 2 * (96 + 12) + 24
+        ad.reset_activation_records()
+        assert ad.activation_records() == ad.activation_bytes() == 0
+
 
 def special_and_random(n, seed):
     """The special inputs followed by random values of mixed scale, n in all."""
@@ -321,6 +334,39 @@ class TestExactRewrites:
         new_root, old_root = build(), build()
         new_root.backward()
         backward_direct(old_root)
+        for got, want in zip(tape_grads(new_root), tape_grads(old_root), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["all", "axis0", "axis1", "last_keepdims", "both",
+                                      "standardize"])
+    def test_tsum_vjp_view_matches_copy(self, case):
+        # the VJP returns a read-only broadcast view of g; a copy of it, as
+        # first written, gives the same gradients on every node
+        def build(sum_fn):
+            rng = np.random.default_rng(5)
+            x = Tensor(rng.standard_normal((4, 4)))
+            w = Tensor(rng.standard_normal((4, 3)))
+            g = rng.standard_normal((4, 3))
+            if case == "standardize":
+                c = x - sum_fn(x, axis=1, keepdims=True) * 0.25
+                v = sum_fn(c * c, axis=1, keepdims=True) * 0.25
+                h = c / ad.sqrt(v + 1e-5)
+            else:
+                axis, keepdims = {"all": (None, False), "axis0": (0, False),
+                                  "axis1": (1, False), "last_keepdims": (-1, True),
+                                  "both": ((0, 1), True)}[case]
+                h = x * sum_fn(ad.tanh(x), axis=axis, keepdims=keepdims)
+            return sum_fn(ad.matmul(h, w) * g)
+
+        def tsum_copying(x, axis=None, keepdims=False):
+            out = tsum(x, axis=axis, keepdims=keepdims)
+            view_vjp = out._vjp
+            out._vjp = lambda g: [np.array(a) for a in view_vjp(g)]
+            return out
+
+        new_root, old_root = build(tsum), build(tsum_copying)
+        new_root.backward()
+        old_root.backward()
         for got, want in zip(tape_grads(new_root), tape_grads(old_root), strict=True):
             assert np.array_equal(got, want)
 

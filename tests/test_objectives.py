@@ -445,16 +445,18 @@ class TestRecordsInT:
     def test_step_objectives_flat_and_diffuco_linear_in_t(self):
         # at a fixed (4 paths x 2 steps) minibatch the step objectives store
         # the same tape at any number of diffusion steps; diffuco traces
-        # every step, so each added step adds the same records
+        # every step, so each added step adds the same records and bytes
         m, tau = 4, 2
         path_idx, k_idx = np.arange(m), np.tile(np.arange(tau), (m, 1))
         cfg = RunConfig()
         records = {"fkl_mc": [], "ppo": [], "diffuco": []}
+        n_bytes = {"fkl_mc": [], "ppo": [], "diffuco": []}
 
         def count(name, grad, *args):
             ad.reset_activation_records()
             grad(*args)
             records[name].append(ad.activation_records())
+            n_bytes[name].append(ad.activation_bytes())
 
         for t_steps in (8, 32, 128):
             policy = make_policy(4, t_steps, seed=1, value_head=True)
@@ -468,10 +470,11 @@ class TestRecordsInT:
                                identity_normalizer())
             count("ppo", ppo_minibatch_grad, policy, buf, cfg, path_idx, k_idx)
             count("diffuco", diffuco_loss_grad, policy, target, sched, paths, energy, 1.0)
-        assert len(set(records["fkl_mc"])) == 1, records
-        assert len(set(records["ppo"])) == 1, records
-        d8, d32, d128 = records["diffuco"]
-        assert (d32 - d8) * 4 == d128 - d32 > 0, records
+        for counts in (records, n_bytes):
+            assert len(set(counts["fkl_mc"])) == 1, counts
+            assert len(set(counts["ppo"])) == 1, counts
+            d8, d32, d128 = counts["diffuco"]
+            assert (d32 - d8) * 4 == d128 - d32 > 0, counts
 
 
 class TestDiffuco:
