@@ -19,17 +19,18 @@ proportionally fewer records than backpropagation through the full path.
 `activation_bytes` counts the same records in bytes: each record's output
 plus the masks that the `clip` and `minimum` closures keep.
 
-Inside `tape_arena()`, each tape (from one `leaves()` call to the next) writes
-the arrays its ops and VJPs make (all but the sigmoid's own) into one reused
-block instead of fresh arrays, so a loop of gradient calls stops mapping and
-faulting new pages per call. A tape's arrays are then valid only until the next `leaves()` call;
-`collect_grads` returns copies, which stay valid. Outside it every op
+`Arena` is the one scratch allocator. Inside `with arena:`, each tape (from
+entering the arena or a `leaves()` call to the next `leaves()` call) writes the
+arrays its ops and VJPs make (all but the sigmoid's own), and the untraced
+`affine` its result, into one reused block instead of fresh arrays, so a loop
+of gradient calls or of policy forwards stops mapping and faulting new pages
+per call. Such arrays are valid only until the arena's next tape starts;
+`collect_grads` returns copies, which stay valid. Outside any arena every op
 allocates fresh arrays.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -38,7 +39,8 @@ __all__ = [
     "Tensor",
     "leaves",
     "collect_grads",
-    "tape_arena",
+    "Arena",
+    "scratch",
     "activation_records",
     "activation_bytes",
     "reset_activation_records",
@@ -85,62 +87,61 @@ def _held(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-class _Arena:
-    """Bump allocator of one tape at a time. Arrays are cut from one block
-    at 64-byte aligned offsets; a tape that outgrows the block gets fresh
-    arrays for the rest, and the next tape gets a block of the size the
-    last one needed."""
+class Arena:
+    """Bump allocator of one tape at a time, and the context that makes it
+    active: `__enter__` starts a tape, `__exit__` restores the outer arena.
+    Arrays are cut from one float64 block at 64-byte aligned offsets; a tape
+    that outgrows the block gets fresh arrays for the rest, and the next tape
+    gets a block of the size the last one needed. `blocks` counts the blocks
+    allocated so far."""
 
-    ALIGN = 64
+    ALIGN = 8  # float64 items in 64 bytes
 
     def __init__(self):
-        self._block = np.empty(0, np.uint8)
-        self._base = 0  # offset of the block's first aligned byte
-        self._used = 0  # bytes the current tape asked for, aligned
-        self.blocks = 0  # blocks allocated so far
+        self._block = np.empty(0)  # starts 64-byte aligned
+        self._used = 0  # items the current tape asked for, aligned
+        self._outer = None
+        self.blocks = 0
+
+    def __enter__(self):
+        global _ARENA
+        self._outer, _ARENA = _ARENA, self
+        self.new_tape()
+        return self
+
+    def __exit__(self, *exc):
+        global _ARENA
+        _ARENA, self._outer = self._outer, None
 
     def new_tape(self) -> None:
-        if self._used > self._block.size - self._base:
-            self._block = np.empty(self._used + self.ALIGN, np.uint8)
-            self._base = -self._block.ctypes.data % self.ALIGN
+        if self._used > self._block.size:
+            raw = np.empty(self._used + self.ALIGN)
+            self._block = raw[-raw.ctypes.data // 8 % self.ALIGN:]
             self.blocks += 1
         self._used = 0
 
     def take(self, shape: tuple) -> np.ndarray:
         """An uninitialized float64 array of `shape`."""
-        nbytes = 8 * math.prod(shape)
-        start = self._base + self._used
-        self._used += -(-nbytes // self.ALIGN) * self.ALIGN
-        if self._base + self._used > self._block.size:
+        n = math.prod(shape)
+        start = self._used
+        self._used = start + -(-n // self.ALIGN) * self.ALIGN
+        if self._used > self._block.size:
             return np.empty(shape)
-        return self._block[start:start + nbytes].view(np.float64).reshape(shape)
+        return self._block[start:start + n].reshape(shape)
 
 
-_ARENA: _Arena | None = None
+_ARENA: Arena | None = None
 
 
-@contextlib.contextmanager
-def tape_arena():
-    """Reuse one block for the arrays of each tape started inside; the block
-    is freed on exit. Yields the arena (its `blocks` counts allocations)."""
-    global _ARENA
-    outer, _ARENA = _ARENA, _Arena()
-    try:
-        yield _ARENA
-    finally:
-        _ARENA = outer
-
-
-def _tape_array(shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array for a tape op: from the arena inside
-    `tape_arena`, else fresh."""
+def scratch(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array: from the active arena, else fresh."""
     return np.empty(shape) if _ARENA is None else _ARENA.take(shape)
 
 
 def _out(a, b) -> np.ndarray:
     """A tape array of the broadcast shape of `a` and `b`."""
     sa, sb = np.shape(a), np.shape(b)
-    return _tape_array(sa if sa == sb else np.broadcast_shapes(sa, sb))
+    return scratch(sa if sa == sb else np.broadcast_shapes(sa, sb))
 
 
 def _mul(a, b):
@@ -152,13 +153,13 @@ def _div(a, b):
 
 
 def _neg(a):
-    return np.negative(a, out=_tape_array(np.shape(a)))
+    return np.negative(a, out=scratch(np.shape(a)))
 
 
 def _mm(a, b):
     """a @ b, into a tape array when both are matrices."""
     if a.ndim == b.ndim == 2:
-        return np.matmul(a, b, out=_tape_array((a.shape[0], b.shape[1])))
+        return np.matmul(a, b, out=scratch((a.shape[0], b.shape[1])))
     return a @ b
 
 
@@ -330,8 +331,7 @@ def spmm(sparse, x):
     """Fixed sparse matrix times a dense (traced) matrix: sparse @ x."""
     if not isinstance(x, Tensor):
         return sparse @ x
-    sparse_t = sparse.T.tocsr()
-    return Tensor(sparse @ x.data, (x,), lambda g: [sparse_t @ g])
+    return Tensor(sparse @ x.data, (x,), lambda g: [sparse.T @ g])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -351,13 +351,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # -- ops on a Tensor or an ndarray ------------------------------------------
 
 
-def affine(x, w, b, squash: bool = False, out=None):
+def affine(x, w, b, squash: bool = False):
     """x @ w + b, through tanh when `squash`. Traced, it records the same
     matmul, add and tanh nodes as writing the expression out; untraced, it
-    does the same arithmetic in one array: `out` when given (C-contiguous, of
-    the result's shape), else a fresh one. A traced call ignores `out`."""
+    does the same arithmetic in one `scratch` array."""
     if not any(isinstance(v, Tensor) for v in (x, w, b)):
-        out = np.matmul(x, w, out=out)
+        out = np.matmul(x, w, out=scratch((x.shape[0], w.shape[1])))
         out += b
         return np.tanh(out, out=out) if squash else out
     out = matmul(x, w) + b
@@ -367,25 +366,25 @@ def affine(x, w, b, squash: bool = False, out=None):
 def exp(x):
     if not isinstance(x, Tensor):
         return np.exp(x)
-    out = np.exp(x.data, out=_tape_array(x.data.shape))
+    out = np.exp(x.data, out=scratch(x.data.shape))
     return Tensor(out, (x,), lambda g: [_mul(g, out)])
 
 
 def log(x):
     if not isinstance(x, Tensor):
         return np.log(x)
-    return Tensor(np.log(x.data, out=_tape_array(x.data.shape)), (x,),
+    return Tensor(np.log(x.data, out=scratch(x.data.shape)), (x,),
                   lambda g: [_div(g, x.data)])
 
 
 def tanh(x):
     if not isinstance(x, Tensor):
         return np.tanh(x)
-    out = np.tanh(x.data, out=_tape_array(x.data.shape))
+    out = np.tanh(x.data, out=scratch(x.data.shape))
 
     def vjp(g):
         # g * (1 - out*out) in one array
-        d = np.multiply(out, out, out=_tape_array(out.shape))
+        d = np.multiply(out, out, out=scratch(out.shape))
         np.subtract(1.0, d, out=d)
         return [np.multiply(g, d, out=d)]
 
@@ -400,7 +399,7 @@ def sigmoid(x):
     def vjp(g):
         # (g*out) * (1 - out) in two arrays
         d = _mul(g, out)
-        d *= np.subtract(1.0, out, out=_tape_array(out.shape))
+        d *= np.subtract(1.0, out, out=scratch(out.shape))
         return [d]
 
     return Tensor(out, (x,), vjp)
@@ -409,7 +408,7 @@ def sigmoid(x):
 def sqrt(x):
     if not isinstance(x, Tensor):
         return np.sqrt(x)
-    out = np.sqrt(x.data, out=_tape_array(x.data.shape))
+    out = np.sqrt(x.data, out=scratch(x.data.shape))
     return Tensor(out, (x,), lambda g: [_div(_mul(g, 0.5), out)])
 
 
@@ -417,7 +416,7 @@ def clip(x, lo: float, hi: float):
     """Clamp values; gradient is identity inside [lo, hi], zero outside."""
     if not isinstance(x, Tensor):
         return np.clip(x, lo, hi)
-    out = np.clip(x.data, lo, hi, out=_tape_array(x.data.shape))
+    out = np.clip(x.data, lo, hi, out=scratch(x.data.shape))
     inside = _held((x.data >= lo) & (x.data <= hi))
     return Tensor(out, (x,), lambda g: [_mul(g, inside)])
 
@@ -450,7 +449,7 @@ def tmean(x, axis=None, keepdims=False):
 
 def leaves(params: dict) -> dict:
     """Fresh leaf tensors for one loss evaluation: the start of a new tape,
-    which inside `tape_arena` reuses the previous tape's arrays."""
+    which inside an `Arena` reuses the previous tape's arrays."""
     if _ARENA is not None:
         _ARENA.new_tape()
     return {k: Tensor(v) for k, v in params.items()}

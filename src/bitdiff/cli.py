@@ -180,8 +180,8 @@ def cmd_estimate(args) -> int:
     }
     rng = np.random.default_rng(args.seed)
     if args.method == "snis":
-        ws = snis_sample(policy, target, schedule, args.n_samples, rng)
-        est = observable_estimates(ws, target)
+        samples = snis_sample(policy, target, schedule, args.n_samples, rng)
+        est = observable_estimates(samples, target)
         payload.update(
             n_samples=args.n_samples,
             **_per_site(n_sites, F=est.free_energy, U=est.internal_energy, S=est.entropy),

@@ -479,8 +479,8 @@ def read_instance_text(text: str):
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def build_lattice(kind: str, side_length: int | None, coupling: float = 1.0,
-                  ea_dist: str = "normal", ea_seed: int = 0, instance_text: str = ""):
+def build_lattice(kind: str, side_length: int | None, coupling: float, ea_dist: str,
+                  ea_seed: int, instance_text: str):
     """The lattice model a run or command names: the ferromagnet for `ising`;
     for `ea`, the instance in `instance_text` if given, else couplings drawn
     from `ea_dist` ("normal" or "uniform") with `ea_seed`. An instance must

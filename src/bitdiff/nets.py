@@ -16,6 +16,7 @@ single int or a per-row array. Outputs are clipped to
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,42 +113,19 @@ def init_params(spec, seed: int) -> dict:
     return params
 
 
-def _standardize(h, ws):
+def _standardize(h):
     """Per-node feature standardization (stand-in for a graph norm layer).
-    Untraced (`ws` given), `h` must be a fresh array: it is standardized in
-    place by the same operations, with its squares in workspace slot "b"."""
+    Untraced, `h` must be a fresh array: it is standardized in place by the
+    same operations, with its squares in a `scratch` array."""
     m = tmean(h, axis=1, keepdims=True)
-    if ws is None:
+    if isinstance(h, ad.Tensor):
         c = h - m
         v = tmean(c * c, axis=1, keepdims=True)
         return c / sqrt(v + 1e-5)
     h -= m
-    v = np.mean(np.multiply(h, h, out=ws.take("b", *h.shape)), axis=1, keepdims=True)
+    v = np.mean(np.multiply(h, h, out=ad.scratch(h.shape)), axis=1, keepdims=True)
     h /= np.sqrt(v + 1e-5)
     return h
-
-
-class _Workspace:
-    """Activation arrays of a policy's untraced forward, by slot name. Each
-    slot is one grow-only flat array whose prefix is handed out as a
-    C-contiguous view, so calls of any row count or graph size reuse memory
-    sized to the largest call instead of mapping fresh pages per layer."""
-
-    def __init__(self):
-        self._flat = {}
-
-    def take(self, slot: str, rows: int, cols: int) -> np.ndarray:
-        n = rows * cols
-        flat = self._flat.get(slot)
-        if flat is None or flat.size < n:
-            flat = self._flat[slot] = np.empty(n)
-        return flat[:n].reshape(rows, cols)
-
-
-def _dense(ws, slot, x, w, b, squash=False):
-    """`affine`, written into workspace slot `slot` when `ws` is given."""
-    out = None if ws is None else ws.take(slot, x.shape[0], w.shape[1])
-    return affine(x, w, b, squash, out=out)
 
 
 def _kernel_logits(betas: np.ndarray, x_flat: np.ndarray, t) -> np.ndarray:
@@ -225,6 +203,9 @@ def _check_probs_shape(x_t, n_bits):
     return x_t
 
 
+_TRACED = contextlib.nullcontext()
+
+
 @dataclass
 class _Policy:
     """What both architectures share: construction, parameter views, and the
@@ -235,10 +216,10 @@ class _Policy:
     the exponential-schedule flip kernel, so a zero-initialized head starts at
     the infinite-temperature optimum instead of the uniform policy.
 
-    An untraced forward (no tape leaves in the parameters) writes its layers
-    into the policy's own workspace, so one policy must not run two forwards
-    at once; what it returns is always a fresh array. The trunk's output
-    lives in slot "h", the layers after it use slots "a", "b" and "logits".
+    An untraced forward (no tape leaves in the parameters) runs inside the
+    policy's own `autodiff.Arena`, so one policy must not run two forwards at
+    once; what it returns is always a fresh array. A traced forward allocates
+    as its caller's context does: its arrays stay referenced by its tape.
     """
 
     spec: object
@@ -249,14 +230,13 @@ class _Policy:
         self.kernel_betas = (
             exp_schedule(self.n_steps).betas if self.spec.kernel_start else None
         )
-        self._ws = _Workspace()
+        self._arena = ad.Arena()
 
-    def _workspace(self, P):
-        """The workspace, or None when `P` holds tape leaves: a traced
-        forward's arrays stay referenced by its tape."""
+    def _scope(self, P):
+        """The policy's arena, or a no-op context when `P` holds tape leaves."""
         if any(isinstance(v, ad.Tensor) for v in P.values()):
-            return None
-        return self._ws
+            return _TRACED
+        return self._arena
 
     @classmethod
     def init(cls, spec, n_steps: int, seed: int):
@@ -265,16 +245,16 @@ class _Policy:
     def with_steps(self, n_steps: int):
         return replace(self, n_steps=n_steps)
 
-    def _logits(self, P, ws, h, x_t, t):
-        logits = self._head(P, ws, h, x_t)
+    def _logits(self, P, h, x_t, t):
+        logits = self._head(P, h, x_t)
         if self.kernel_betas is not None:
             logits = logits + _kernel_logits(self.kernel_betas, x_t, t)
         return logits
 
-    def _probs(self, P, ws, h, x_t, t):
+    def _probs(self, P, h, x_t, t):
         """Per-bit probabilities: the sigmoid of the logits, refused if
         non-finite, then clipped to [PROB_CLIP, 1 - PROB_CLIP]."""
-        out = sigmoid(self._logits(P, ws, h, x_t, t))
+        out = sigmoid(self._logits(P, h, x_t, t))
         if not np.isfinite(ad.as_array(out)).all():
             raise FloatingPointError("policy forward produced non-finite activations")
         if isinstance(out, ad.Tensor):
@@ -282,17 +262,18 @@ class _Policy:
         # the untraced sigmoid returned a fresh array: clip it in place
         return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP, out=out)
 
-    def _value(self, P, ws, h, condition, n_rows):
+    def _value(self, P, h, condition, n_rows):
         g = self._pool(h, condition, n_rows)
-        v = _dense(ws, "a", g, P["wv0"], P["bv0"], squash=True)
-        v = _dense(ws, "b", v, P["wv1"], P["bv1"], squash=True)
+        v = affine(g, P["wv0"], P["bv0"], squash=True)
+        v = affine(v, P["wv1"], P["bv1"], squash=True)
         v = affine(v, P["wv2"], P["bv2"])
-        return v.reshape((-1,)) if isinstance(v, ad.Tensor) else np.asarray(v).reshape(-1)
+        # untraced, copied out of the arena
+        return v.reshape((-1,)) if isinstance(v, ad.Tensor) else v.reshape(-1).copy()
 
     def probs_from(self, P, x_t, t, condition=None):
         x_t = np.asarray(x_t)
-        ws = self._workspace(P)
-        return self._probs(P, ws, self._trunk(P, ws, x_t, t, condition), x_t, t)
+        with self._scope(P):
+            return self._probs(P, self._trunk(P, x_t, t, condition), x_t, t)
 
     def probs(self, x_t, t, condition=None) -> np.ndarray:
         return self.probs_from(self.params, x_t, t, condition)
@@ -301,9 +282,9 @@ class _Policy:
         if not self.spec.value_head:
             raise ValueError("policy has no value head")
         x_t = np.asarray(x_t)
-        ws = self._workspace(P)
-        h = self._trunk(P, ws, x_t, t, condition)
-        return self._value(P, ws, h, condition, x_t.shape[0])
+        with self._scope(P):
+            h = self._trunk(P, x_t, t, condition)
+            return self._value(P, h, condition, x_t.shape[0])
 
     def value(self, x_t, t, condition=None) -> np.ndarray:
         return self.value_from(self.params, x_t, t, condition)
@@ -312,9 +293,9 @@ class _Policy:
         if not self.spec.value_head:
             raise ValueError("policy has no value head")
         x_t = np.asarray(x_t)
-        ws = self._workspace(P)
-        h = self._trunk(P, ws, x_t, t, condition)
-        return self._probs(P, ws, h, x_t, t), self._value(P, ws, h, condition, x_t.shape[0])
+        with self._scope(P):
+            h = self._trunk(P, x_t, t, condition)
+            return self._probs(P, h, x_t, t), self._value(P, h, condition, x_t.shape[0])
 
 
 class MlpPolicy(_Policy):
@@ -329,20 +310,17 @@ class MlpPolicy(_Policy):
     def n_bits(self) -> int:
         return self.spec.n_bits
 
-    def _trunk(self, P, ws, x_t, t, condition):
+    def _trunk(self, P, x_t, t, condition):
         x_t = _check_probs_shape(x_t, self.spec.n_bits)
-        inp = np.concatenate(
+        h = np.concatenate(
             [x_t.astype(np.float64), _tfrac_column(t, x_t.shape[0], self.n_steps)], axis=1
         )
-        h = inp
-        last = len(self.spec.hidden) - 1
-        for k in range(last + 1):
-            slot = "h" if k == last else "ab"[k % 2]
-            h = _dense(ws, slot, h, P[f"w{k}"], P[f"b{k}"], squash=True)
+        for k in range(len(self.spec.hidden)):
+            h = affine(h, P[f"w{k}"], P[f"b{k}"], squash=True)
         return h
 
-    def _head(self, P, ws, h, x_t):
-        return _dense(ws, "logits", h, P["w_out"], P["b_out"])
+    def _head(self, P, h, x_t):
+        return affine(h, P["w_out"], P["b_out"])
 
     def _pool(self, h, condition, n_rows):
         return h
@@ -364,7 +342,7 @@ class GnnPolicy(_Policy):
     def n_bits(self):
         raise ValueError("GnnPolicy is graph-conditioned; state size comes from the condition")
 
-    def _trunk(self, P, ws, x_t, t, condition):
+    def _trunk(self, P, x_t, t, condition):
         if condition is None:
             raise ValueError("GnnPolicy requires a GraphCondition")
         x_t = _check_probs_shape(x_t, condition.n_bits)
@@ -374,23 +352,23 @@ class GnnPolicy(_Policy):
         tcol = _tfrac_column(np.repeat(t, n) if t.ndim else t, m * n, self.n_steps)
         inp = np.concatenate([flat_x, tcol], axis=1)
         agg_op = condition.agg(m)
-        h = _dense(ws, "h", inp, P["w_embed"], P["b_embed"], squash=True)
+        h = affine(inp, P["w_embed"], P["b_embed"], squash=True)
         for s in range(self.spec.n_message_passing):
-            msg = _dense(ws, "a", h, P[f"mp{s}_wm"], P[f"mp{s}_bm"])
-            agg = _standardize(spmm(agg_op, msg), ws)
-            u = _dense(ws, "a", agg, P[f"mp{s}_wn0"], P[f"mp{s}_bn0"], squash=True)
-            u = _dense(ws, "b", u, P[f"mp{s}_wn1"], P[f"mp{s}_bn1"], squash=True)
-            if ws is None:
+            msg = affine(h, P[f"mp{s}_wm"], P[f"mp{s}_bm"])
+            agg = _standardize(spmm(agg_op, msg))
+            u = affine(agg, P[f"mp{s}_wn0"], P[f"mp{s}_bn0"], squash=True)
+            u = affine(u, P[f"mp{s}_wn1"], P[f"mp{s}_bn1"], squash=True)
+            if isinstance(h, ad.Tensor):
                 h = h + u
             else:
                 h += u
         return h
 
-    def _head(self, P, ws, h, x_t):
+    def _head(self, P, h, x_t):
         m, n = x_t.shape
-        z = _dense(ws, "a", h, P["wh0"], P["bh0"], squash=True)
-        z = _dense(ws, "b", z, P["wh1"], P["bh1"], squash=True)
-        return _dense(ws, "logits", z, P["w_out"], P["b_out"]).reshape((m, n))
+        z = affine(h, P["wh0"], P["bh0"], squash=True)
+        z = affine(z, P["wh1"], P["bh1"], squash=True)
+        return affine(z, P["w_out"], P["b_out"]).reshape((m, n))
 
     def _pool(self, h, condition, n_rows):
         return spmm(condition.pool(n_rows), h)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import tape_arena
+from .autodiff import Arena
 from .config import ConfigError, RunConfig, check_types, is_int
 from .diffusion import exp_schedule, sample_reverse_path
 from .energies import BoltzmannTarget, build_lattice, write_instance_text
@@ -258,7 +258,7 @@ def _mean_grads(per_instance: list) -> dict:
 def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
     grads, loss_acc = [], 0.0
-    with tape_arena():
+    with Arena():
         for inst, target, paths, energy in rollouts:
             loss, g, _ = diffuco_loss_grad(
                 policy, target, schedule, paths, energy, temperature, inst.condition
@@ -275,10 +275,10 @@ def _minibatch_updates(policy, grad, items, plans, adam, lr) -> float:
     """One Adam step per (path_idx, k_idx) of each plan, on the mean over the
     (a, b, condition) `items` of `grad(policy, a, b, path_idx, k_idx,
     condition)`, summed in item order. Returns the mean loss over all
-    updates and items. The gradient calls share one tape arena, freed when
-    the updates end."""
+    updates and items. The gradient calls share one `Arena`, freed when the
+    updates end."""
     loss_acc, n_updates = 0.0, 0
-    with tape_arena():
+    with Arena():
         for plan in plans:
             for path_idx, k_idx in plan:
                 grads = []
@@ -297,9 +297,9 @@ def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
     # every minibatch's self-normalized weights in fkl_mc_grad
     items, ess_acc = [], 0.0
     for inst, target, paths, energy in rollouts:
-        ws = fkl_importance_weights(paths, energy, target, schedule)
-        ess_acc += effective_sample_size(ws)
-        items.append((paths, ws.log_w, inst.condition))
+        samples = fkl_importance_weights(paths, energy, target, schedule)
+        ess_acc += effective_sample_size(samples)
+        items.append((paths, samples.log_w, inst.condition))
     plans = [minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)]
     n = len(inst_batch)
     return {"loss": _minibatch_updates(policy, fkl_mc_grad, items, plans, adam, lr),

@@ -95,10 +95,10 @@ def snis_sample(policy, target, schedule, n_samples: int, rng) -> WeightedSample
     return snis_weights_from_logs(*map(np.concatenate, zip(*blocks)))
 
 
-def effective_sample_size(ws: WeightedSamples) -> float:
+def effective_sample_size(samples: WeightedSamples) -> float:
     """Effective sample size per sample, (sum w)^2 / (M * sum w^2), in [1/M, 1]."""
-    m = ws.n_samples
-    ess = 1.0 / (m * float(ws.weights @ ws.weights))
+    m = samples.n_samples
+    ess = 1.0 / (m * float(samples.weights @ samples.weights))
     # the bounds hold exactly for normalized weights; guard float roundoff only
     return min(1.0, max(1.0 / m, ess))
 
@@ -111,15 +111,15 @@ class ObservableEstimates:
     ess_per_sample: float
 
 
-def observable_estimates(ws: WeightedSamples, target) -> ObservableEstimates:
+def observable_estimates(samples: WeightedSamples, target) -> ObservableEstimates:
     """Free energy from log Z-hat, internal energy as the weighted mean of the
     samples' energies, entropy from the identity S = beta * (U - F)."""
     if target.beta <= 0:
         raise ValueError("observable estimates require beta > 0")
-    f = -ws.log_z_hat / target.beta
-    u = float(ws.weights @ ws.energy)
+    f = -samples.log_z_hat / target.beta
+    u = float(samples.weights @ samples.energy)
     s = target.beta * (u - f)
-    return ObservableEstimates(f, u, s, effective_sample_size(ws))
+    return ObservableEstimates(f, u, s, effective_sample_size(samples))
 
 
 def nmcmc_run(policy, target, schedule, n_chains: int, n_steps: int,

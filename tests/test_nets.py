@@ -14,7 +14,6 @@ from bitdiff.nets import (
     bernoulli_entropy,
     bernoulli_log_q,
     init_params,
-    _Workspace,
     make_policy,
     param_shapes,
 )
@@ -233,8 +232,8 @@ class TestTracedUntracedAgree:
 
 
 class TestUntracedWorkspace:
-    """The untraced forward writes its layers into per-policy buffers that
-    are reused across calls of any row count or graph size; what it returns
+    """The untraced forward writes its layers into the policy's arena, which
+    is reused across calls of any row count or graph size; what it returns
     is always a fresh array, bit-equal to the traced forward."""
 
     SPECS = {
@@ -288,13 +287,14 @@ class TestUntracedWorkspace:
         assert not np.shares_memory(first.x0_probs, second.x0_probs)
         assert np.array_equal(first.x0_probs, kept)
 
-    def test_slots_grow_to_the_largest_call_only(self):
-        ws = _Workspace()
-        big = ws.take("a", 30, 4)
-        small = ws.take("a", 7, 3)
-        assert small.shape == (7, 3) and small.flags.c_contiguous
-        assert np.shares_memory(big, small)
-        grown = ws.take("a", 31, 4)
-        assert not np.shares_memory(big, grown)
-        assert np.shares_memory(grown, ws.take("a", 30, 4))
-        assert not np.shares_memory(grown, ws.take("b", 30, 4))
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_same_size_calls_allocate_one_block(self, kind):
+        policy = self._policy(kind)
+        cond = self._conditions(kind)[0]
+        n_bits = 6 if cond is None else cond.n_bits
+        x_t = np.random.default_rng(36).integers(0, 2, (20, n_bits))
+        policy.probs(x_t, 3, cond)
+        assert policy._arena.blocks == 0  # the first call sizes the block
+        for _ in range(4):
+            policy.probs(x_t, 3, cond)
+        assert policy._arena.blocks == 1

@@ -1,4 +1,4 @@
-"""The tape arena's contract: inside `autodiff.tape_arena` each tape reuses the
+"""The tape arena's contract: inside an `autodiff.Arena` each tape reuses the
 previous tape's arrays, which changes no number; gradients from
 `collect_grads` stay valid after later tapes; outside it, tapes share no
 memory."""
@@ -14,7 +14,7 @@ from bitdiff import cli
 from bitdiff.config import RunConfig, parse_config
 from bitdiff.diffusion import exp_schedule, sample_reverse_path
 from bitdiff.energies import BoltzmannTarget, SpinCouplingModel
-from bitdiff.nets import MlpPolicy, MlpSpec
+from bitdiff.nets import MlpPolicy, MlpSpec, bernoulli_log_q
 from bitdiff.objectives import (
     RewardNormalizer,
     build_buffer,
@@ -88,7 +88,7 @@ def test_epoch_params_equal_to_grads_outside_the_arena(problem, objective, tmp_p
         template, fields = BA_MIS, {"dataset": dataset}
     in_arena = trained_params(template.format(objective=objective, out_dir=tmp_path / "a",
                                               **fields))
-    monkeypatch.setattr(bitdiff.train, "tape_arena", contextlib.nullcontext)
+    monkeypatch.setattr(bitdiff.train, "Arena", contextlib.nullcontext)
     fresh = trained_params(template.format(objective=objective, out_dir=tmp_path / "b",
                                            **fields))
     assert in_arena.keys() == fresh.keys()
@@ -125,7 +125,7 @@ def test_collected_grads_survive_the_next_tape():
     log_w = fkl_importance_weights(paths, energy, target, sched).log_w
     (p1, k1), (p2, k2) = two_minibatches(paths.n_paths, paths.n_steps)
     want = fkl_mc_grad(policy, paths, log_w, p1, k1)[1]
-    with ad.tape_arena():
+    with ad.Arena():
         fkl_mc_grad(policy, paths, log_w, p2, k2)  # sizes the block
         first = fkl_mc_grad(policy, paths, log_w, p1, k1)[1]
         kept = {k: v.copy() for k, v in first.items()}
@@ -143,7 +143,7 @@ def test_ppo_stats_equal_in_and_out_of_the_arena():
     minibatches = two_minibatches(paths.n_paths, paths.n_steps)
     cfg = RunConfig(clip=0.05)
     want = [ppo_minibatch_grad(policy, buf, cfg, p, k) for p, k in minibatches]
-    with ad.tape_arena():
+    with ad.Arena():
         got = [ppo_minibatch_grad(policy, buf, cfg, p, k) for p, k in minibatches]
     for (loss_w, grads_w, stats_w), (loss_g, grads_g, stats_g) in zip(want, got):
         assert loss_g == loss_w
@@ -185,7 +185,7 @@ def test_tapes_share_memory_only_inside_the_arena():
     policy = make_policy(1)
     x_t = np.random.default_rng(0).integers(0, 2, (5, 4))
     assert shared_pairs(lattice_tape(policy, x_t), lattice_tape(policy, x_t)) == 0
-    with ad.tape_arena():
+    with ad.Arena():
         first = lattice_tape(policy, x_t)
         second = lattice_tape(policy, x_t)
         third = lattice_tape(policy, x_t)
@@ -197,9 +197,32 @@ def test_fixed_shape_loop_allocates_one_block():
     policy, sched, target, paths, energy = lattice_setup()
     log_w = fkl_importance_weights(paths, energy, target, sched).log_w
     (p1, k1), _ = two_minibatches(paths.n_paths, paths.n_steps)
-    with ad.tape_arena() as arena:
+    with ad.Arena() as arena:
         fkl_mc_grad(policy, paths, log_w, p1, k1)
         assert arena.blocks == 0  # the first tape takes fresh arrays
         for _ in range(4):
             fkl_mc_grad(policy, paths, log_w, p1, k1)
         assert arena.blocks == 1
+
+
+def test_untraced_forwards_inside_a_tape_leave_its_gradients():
+    policy = make_policy(1, value_head=True)
+    rng = np.random.default_rng(0)
+    x_t, x_prev = rng.integers(0, 2, (5, 4)), rng.integers(0, 2, (5, 4))
+
+    def grads(untraced_between: bool) -> dict:
+        leaves = ad.leaves(policy.params)
+        probs, value = policy.probs_and_value_from(leaves, x_t, 3)
+        loss = ad.tsum(bernoulli_log_q(x_prev, probs) * value)
+        if untraced_between:  # the policy's own arena, not the caller's
+            policy.probs(x_t, 2)
+            policy.value(x_prev, 4)
+        loss.backward()
+        return ad.collect_grads(leaves)
+
+    want = grads(False)
+    with ad.Arena():
+        for untraced_between in (False, True, True):
+            got = grads(untraced_between)
+            for k in want:
+                assert np.array_equal(got[k], want[k]), k
