@@ -4,9 +4,10 @@ A `Tensor` wraps a float64 ndarray and records its parents plus a
 vector-Jacobian closure; `backward()` on a scalar output accumulates exact
 gradients into the leaves. The op set is what the networks and losses use:
 `+ - * @` and `minimum` with a constant or Tensor on either side, `/` of a
-Tensor, pointwise `exp log tanh sigmoid sqrt clip`, `tsum tmean`, `reshape`, and
-`spmm` by a fixed sparse matrix; no `**` and no division of a constant by a
-Tensor. Every binary op builds its node through `_node`.
+Tensor, pointwise `exp log tanh sigmoid sqrt clip`, `tsum tmean`, `reshape`,
+`spmm` by a fixed sparse matrix, and `node_mix` by a fixed dense matrix per
+stacked block of rows; no `**` and no division of a constant by a Tensor.
+Every binary op builds its node through `_node`.
 
 The pointwise ops and reductions are module functions (`tanh`, `tsum`, ...)
 that dispatch on their argument, so the same forward code runs traced (Tensor
@@ -21,12 +22,12 @@ plus the masks that the `clip` and `minimum` closures keep.
 
 `Arena` is the one scratch allocator. Inside `with arena:`, each tape (from
 entering the arena or a `leaves()` call to the next `leaves()` call) writes the
-arrays its ops and VJPs make (all but the sigmoid's own), and the untraced
-`affine` its result, into one reused block instead of fresh arrays, so a loop
-of gradient calls or of policy forwards stops mapping and faulting new pages
-per call. Such arrays are valid only until the arena's next tape starts;
-`collect_grads` returns copies, which stay valid. Outside any arena every op
-allocates fresh arrays.
+arrays its ops and VJPs make (all but the sigmoid's and `spmm`'s own), and the
+untraced `affine` and `node_mix` their results, into one reused block instead
+of fresh arrays, so a loop of gradient calls or of policy forwards stops
+mapping and faulting new pages per call. Such arrays are valid only until the
+arena's next tape starts; `collect_grads` returns copies, which stay valid.
+Outside any arena every op allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "minimum",
     "matmul",
     "spmm",
+    "node_mix",
     "tsum",
     "tmean",
     "as_array",
@@ -92,14 +94,16 @@ class Arena:
     active: `__enter__` starts a tape, `__exit__` restores the outer arena.
     Arrays are cut from one float64 block at 64-byte aligned offsets; a tape
     that outgrows the block gets fresh arrays for the rest, and the next tape
-    gets a block of the size the last one needed. `blocks` counts the blocks
+    gets a block of the size the last one needed at its fullest. `rewind`
+    gives back what a tape took since a `mark`. `blocks` counts the blocks
     allocated so far."""
 
     ALIGN = 8  # float64 items in 64 bytes
 
     def __init__(self):
         self._block = np.empty(0)  # starts 64-byte aligned
-        self._used = 0  # items the current tape asked for, aligned
+        self._used = 0  # items the current tape holds, aligned
+        self._peak = 0  # the most items it held before a rewind
         self._outer = None
         self.blocks = 0
 
@@ -114,11 +118,21 @@ class Arena:
         _ARENA, self._outer = self._outer, None
 
     def new_tape(self) -> None:
-        if self._used > self._block.size:
-            raw = np.empty(self._used + self.ALIGN)
+        need = max(self._used, self._peak)
+        if need > self._block.size:
+            raw = np.empty(need + self.ALIGN)
             self._block = raw[-raw.ctypes.data // 8 % self.ALIGN:]
             self.blocks += 1
-        self._used = 0
+        self._used = self._peak = 0
+
+    def mark(self) -> int:
+        """The current tape's fill, for `rewind`."""
+        return self._used
+
+    def rewind(self, mark: int) -> None:
+        """Give back every array taken since `mark`; none may be used again."""
+        self._peak = max(self._peak, self._used)
+        self._used = mark
 
     def take(self, shape: tuple) -> np.ndarray:
         """An uninitialized float64 array of `shape`."""
@@ -327,11 +341,34 @@ class Tensor:
                     owned.add(id(parent))
 
 
-def spmm(sparse, x):
-    """Fixed sparse matrix times a dense (traced) matrix: sparse @ x."""
+def spmm(sparse, x, sparse_t=None):
+    """Fixed sparse matrix times a dense (traced) matrix: sparse @ x. The VJP
+    multiplies by `sparse_t`, a CSR copy of `sparse.T` when the caller keeps
+    one, else by the CSC view `sparse.T`; both give the same bits."""
     if not isinstance(x, Tensor):
         return sparse @ x
-    return Tensor(sparse @ x.data, (x,), lambda g: [sparse.T @ g])
+    t = sparse.T if sparse_t is None else sparse_t
+    return Tensor(sparse @ x.data, (x,), lambda g: [t @ g])
+
+
+def node_mix(op, x, n_copies: int):
+    """Fixed dense (k, n) matrix times each of the `n_copies` blocks of n rows
+    stacked in `x`: block c of the result is op @ block c of `x`. The product
+    and its VJP, by `op.T`, are each one batched matmul into `scratch`."""
+    k, n = op.shape
+    data = as_array(x)
+    width = data.shape[1]
+    out = scratch((n_copies * k, width))
+    np.matmul(op, data.reshape(n_copies, n, width), out=out.reshape(n_copies, k, width))
+    if not isinstance(x, Tensor):
+        return out
+
+    def vjp(g):
+        gx = scratch(data.shape)
+        np.matmul(op.T, g.reshape(n_copies, k, width), out=gx.reshape(n_copies, n, width))
+        return [gx]
+
+    return Tensor(out, (x,), vjp)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import affine, clip, sigmoid, spmm, sqrt, tmean, tsum
+from .autodiff import affine, clip, node_mix, sigmoid, spmm, sqrt, tmean, tsum
 from .diffusion import PROB_CLIP, exp_schedule
 from .graphs import Graph
 
@@ -152,46 +152,51 @@ def _tfrac_column(t, n_rows: int, n_steps: int) -> np.ndarray:
     return col
 
 
+# A graph's aggregation is a dense n x n product per copy when n * n is at
+# most this multiple of its adjacency's nonzeros, else a sparse product over
+# the kron'd adjacency: the crossover measured in BENCH_dense_aggregation.json.
+DENSE_NNZ_MULTIPLE = 12
+
+
 @dataclass
 class GraphCondition:
-    """A problem graph prepared for the GNN: normalized aggregation operator
-    plus a variance-preserving pooling row, with per-batch-size replication."""
+    """A problem graph prepared for the GNN: the degree^(-1/2)-scaled
+    adjacency that aggregates each copy's node rows, and the
+    variance-preserving pooling row. The aggregation is decided once per
+    graph (see `DENSE_NNZ_MULTIPLE`): a dense operator that `node_mix` applies
+    to any number of copies, or a CSR operator kron'd per copy count and
+    cached with the CSR copy of its transpose."""
 
     graph: Graph
 
     def __post_init__(self):
         n = self.graph.n_nodes
-        deg = self.graph.degrees().astype(np.float64)
-        scale = np.zeros(n)
-        nz = deg > 0
-        scale[nz] = 1.0 / np.sqrt(deg[nz])
-        rows, cols, vals = [], [], []
-        for a, b in self.graph.edges:
-            rows.extend((a, b))
-            cols.extend((b, a))
-            vals.extend((scale[a], scale[b]))
-        self._agg = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self._pool = sp.csr_matrix(np.full((1, n), 1.0 / np.sqrt(n)))
-        self._agg_cache: dict = {}
-        self._pool_cache: dict = {}
+        a, b = self.graph.edges.T
+        rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+        # entry (i, j) of an edge is degree(i)^(-1/2); an edge's ends have degree >= 1
+        vals = 1.0 / np.sqrt(self.graph.degrees()[rows].astype(np.float64))
+        self.pool = np.full((1, n), 1.0 / np.sqrt(n))
+        if n * n <= DENSE_NNZ_MULTIPLE * rows.size:
+            self._dense = np.zeros((n, n))
+            self._dense[rows, cols] = vals
+        else:
+            self._dense = None
+            self._sparse = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        self._kron: dict = {}
 
     @property
     def n_bits(self) -> int:
         return self.graph.n_nodes
 
-    def agg(self, n_copies: int):
-        if n_copies not in self._agg_cache:
-            self._agg_cache[n_copies] = sp.kron(
-                sp.identity(n_copies, format="csr"), self._agg, format="csr"
-            )
-        return self._agg_cache[n_copies]
-
-    def pool(self, n_copies: int):
-        if n_copies not in self._pool_cache:
-            self._pool_cache[n_copies] = sp.kron(
-                sp.identity(n_copies, format="csr"), self._pool, format="csr"
-            )
-        return self._pool_cache[n_copies]
+    def aggregate(self, x, n_copies: int):
+        """The aggregation of each of the `n_copies` blocks of node rows in `x`."""
+        if self._dense is not None:
+            return node_mix(self._dense, x, n_copies)
+        if n_copies not in self._kron:
+            op = sp.kron(sp.identity(n_copies, format="csr"), self._sparse, format="csr")
+            self._kron[n_copies] = (op, op.T.tocsr())
+        op, op_t = self._kron[n_copies]
+        return spmm(op, x, op_t)
 
 
 def _check_probs_shape(x_t, n_bits):
@@ -234,9 +239,9 @@ class _Policy:
 
     def _scope(self, P):
         """The policy's arena, or a no-op context when `P` holds tape leaves."""
-        if any(isinstance(v, ad.Tensor) for v in P.values()):
-            return _TRACED
-        return self._arena
+        if P is self.params or not any(isinstance(v, ad.Tensor) for v in P.values()):
+            return self._arena
+        return _TRACED
 
     @classmethod
     def init(cls, spec, n_steps: int, seed: int):
@@ -351,17 +356,19 @@ class GnnPolicy(_Policy):
         t = np.asarray(t, dtype=np.float64)
         tcol = _tfrac_column(np.repeat(t, n) if t.ndim else t, m * n, self.n_steps)
         inp = np.concatenate([flat_x, tcol], axis=1)
-        agg_op = condition.agg(m)
         h = affine(inp, P["w_embed"], P["b_embed"], squash=True)
+        # untraced, each round's arrays but `h` go back to the arena
+        mark = self._arena.mark()
         for s in range(self.spec.n_message_passing):
             msg = affine(h, P[f"mp{s}_wm"], P[f"mp{s}_bm"])
-            agg = _standardize(spmm(agg_op, msg))
+            agg = _standardize(condition.aggregate(msg, m))
             u = affine(agg, P[f"mp{s}_wn0"], P[f"mp{s}_bn0"], squash=True)
             u = affine(u, P[f"mp{s}_wn1"], P[f"mp{s}_bn1"], squash=True)
             if isinstance(h, ad.Tensor):
                 h = h + u
             else:
                 h += u
+                self._arena.rewind(mark)
         return h
 
     def _head(self, P, h, x_t):
@@ -371,7 +378,7 @@ class GnnPolicy(_Policy):
         return affine(z, P["w_out"], P["b_out"]).reshape((m, n))
 
     def _pool(self, h, condition, n_rows):
-        return spmm(condition.pool(n_rows), h)
+        return node_mix(condition.pool, h, n_rows)
 
 
 def make_policy(spec, n_steps: int, seed: int = 0, params: dict | None = None):

@@ -174,6 +174,23 @@ class TestSparse:
         loss.backward()
         assert rel_err(xt.grad, scalar_fd(f, x)) < 1e-7
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_node_mix_gradient(self, k):
+        rng = np.random.default_rng(5)
+        op = rng.standard_normal((k, 5))
+        x = rng.standard_normal((3 * 5, 4))
+        coef = rng.standard_normal((3 * k, 4))
+
+        def f(xv):
+            blocks = [op @ xv[5 * c:5 * (c + 1)] for c in range(3)]
+            return float((np.concatenate(blocks) * coef).sum())
+
+        xt = Tensor(x)
+        out = ad.node_mix(op, xt, 3)
+        assert np.array_equal(out.data, ad.node_mix(op, x, 3))
+        tsum(out * coef).backward()
+        assert rel_err(xt.grad, scalar_fd(f, x)) < 1e-7
+
 
 class TestComposite:
     def test_mlp_style_chain_matches_fd(self):

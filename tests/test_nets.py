@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bitdiff import autodiff as ad
+from bitdiff import nets
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PROB_CLIP, exp_schedule, sample_reverse_path
 from bitdiff.graphs import BaConfig, Graph, gen_ba
@@ -298,3 +299,89 @@ class TestUntracedWorkspace:
         for _ in range(4):
             policy.probs(x_t, 3, cond)
         assert policy._arena.blocks == 1
+
+
+class TestAggregationForms:
+    """`GraphCondition` aggregates with a dense n x n operator per copy, or
+    with a sparse operator kron'd over the copies, as `DENSE_NNZ_MULTIPLE`
+    rules; both forms give the same numbers up to rounding."""
+
+    GRAPHS = {"dense": (12, 4), "sparse": (300, 2)}  # BA (nodes, attachment)
+
+    def _graph(self, side):
+        return gen_ba(BaConfig(*self.GRAPHS[side], seed=41))
+
+    def _both_forms(self, side, monkeypatch):
+        conds = {}
+        for form, multiple in (("dense", 10**9), ("sparse", 0)):
+            monkeypatch.setattr(nets, "DENSE_NNZ_MULTIPLE", multiple)
+            conds[form] = GraphCondition(self._graph(side))
+        return conds
+
+    @pytest.mark.parametrize("side", sorted(GRAPHS))
+    def test_the_rule_puts_each_graph_on_its_side(self, side):
+        assert (GraphCondition(self._graph(side))._dense is not None) == (side == "dense")
+
+    @pytest.mark.parametrize("multiple", [0, 10**9])
+    def test_operator_scales_rows_by_degree(self, multiple, monkeypatch):
+        monkeypatch.setattr(nets, "DENSE_NNZ_MULTIPLE", multiple)
+        cond = GraphCondition(Graph(4, [(0, 1), (1, 2)]))  # node 3 isolated
+        r = 1 / np.sqrt(2)
+        want = np.array([[0, 1, 0, 0], [r, 0, r, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+        assert np.array_equal(cond.aggregate(np.eye(4), 1), want)
+
+    @pytest.mark.parametrize("side", sorted(GRAPHS))
+    def test_forms_agree(self, side, monkeypatch):
+        conds = self._both_forms(side, monkeypatch)
+        n = conds["dense"].n_bits
+        rng = np.random.default_rng(42)
+        x, coef = rng.standard_normal((2, 5 * n, 3))
+        got = {}
+        for form, cond in conds.items():
+            xt = ad.Tensor(x)
+            out = cond.aggregate(xt, 5)
+            tsum(out * coef).backward()
+            got[form] = (out.data, xt.grad, cond.aggregate(x, 5))
+        for dense, sparse in zip(got["dense"], got["sparse"]):
+            assert rel_err(dense, sparse) <= 1e-12
+
+    @pytest.mark.parametrize("side", sorted(GRAPHS))
+    def test_gnn_outputs_and_records_agree(self, side, monkeypatch):
+        conds = self._both_forms(side, monkeypatch)
+        n = conds["dense"].n_bits
+        spec = GnnSpec(n_hidden=8, n_message_passing=2, value_head=True, kernel_start=True)
+        policy = perturb(make_policy(spec, 5, seed=43), 0.5, seed=44)
+        rng = np.random.default_rng(45)
+        x_t = rng.integers(0, 2, (6, n))
+        t = rng.integers(1, 6, 6)
+        got = {}
+        for form, cond in conds.items():
+            before = ad.activation_records()
+            leaves = ad.leaves(policy.params)
+            probs, value = policy.probs_and_value_from(leaves, x_t, t, cond)
+            tsum(bernoulli_log_q(x_t, probs) * value).backward()
+            got[form] = (ad.activation_records() - before, policy.probs(x_t, t, cond),
+                         policy.value(x_t, t, cond), grads_to_vec(ad.collect_grads(leaves)))
+        assert got["dense"][0] == got["sparse"][0]
+        for dense, sparse in zip(got["dense"][1:], got["sparse"][1:]):
+            assert rel_err(dense, sparse) <= 1e-12
+
+    def test_dense_calls_cache_no_operator(self, monkeypatch):
+        conds = self._both_forms("dense", monkeypatch)
+        policy = make_policy(GnnSpec(n_hidden=8, n_message_passing=2, value_head=True), 5, seed=46)
+        for cond in conds.values():
+            for rows in (1, 16, 30):
+                x_t = np.zeros((rows, cond.n_bits), dtype=np.int8)
+                policy.probs_and_value_from(policy.params, x_t, 2, cond)
+                policy.value_from(ad.leaves(policy.params), x_t, 2, cond)
+        assert conds["dense"]._kron == {}
+        assert sorted(conds["sparse"]._kron) == [1, 16, 30]
+
+    @pytest.mark.parametrize("n", [5, 12, 30, 100, 300])
+    def test_sparse_vjp_by_the_cached_transpose_equals_the_csc_view(self, n, monkeypatch):
+        monkeypatch.setattr(nets, "DENSE_NNZ_MULTIPLE", 0)
+        cond = GraphCondition(gen_ba(BaConfig(n, 2, seed=n)))
+        g = np.random.default_rng(n).standard_normal((16 * n, 32))
+        out = cond.aggregate(ad.Tensor(np.zeros((16 * n, 32))), 16)
+        op, _ = cond._kron[16]
+        assert np.array_equal(out._vjp(g)[0], op.T @ g)

@@ -226,3 +226,17 @@ def test_untraced_forwards_inside_a_tape_leave_its_gradients():
             got = grads(untraced_between)
             for k in want:
                 assert np.array_equal(got[k], want[k]), k
+
+
+def test_rewind_gives_back_and_the_next_block_fits_the_peak():
+    arena = ad.Arena()
+    with arena:
+        for _ in range(2):  # the first tape sizes the block
+            ad.leaves({})
+            kept = ad.scratch((4, 4))
+            mark = arena.mark()
+            big = ad.scratch((100, 8))
+            arena.rewind(mark)
+            small = ad.scratch((10, 8))
+    assert arena.blocks == 1  # sized by the rewound 100 x 8, not the final fill
+    assert np.shares_memory(small, big) and not np.shares_memory(small, kept)
