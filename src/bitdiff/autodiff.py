@@ -341,14 +341,11 @@ class Tensor:
                     owned.add(id(parent))
 
 
-def spmm(sparse, x, sparse_t=None):
-    """Fixed sparse matrix times a dense (traced) matrix: sparse @ x. The VJP
-    multiplies by `sparse_t`, a CSR copy of `sparse.T` when the caller keeps
-    one, else by the CSC view `sparse.T`; both give the same bits."""
+def spmm(sparse, x):
+    """Fixed sparse matrix times a dense (traced) matrix: sparse @ x."""
     if not isinstance(x, Tensor):
         return sparse @ x
-    t = sparse.T if sparse_t is None else sparse_t
-    return Tensor(sparse @ x.data, (x,), lambda g: [t @ g])
+    return Tensor(sparse @ x.data, (x,), lambda g: [sparse.T @ g])
 
 
 def node_mix(op, x, n_copies: int):

@@ -164,8 +164,8 @@ class GraphCondition:
     adjacency that aggregates each copy's node rows, and the
     variance-preserving pooling row. The aggregation is decided once per
     graph (see `DENSE_NNZ_MULTIPLE`): a dense operator that `node_mix` applies
-    to any number of copies, or a CSR operator kron'd per copy count and
-    cached with the CSR copy of its transpose."""
+    to any number of copies, or a CSR operator kron'd and cached per copy
+    count."""
 
     graph: Graph
 
@@ -193,10 +193,9 @@ class GraphCondition:
         if self._dense is not None:
             return node_mix(self._dense, x, n_copies)
         if n_copies not in self._kron:
-            op = sp.kron(sp.identity(n_copies, format="csr"), self._sparse, format="csr")
-            self._kron[n_copies] = (op, op.T.tocsr())
-        op, op_t = self._kron[n_copies]
-        return spmm(op, x, op_t)
+            eye = sp.identity(n_copies, format="csr")
+            self._kron[n_copies] = sp.kron(eye, self._sparse, format="csr")
+        return spmm(self._kron[n_copies], x)
 
 
 def _check_probs_shape(x_t, n_bits):
@@ -357,14 +356,15 @@ class GnnPolicy(_Policy):
         tcol = _tfrac_column(np.repeat(t, n) if t.ndim else t, m * n, self.n_steps)
         inp = np.concatenate([flat_x, tcol], axis=1)
         h = affine(inp, P["w_embed"], P["b_embed"], squash=True)
+        traced = isinstance(h, ad.Tensor)
         # untraced, each round's arrays but `h` go back to the arena
-        mark = self._arena.mark()
+        mark = None if traced else self._arena.mark()
         for s in range(self.spec.n_message_passing):
             msg = affine(h, P[f"mp{s}_wm"], P[f"mp{s}_bm"])
             agg = _standardize(condition.aggregate(msg, m))
             u = affine(agg, P[f"mp{s}_wn0"], P[f"mp{s}_bn0"], squash=True)
             u = affine(u, P[f"mp{s}_wn1"], P[f"mp{s}_bn1"], squash=True)
-            if isinstance(h, ad.Tensor):
+            if traced:
                 h = h + u
             else:
                 h += u

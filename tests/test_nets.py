@@ -376,12 +376,3 @@ class TestAggregationForms:
                 policy.value_from(ad.leaves(policy.params), x_t, 2, cond)
         assert conds["dense"]._kron == {}
         assert sorted(conds["sparse"]._kron) == [1, 16, 30]
-
-    @pytest.mark.parametrize("n", [5, 12, 30, 100, 300])
-    def test_sparse_vjp_by_the_cached_transpose_equals_the_csc_view(self, n, monkeypatch):
-        monkeypatch.setattr(nets, "DENSE_NNZ_MULTIPLE", 0)
-        cond = GraphCondition(gen_ba(BaConfig(n, 2, seed=n)))
-        g = np.random.default_rng(n).standard_normal((16 * n, 32))
-        out = cond.aggregate(ad.Tensor(np.zeros((16 * n, 32))), 16)
-        op, _ = cond._kron[16]
-        assert np.array_equal(out._vjp(g)[0], op.T @ g)
