@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, ArithmeticError) as err:

@@ -17,27 +17,14 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
 
 
-_KNOWN = {
-    "problem": {
-        "kind", "problem", "lattice_size", "coupling", "beta",
-        "ea_seed", "ea_dist", "instance_file", "dataset_dir",
-        "penalty_a", "penalty_b",
-    },
-    "model": {"arch", "hidden", "n_hidden", "message_passing", "kernel_start"},
-    "train": {
-        "objective", "t_steps", "epochs", "n_paths", "n_instances",
-        "t_minibatch", "path_minibatch", "lr_max", "seed", "out_dir",
-        "anneal", "t_start", "anneal_h",
-    },
-    "ppo": {"clip", "value_weight", "trace_decay", "reward_ma_rate", "epochs_per_buffer"},
-}
-
 OBJECTIVES = ("diffuco", "rkl_rl", "fkl_mc")
 PROBLEM_KINDS = ("ising", "ea", "co")
 
 
 @dataclass
 class RunConfig:
+    """Every config key; the field order sets the sections (`_SECTION_STARTS`)."""
+
     # problem
     kind: str = "ising"
     problem: str = "mis"  # co only
@@ -172,11 +159,26 @@ _TYPE_CHECKS = {"bool": lambda v: isinstance(v, bool), "int": is_int,
                 "float": lambda v: is_int(v) or isinstance(v, float),
                 "str": lambda v: isinstance(v, str),
                 "tuple": lambda v: isinstance(v, tuple) and all(map(is_int, v))}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_SECTION_STARTS = {"kind": "problem", "arch": "model", "objective": "train", "clip": "ppo"}
+
+
+def _section_parsers() -> dict:
+    """Section -> {key: value parser}: a section holds the RunConfig fields
+    from its `_SECTION_STARTS` key up to the next section's."""
+    known, section = {}, None
+    for f in fields(RunConfig):
+        section = _SECTION_STARTS.get(f.name, section)
+        known.setdefault(section, {})[f.name] = _PARSERS[f.type]
+    return known
+
+
+_KNOWN = _section_parsers()
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    """Values are read literally (no `%` interpolation). No header can name
+    the parser's default section, so `[DEFAULT]` is an unknown section."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -189,7 +191,7 @@ def parse_config(text: str) -> RunConfig:
             if key not in _KNOWN[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                value = _PARSERS[_FIELD_TYPES[key]](raw)
+                value = _KNOWN[section][key](raw)
             except ValueError as err:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from err
             setattr(cfg, key, value)

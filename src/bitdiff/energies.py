@@ -316,25 +316,22 @@ class ExactObservables:
 
 
 MAX_ENUMERATION_BITS = 26  # a sweep visits all 2^N states
+SWEEP_CHUNK_BITS = 16  # log2 of the states a sweep passes to one energy call
 
 
-def sweep_energies(model, chunk_bits: int):
+def sweep_energies(model):
     """Yield (states, energies) over all 2^N states of `model` in ascending
-    state order, 2^chunk_bits states at a time (fewer in the last chunk)."""
+    state order, 2^SWEEP_CHUNK_BITS states at a time (fewer in the last chunk)."""
     n = model.n_sites
     total = 1 << n
-    chunk = 1 << min(chunk_bits, n)
+    chunk = 1 << min(SWEEP_CHUNK_BITS, n)
     for start in range(0, total, chunk):
         states = int_to_bits(np.arange(start, min(start + chunk, total)), n)
         yield states, np.asarray(model.energy(states), dtype=np.float64)
 
 
-def enumerate_observables(
-    target: BoltzmannTarget,
-    *,
-    chunk_bits: int = 16,
-    with_probabilities: bool = True,
-) -> ExactObservables:
+def enumerate_observables(target: BoltzmannTarget, *,
+                          with_probabilities: bool = True) -> ExactObservables:
     """Exact observables of a Boltzmann target by sweeping all 2^N states.
 
     Uses a streaming log-sum-exp over fixed-size chunks processed in ascending
@@ -353,7 +350,7 @@ def enumerate_observables(
     acc_w = 0.0  # sum of exp(logw - shift)
     acc_wh = 0.0  # sum of H * exp(logw - shift)
     start = 0
-    for _, e in sweep_energies(target.model, chunk_bits):
+    for _, e in sweep_energies(target.model):
         logw = -beta * e
         m = float(logw.max())
         if m > shift:

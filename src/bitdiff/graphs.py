@@ -61,7 +61,7 @@ class Graph:
         n, pairs = parse_edge_list(text)
         return cls(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
-    def co_problem(self, kind: str, penalty_a: float = 1.0, penalty_b: float = 1.1) -> CoProblem:
+    def co_problem(self, kind: str, penalty_a: float, penalty_b: float) -> CoProblem:
         return CoProblem(kind, self.n_nodes, self.edges, penalty_a, penalty_b)
 
 
@@ -136,19 +136,12 @@ def gen_rb(cfg: RbConfig) -> Graph:
         edges.extend((base + i, base + j) for i in range(k) for j in range(i + 1, k))
     n_cross = int(round(RB_CROSS_DENSITY * (1.0 - p) * k * k))
     if n_cross > 0:
-        seen = set()
         for a in range(n):
             for b in range(n):
                 if a == b:
                     continue
                 pairs = rng.choice(k * k, size=n_cross, replace=False)
-                for q in pairs:
-                    u = a * k + q // k
-                    v = b * k + q % k
-                    key = (min(u, v), max(u, v))
-                    if key not in seen:
-                        seen.add(key)
-                        edges.append(key)
+                edges.extend((a * k + q // k, b * k + q % k) for q in pairs)
     return Graph(n * k, np.array(edges, dtype=np.int64))
 
 
@@ -239,7 +232,7 @@ def brute_force_co(
     co = graph.co_problem(problem, penalty_a, penalty_b)
     best_e = math.inf
     kept = []
-    for states, e in sweep_energies(co, 16):
+    for states, e in sweep_energies(co):
         best_e = min(best_e, float(e.min()))
         near = e <= best_e + 1e-9
         kept.append((states[near], e[near]))

@@ -157,8 +157,6 @@ def build_buffer(
     cfg: RunConfig,
     normalizer: RewardNormalizer,
     condition=None,
-    normalize: bool = True,
-    path_weights: np.ndarray | None = None,
 ) -> TrajectoryBuffer:
     """Assemble a PPO buffer from paths and their energies H(X_0): normalized
     rewards, frozen values, lambda-returns, advantages."""
@@ -173,14 +171,8 @@ def build_buffer(
             t = t_steps - k
             values[:, k] = policy.value(paths.states[:, t], t, condition)
     returns, adv = td_lambda_targets(rewards, values, cfg.trace_decay)
-    if normalize:
-        adv = normalize_advantages(adv)
-    if path_weights is None:
-        path_weights = np.full(paths.n_paths, 1.0 / paths.n_paths)
-    else:
-        path_weights = np.asarray(path_weights, dtype=np.float64)
-        path_weights = path_weights / path_weights.sum()
-    return TrajectoryBuffer(paths, returns, adv, path_weights)
+    return TrajectoryBuffer(paths, returns, normalize_advantages(adv),
+                            np.full(paths.n_paths, 1.0 / paths.n_paths))
 
 
 def minibatch_plan(n_paths: int, t_steps: int, n_path_mb: int, n_t_mb: int, rng):

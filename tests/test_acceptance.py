@@ -333,10 +333,9 @@ def _best_of_eval(policy, graphs, n_samples, rng):
     out = []
     for g in graphs:
         cond = GraphCondition(g)
-        co = g.co_problem("mis")
+        co = g.co_problem("mis", 1.0, 1.1)
         paths = sample_reverse_path(policy, sched, n_samples, rng, cond)
-        probs = policy.probs(paths.states[:, 1], 1, cond)
-        sols = np.array([conditional_expectation(p, co.energy) for p in probs])
+        sols = conditional_expectation(paths.x0_probs, co.energy)
         sizes = np.array([
             solution_size("mis", g, s) if is_feasible("mis", g, s) else -1
             for s in sols

@@ -21,6 +21,7 @@ from bitdiff.energies import (
     write_instance_text,
 )
 
+from bitdiff import energies
 from bitdiff.diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
 from bitdiff.graphs import BaConfig, Graph, RbConfig, gen_ba, gen_rb
 
@@ -324,11 +325,12 @@ class TestEnumeration:
              for b in betas]
         assert np.all(np.diff(f) >= -1e-10)  # non-decreasing in beta
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         lat = IsingLattice2D(3)
         t = BoltzmannTarget(lat, 1.3)
-        a = enumerate_observables(t, chunk_bits=4, with_probabilities=False)
-        b = enumerate_observables(t, chunk_bits=16, with_probabilities=False)
+        b = enumerate_observables(t, with_probabilities=False)
+        monkeypatch.setattr(energies, "SWEEP_CHUNK_BITS", 4)
+        a = enumerate_observables(t, with_probabilities=False)
         assert a.log_z == pytest.approx(b.log_z, abs=1e-12)
         assert a.internal_energy == pytest.approx(b.internal_energy, abs=1e-12)
 

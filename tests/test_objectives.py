@@ -279,8 +279,9 @@ class TestPpo:
         assert max(np.abs(g).max() for g in grads.values()) < 1e-12
 
     def test_full_batch_matches_exact_policy_gradient(self):
-        # enumerate every path, weight by its exact probability, disable
-        # advantage normalization: the update equals the exact gradient
+        # enumerate every path, weight by its exact probability, use the raw
+        # advantages (returns minus the sampling-time values): the update
+        # equals the exact gradient
         policy, sched, target, temp = self._setup(n_bits=2, t_steps=2, seed=1)
         states = all_paths(2, 2)
         batch = teacher_forced_batch(policy, states)
@@ -288,7 +289,10 @@ class TestPpo:
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         cfg = RunConfig(clip=0.2, value_weight=0.0, trace_decay=1.0)
         buf = build_buffer(policy, batch, target.energy(batch.x0), target, sched, temp, cfg,
-                           identity_normalizer(), normalize=False, path_weights=probs)
+                           identity_normalizer())
+        values = np.column_stack([policy.value(batch.states[:, 2 - k], 2 - k) for k in range(2)])
+        buf.advantages[:] = buf.returns - values
+        buf.path_weights[:] = probs
         m = batch.n_paths
         _, grads, _ = ppo_minibatch_grad(
             policy, buf, cfg, np.arange(m), np.tile(np.arange(2), (m, 1))

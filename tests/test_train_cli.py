@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitdiff.objectives
 import bitdiff.train
@@ -86,7 +87,52 @@ t_start = 0.3
 """
 
 
+# config text: sections under known and unknown headers (the parser's default
+# section among them), holding key-value lines and free text with `%`, `(` and `[`
+_CONFIG_HEADERS = ["[problem]", "[model]", "[train]", "[ppo]", "[DEFAULT]", "[experiment]",
+                   "[", "[]"]
+_CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(RunConfig)) + ["bogus"]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["1", "0", "-1", "2.5", "1e999", "nan", "true", "ising", "co", "gnn",
+                     "rkl_rl", "64 64", "%", "100%", "%(seed)s", "%%", "(", "[DEFAULT]"]),
+    st.text(alphabet="%()[]=:;#0123456789.e-+ abxyz\t\n", max_size=12),
+)
+_CONFIG_LINES = st.lists(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", ":"]), _CONFIG_VALUES),
+    max_size=5, unique_by=lambda line: line[0],
+)
+
+
+def _config_section(header, lines, tail):
+    return "\n".join([header, *(" ".join(line) for line in lines), tail])
+
+
+_CONFIG_TEXT = st.lists(
+    st.builds(_config_section, st.sampled_from(_CONFIG_HEADERS), _CONFIG_LINES,
+              st.one_of(st.just(""), st.text(max_size=8))),
+    max_size=4, unique_by=lambda section: section.split("\n", 1)[0],
+).map("\n".join)
+
+
 class TestConfig:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_CONFIG_TEXT)
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            assert isinstance(parse_config(text), RunConfig)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("raw", ["runs/100%", "%(seed)s"])
+    def test_values_are_read_literally(self, raw):
+        assert parse_config(f"[train]\nseed = 3\nout_dir = {raw}\n").out_dir == raw
+
+    def test_default_section_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[DEFAULT]\nepochs = 5\n")
+        assert cli.main(["train", "--config", str(cfg_file)]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[train]\nobjective = fkl_mc\nbogus_key = 1\n")
@@ -554,6 +600,16 @@ class TestCli:
     def test_exit_code_co_oracle_without_graph(self, capsys, problem):
         assert cli.main(["oracle", "--problem", problem]) == 2
         assert "requires --graph" in capsys.readouterr().err
+
+    def test_exit_code_failed_allocation(self, tmp_path, capsys):
+        # the first array of 10^15 chains' paths cannot be allocated, so the
+        # allocation fails at once, before any memory is touched
+        out = train(parse_config(ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0,
+                                                  out_dir=tmp_path / "ising0")))
+        assert cli.main(["estimate", "--checkpoint", out["checkpoint"], "--method", "nmcmc",
+                         "--chains", "1000000000000000", "--chain-steps", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
 
     def test_exit_code_convergence(self, tmp_path):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,
