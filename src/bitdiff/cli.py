@@ -18,7 +18,7 @@ from .config import ConfigError, load_config
 from .decode import conditional_expectation
 from .diffusion import exp_schedule, sample_reverse_path
 from .energies import CO_PROBLEMS, BoltzmannTarget, build_lattice, enumerate_observables
-from .graphs import BaConfig, Graph, RbConfig, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
+from .graphs import Graph, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
 from .nets import GraphCondition
 from .train import build_instances, load_checkpoint, load_dataset, train
 from .unbiased import (
@@ -51,30 +51,40 @@ def _per_site(n_sites: int, **totals) -> dict:
 def cmd_gen_graphs(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.min_nodes > args.max_nodes:
+        raise ConfigError(f"--min-nodes {args.min_nodes} exceeds --max-nodes {args.max_nodes}")
+    if args.kind == "ba" and not 1 <= args.ba_m < args.min_nodes:
+        raise ConfigError(f"--ba-m must be >= 1 and below --min-nodes, got {args.ba_m}")
+    if args.kind == "rb" and not (2 <= args.rb_min_cliques <= args.rb_max_cliques
+                                  and 2 <= args.rb_min_k <= args.rb_max_k
+                                  and 0.0 < args.rb_min_p <= args.rb_max_p <= 1.0):
+        raise ConfigError("rb ranges need 2 <= min <= max for cliques and k, "
+                          "and 0 < --rb-min-p <= --rb-max-p <= 1")
     rng = np.random.default_rng(args.seed)
-    files, seeds = [], []
+    graphs, seeds = [], []
     for i in range(args.count):
         gseed = int(rng.integers(0, 2 ** 31 - 1))
         for _ in range(1000):
             if args.kind == "ba":
                 n = int(rng.integers(args.min_nodes, args.max_nodes + 1))
-                g = gen_ba(BaConfig(n, args.ba_m, gseed))
+                g = gen_ba(n, args.ba_m, gseed)
             else:
                 n_cl = int(rng.integers(args.rb_min_cliques, args.rb_max_cliques + 1))
                 k = int(rng.integers(args.rb_min_k, args.rb_max_k + 1))
                 p = float(rng.uniform(args.rb_min_p, args.rb_max_p))
-                g = gen_rb(RbConfig(n_cl, k, p, gseed))
+                g = gen_rb(n_cl, k, p, gseed)
             if args.min_nodes <= g.n_nodes <= args.max_nodes:
                 break
             gseed = int(rng.integers(0, 2 ** 31 - 1))
         else:
             raise ConfigError("could not sample a graph within the node bounds")
-        name = f"graph_{i:05d}.txt"
-        (out / name).write_text(g.to_text(), encoding="utf-8")
-        files.append(name)
+        graphs.append(g)
         seeds.append(gseed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    files = [f"graph_{i:05d}.txt" for i in range(args.count)]
+    for name, g in zip(files, graphs):
+        (out / name).write_text(g.to_text(), encoding="utf-8")
     manifest = {
         "kind": args.kind,
         "problem": args.problem,
@@ -122,7 +132,7 @@ def cmd_solve(args) -> int:
         cond = GraphCondition(g)
         paths = sample_reverse_path(policy, schedule, args.n_samples, rng, cond)
         solutions = conditional_expectation(paths.x0_probs, co.energy) if args.ce else paths.x0
-        feasible = np.array([is_feasible(cfg.problem, g, s) for s in solutions])
+        feasible = is_feasible(cfg.problem, g, solutions)
         energies = co.energy(solutions.astype(np.float64))
         entry = {
             "instance": gi,
@@ -132,9 +142,8 @@ def cmd_solve(args) -> int:
         }
         if feasible.any():
             fe = energies[feasible]
-            fs = solutions[feasible]
             best_idx = int(np.argmin(fe))
-            sizes = np.array([solution_size(cfg.problem, g, s) for s in fs])
+            sizes = solution_size(cfg.problem, g, solutions[feasible])
             entry["best_energy"] = float(fe[best_idx])
             entry["best_size"] = int(sizes[best_idx])
             entry["mean_size"] = float(sizes.mean())

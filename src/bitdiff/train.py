@@ -213,10 +213,11 @@ def load_checkpoint(path):
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
         raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
     params = {k[len("param::"):]: arrays[k] for k in arrays if k.startswith("param::")}
-    shapes = param_shapes(spec)
-    moments_ok = set(adam.m) == set(adam.v) == set(shapes)
-    if {k: v.shape for k, v in params.items()} != shapes or not moments_ok:
-        raise ConfigError(f"checkpoint {path} does not hold the arrays its architecture needs")
+    want = {k: (shape, np.dtype(np.float64)) for k, shape in param_shapes(spec).items()}
+    if any({k: (a.shape, a.dtype) for k, a in group.items()} != want
+           for group in (params, adam.m, adam.v)):
+        raise ConfigError(f"checkpoint {path} does not hold the float64 arrays of the shapes "
+                          "its architecture needs")
     policy = make_policy(spec, cfg.t_steps, params=params)
     return policy, cfg, adam, normalizer, rng, epoch_next, text
 

@@ -17,7 +17,7 @@ from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PathBatch, bernoulli_logpmf, path_log_p_hat, stationary_logprob
 from bitdiff.energies import int_to_bits
-from bitdiff.graphs import BruteForceResult, solution_size
+from bitdiff.graphs import BruteForceResult
 from bitdiff.unbiased import AutocorrResult, ConvergenceError
 
 
@@ -223,6 +223,57 @@ def mds_energy_direct(co, x) -> np.ndarray:
     return co.penalty_a * x.sum(axis=-1) + co.penalty_b * pen
 
 
+def is_independent_set(graph, x) -> bool:
+    x = np.asarray(x)
+    e = graph.edges
+    return not len(e) or not bool((x[e[:, 0]] * x[e[:, 1]]).any())
+
+
+def is_dominating_set(graph, x) -> bool:
+    x = np.asarray(x).astype(bool)
+    covered = x.copy()
+    for a, b in graph.edges:
+        if x[b]:
+            covered[a] = True
+        if x[a]:
+            covered[b] = True
+    return bool(covered.all())
+
+
+def is_clique(graph, x) -> bool:
+    members = [i for i in range(graph.n_nodes) if x[i]]
+    es = {(int(a), int(b)) for a, b in graph.edges}
+    return all(
+        (min(a, b), max(a, b)) in es for ai, a in enumerate(members) for b in members[ai + 1:]
+    )
+
+
+def cut_size(graph, x) -> int:
+    x = np.asarray(x)
+    e = graph.edges
+    if not len(e):
+        return 0
+    return int((x[e[:, 0]] != x[e[:, 1]]).sum())
+
+
+def is_feasible_direct(problem: str, graph, x) -> bool:
+    """The constraint of one state, checked edge by edge and pair by pair."""
+    if problem == "mis":
+        return is_independent_set(graph, x)
+    if problem == "mds":
+        return is_dominating_set(graph, x)
+    if problem == "maxcl":
+        return is_clique(graph, x)
+    if problem == "maxcut":
+        return True
+    raise ValueError(f"unknown problem kind {problem!r}")
+
+
+def solution_size_direct(problem: str, graph, x) -> int:
+    """The set size of one state, or its cut size for maxcut."""
+    return cut_size(graph, x) if problem == "maxcut" else int(np.asarray(x).sum())
+
+
 def brute_force_co_direct(problem: str, graph, penalty_a: float = 1.0,
                           penalty_b: float = 1.1) -> BruteForceResult:
     """`brute_force_co` in two sweeps over all 2^N states: one for the
@@ -241,7 +292,7 @@ def brute_force_co_direct(problem: str, graph, penalty_a: float = 1.0,
         e = co.energy(states)
         collected.append(states[e <= best_e + 1e-9])
     best_states = np.vstack(collected)
-    sizes = {solution_size(problem, graph, s) for s in best_states}
+    sizes = {solution_size_direct(problem, graph, s) for s in best_states}
     if len(sizes) != 1:
         raise RuntimeError(f"energy minimizers disagree on solution size: {sorted(sizes)}")
     return BruteForceResult(best_states, best_e, sizes.pop())

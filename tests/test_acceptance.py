@@ -24,7 +24,7 @@ from bitdiff.energies import (
     SpinCouplingModel,
     enumerate_observables,
 )
-from bitdiff.graphs import BaConfig, Graph, brute_force_co, gen_ba, is_feasible, solution_size
+from bitdiff.graphs import Graph, brute_force_co, gen_ba, is_feasible, solution_size
 from bitdiff.nets import (
     GnnPolicy,
     GnnSpec,
@@ -108,7 +108,7 @@ class TestCriterion1GradientCorrectness:
                                value_head=case % 3 == 0)
                 policy = GnnPolicy.init(spec, 4, seed=seed)
                 n_bits = int(rng.integers(4, 7))
-                condition = GraphCondition(gen_ba(BaConfig(n_bits, 2, seed)))
+                condition = GraphCondition(gen_ba(n_bits, 2, seed))
             prng = np.random.default_rng(seed + 1)
             for k in policy.params:
                 policy.params[k] = policy.params[k] + 0.4 * prng.standard_normal(
@@ -318,7 +318,7 @@ def ba_mis_datasets(tmp_path_factory):
         d.mkdir()
         files = []
         for i in range(count):
-            g = gen_ba(BaConfig(int(rng.integers(10, 15)), 4, seed0 + i))
+            g = gen_ba(int(rng.integers(10, 15)), 4, seed0 + i)
             fname = f"graph_{i:05d}.txt"
             (d / fname).write_text(g.to_text(), encoding="utf-8")
             files.append(fname)
@@ -453,7 +453,7 @@ class TestCriterion8CoFeasibility:
         n_checked = 0
         for trial in range(1002):
             n = int(rng.integers(3, 13))
-            g = gen_ba(BaConfig(n, int(rng.integers(1, min(4, n))), seed=trial))
+            g = gen_ba(n, int(rng.integers(1, min(4, n))), seed=trial)
             kind = kinds[trial % 3]
             co = g.co_problem(kind, 1.0, 1.1)
             v = rng.uniform(0, 1, n)

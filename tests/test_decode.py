@@ -3,7 +3,7 @@ import pytest
 
 from bitdiff.decode import conditional_expectation
 from bitdiff.energies import CoProblem, all_states
-from bitdiff.graphs import BaConfig, gen_ba, is_feasible
+from bitdiff.graphs import gen_ba, is_feasible
 
 from oracles import conditional_expectation_direct
 
@@ -15,7 +15,7 @@ def ba_marginals(seed: int, n_rows: int):
     marginals with injected 0.5 ties and exact 0/1 entries."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(10, 15))
-    g = gen_ba(BaConfig(n, 4, seed=seed))
+    g = gen_ba(n, 4, seed=seed)
     v = rng.uniform(0, 1, (n_rows, n))
     for value in (0.5, 0.0, 1.0):
         v[rng.random(v.shape) < 0.1] = value
@@ -52,7 +52,7 @@ class TestConditionalExpectation:
         rng = np.random.default_rng(0)
         for trial in range(200):
             n = int(rng.integers(3, 9))
-            g = gen_ba(BaConfig(n, 2, seed=trial))
+            g = gen_ba(n, 2, seed=trial)
             kind = ("mis", "mds", "maxcl", "maxcut")[trial % 4]
             co = CoProblem(kind, n, g.edges, 1.0, 1.1)
             v = rng.uniform(0, 1, n)
@@ -65,7 +65,7 @@ class TestConditionalExpectation:
         rng = np.random.default_rng(1)
         for trial in range(50):
             n = int(rng.integers(3, 8))
-            g = gen_ba(BaConfig(n, 1, seed=trial + 1000))
+            g = gen_ba(n, 1, seed=trial + 1000)
             co = CoProblem("mis", n, g.edges, 1.0, 1.1)
             v = rng.uniform(0, 1, n)
             states = all_states(n).astype(np.float64)
@@ -80,7 +80,7 @@ class TestConditionalExpectation:
         kinds = ("mis", "mds", "maxcl")
         for trial in range(1000):
             n = int(rng.integers(3, 13))
-            g = gen_ba(BaConfig(n, int(rng.integers(1, min(4, n))), seed=trial))
+            g = gen_ba(n, int(rng.integers(1, min(4, n))), seed=trial)
             kind = kinds[trial % 3]
             co = CoProblem(kind, n, g.edges, 1.0, 1.1)
             v = rng.uniform(0, 1, n)

@@ -23,7 +23,7 @@ from bitdiff.energies import (
 
 from bitdiff import energies
 from bitdiff.diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
-from bitdiff.graphs import BaConfig, Graph, RbConfig, gen_ba, gen_rb
+from bitdiff.graphs import Graph, gen_ba, gen_rb
 
 from oracles import lattice_bonds_direct, mds_energy_direct, neighbors_direct, non_edges_direct
 
@@ -197,8 +197,8 @@ class TestCoEnergies:
     @pytest.mark.parametrize("seed", range(5))
     def test_mds_energy_matches_node_loop(self, seed):
         rng = np.random.default_rng(seed)
-        graphs = [gen_ba(BaConfig(int(rng.integers(5, 40)), int(rng.integers(1, 5)), seed)),
-                  gen_rb(RbConfig(int(rng.integers(2, 6)), int(rng.integers(2, 7)), 0.5, seed)),
+        graphs = [gen_ba(int(rng.integers(5, 40)), int(rng.integers(1, 5)), seed),
+                  gen_rb(int(rng.integers(2, 6)), int(rng.integers(2, 7)), 0.5, seed),
                   Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # 4 and 5 are isolated
                   Graph(5, []),
                   Graph(0, [])]
@@ -226,7 +226,7 @@ class TestCoEnergies:
                 x = rng.integers(0, 2, (30, side * side))
             else:
                 n = int(rng.integers(10, 15))
-                model = gen_ba(BaConfig(n, 4, seed=seed)).co_problem(kind, 1.0, 1.1)
+                model = gen_ba(n, 4, seed=seed).co_problem(kind, 1.0, 1.1)
                 x = rng.uniform(0, 1, (30, n))
             batch = model.energy(x)
             assert all(batch[i] == model.energy(x[i]) for i in range(len(x))), seed

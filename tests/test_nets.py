@@ -5,7 +5,7 @@ from bitdiff import autodiff as ad
 from bitdiff import nets
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PROB_CLIP, exp_schedule, sample_reverse_path
-from bitdiff.graphs import BaConfig, Graph, gen_ba
+from bitdiff.graphs import Graph, gen_ba
 from bitdiff.nets import (
     GnnPolicy,
     GnnSpec,
@@ -83,7 +83,7 @@ class TestMlpPolicy:
 
 
 def _ba_condition(seed=0, n=7):
-    return GraphCondition(gen_ba(BaConfig(n, 2, seed)))
+    return GraphCondition(gen_ba(n, 2, seed))
 
 
 class TestGnnPolicy:
@@ -97,7 +97,7 @@ class TestGnnPolicy:
         policy = perturb(
             GnnPolicy.init(GnnSpec(n_hidden=8, n_message_passing=3), 6, seed=1), 0.4
         )
-        g = gen_ba(BaConfig(8, 2, seed=5))
+        g = gen_ba(8, 2, seed=5)
         perm = np.random.default_rng(6).permutation(8)
         gp = Graph(g.n_nodes, perm[g.edges])
         x = np.random.default_rng(7).integers(0, 2, (4, 8))
@@ -113,7 +113,7 @@ class TestGnnPolicy:
             0.4,
             seed=8,
         )
-        g = gen_ba(BaConfig(7, 3, seed=9))
+        g = gen_ba(7, 3, seed=9)
         perm = np.random.default_rng(10).permutation(7)
         x = np.random.default_rng(11).integers(0, 2, (5, 7))
         xp = np.empty_like(x)
@@ -309,7 +309,7 @@ class TestAggregationForms:
     GRAPHS = {"dense": (12, 4), "sparse": (300, 2)}  # BA (nodes, attachment)
 
     def _graph(self, side):
-        return gen_ba(BaConfig(*self.GRAPHS[side], seed=41))
+        return gen_ba(*self.GRAPHS[side], seed=41)
 
     def _both_forms(self, side, monkeypatch):
         conds = {}

@@ -13,11 +13,11 @@ from bitdiff import config
 from bitdiff.config import ConfigError, RunConfig, parse_config
 from bitdiff.diffusion import exp_schedule, sample_reverse_path
 from bitdiff.energies import CoProblem, EAInstance, IsingLattice2D, write_instance_text
-from bitdiff.graphs import Graph, is_feasible, solution_size
+from bitdiff.graphs import Graph
 from bitdiff.nets import GraphCondition
 from bitdiff.train import load_checkpoint, load_dataset, train
 
-from oracles import conditional_expectation_direct
+from oracles import conditional_expectation_direct, is_feasible_direct, solution_size_direct
 
 ISING_CFG = """
 [problem]
@@ -638,6 +638,30 @@ class TestCli:
         assert "--count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "ba", "--min-nodes", "4", "--max-nodes", "14", "--ba-m", "4"],
+        ["--kind", "ba", "--ba-m", "0"],
+        ["--kind", "ba", "--min-nodes", "9", "--max-nodes", "8", "--ba-m", "2"],
+        ["--kind", "rb", "--min-nodes", "12", "--max-nodes", "6"],
+        ["--kind", "rb", "--rb-min-cliques", "4", "--rb-max-cliques", "3"],
+        ["--kind", "rb", "--rb-min-cliques", "1"],
+        ["--kind", "rb", "--rb-min-k", "5", "--rb-max-k", "4"],
+        ["--kind", "rb", "--rb-min-k", "1"],
+        ["--kind", "rb", "--rb-min-p", "0"],
+        ["--kind", "rb", "--rb-min-p", "0.9", "--rb-max-p", "0.5"],
+        ["--kind", "rb", "--rb-max-p", "1.5"],
+    ], ids=["ba_m_reaches_min_nodes", "ba_m_zero", "ba_nodes_reversed", "rb_nodes_reversed",
+            "rb_cliques_reversed", "rb_one_clique", "rb_k_reversed", "rb_k_one", "rb_p_zero",
+            "rb_p_reversed", "rb_p_above_one"])
+    def test_exit_code_graph_ranges(self, tmp_path, capsys, flags):
+        # checked before any draw, so every seed fails alike and nothing is written
+        for seed in range(6):
+            out = tmp_path / f"ds{seed}"
+            argv = ["gen-graphs", "--out", str(out), "--count", "5", "--seed", str(seed), *flags]
+            assert cli.main(argv) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("n_samples", ["0", "-3"])
     def test_exit_code_non_positive_solve_samples(self, tmp_path, capsys, n_samples):
         ds = write_single_edge_dataset(tmp_path)
@@ -790,6 +814,15 @@ def edit_meta(ckpt: Path, edit) -> None:
         np.savez(fh, meta=json.dumps(meta), **arrays)
 
 
+def edit_arrays(ckpt: Path, edit) -> None:
+    """Rewrite a checkpoint with `edit` applied to its dict of named arrays."""
+    with np.load(ckpt) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    edit(arrays)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def older_layout(meta: dict) -> dict:
     """Add the keys that earlier checkpoints wrote beside the config: `arch`,
     `t_steps`, a `problem` block repeating the problem fields and the
@@ -867,6 +900,22 @@ class TestCheckpointLayout:
         if rc:
             assert "cannot read checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.update({"m::w0": np.zeros(()), "param::w0": a["param::w0"].astype(np.float32)}),
+        lambda a: a.update({"m::w0": np.zeros(())}),
+        lambda a: a.update({"param::w0": a["param::w0"].astype(np.float32)}),
+        lambda a: a.update({"v::b0": a["v::b0"][:-1]}),
+        lambda a: a.update({"v::w0": a["v::w0"].astype(np.int64)}),
+        lambda a: a.update({"m::w_out": a["m::w_out"].T}),
+    ], ids=["scalar_moment_float32_param", "scalar_moment", "float32_param", "short_moment",
+            "int_moment", "transposed_moment"])
+    def test_array_faults(self, trained, tmp_path, capsys, edit):
+        ckpt = tmp_path / "checkpoint.npz"
+        ckpt.write_bytes(trained[1]["ising"].read_bytes())
+        edit_arrays(ckpt, edit)
+        assert cli.main(["train", "--resume", str(ckpt)]) == 2
+        assert "does not hold the float64 arrays" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["ising", "ea", "co"])
     def test_older_layout_reads_the_same(self, tmp_path, kind):
         text = lambda out: run_text(kind, tmp_path, tmp_path / out, "rkl_rl", epochs=3)
@@ -937,12 +986,12 @@ def solve_instances_direct(checkpoint, dataset, n_samples: int, seed: int) -> li
         paths = sample_reverse_path(policy, schedule, n_samples, rng, cond)
         probs = policy.probs(paths.states[:, 1], 1, cond)
         sols = np.array([conditional_expectation_direct(p, co.energy) for p in probs])
-        feasible = np.array([is_feasible(problem, g, s) for s in sols])
+        feasible = np.array([is_feasible_direct(problem, g, s) for s in sols])
         entry = {"instance": gi, "n_samples": n_samples, "n_feasible": int(feasible.sum()),
                  "flagged_infeasible_only": not feasible.any()}
         if feasible.any():
             energies = np.array([float(co.energy(s.astype(np.float64))) for s in sols[feasible]])
-            sizes = np.array([solution_size(problem, g, s) for s in sols[feasible]])
+            sizes = np.array([solution_size_direct(problem, g, s) for s in sols[feasible]])
             best = int(np.argmin(energies))
             entry.update(best_energy=float(energies[best]), best_size=int(sizes[best]),
                          mean_size=float(sizes.mean()))
