@@ -122,7 +122,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("solve requires a checkpoint trained on a co problem")
     graphs = load_dataset(args.dataset)
     t_steps = policy.n_steps * args.steps_multiplier
-    policy = policy.with_steps(t_steps)
+    policy = policy.sampler(t_steps)
     schedule = exp_schedule(t_steps)
     rng = np.random.default_rng(args.seed)
     results = []
@@ -172,6 +172,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError("estimate requires a checkpoint trained on a lattice problem")
     model = build_instances(cfg, text)[0].energy_model
     target = BoltzmannTarget(model, cfg.beta)
+    policy = policy.sampler(policy.n_steps)
     schedule = exp_schedule(policy.n_steps)
     n_sites = model.n_sites
     payload = {

@@ -77,6 +77,7 @@ class PathBatch:
     # (M, N) policy marginals of X_0 given X_1, kept by `sample_reverse_path`
     # for decoding; None where the paths were built another way
     x0_probs: np.ndarray | None = None
+    values: np.ndarray | None = None  # (M, T) of a value-head policy, [:, t-1] = V(X_t, t)
 
     def __post_init__(self):
         m, t1, n = self.states.shape
@@ -84,8 +85,9 @@ class PathBatch:
             raise ValueError("step_logq shape does not match states")
         if self.prior_logq.shape != (m,):
             raise ValueError("prior_logq shape does not match states")
-        if self.x0_probs is not None and self.x0_probs.shape != (m, n):
-            raise ValueError("x0_probs shape does not match states")
+        for name, shape in (("x0_probs", (m, n)), ("values", (m, t1 - 1))):
+            if getattr(self, name) is not None and getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape does not match states")
         if not (np.isfinite(self.step_logq).all() and np.isfinite(self.prior_logq).all()):
             raise ValueError("path log-probabilities must be finite")
 
@@ -127,32 +129,38 @@ def stationary_logprob(x) -> np.ndarray:
     return np.full(x.shape[:-1], n * math.log(0.5))
 
 
-def _checked_probs(policy, x_t, t, condition):
-    probs = np.asarray(policy.probs(x_t, t, condition), dtype=np.float64)
+def _checked_probs(policy, x_t, t, condition, critic: bool):
+    """Checked probabilities for the rows `x_t`; with `critic`, V(x_t, t) from the same forward."""
+    probs, value = (policy.probs_and_value_from(policy.params, x_t, t, condition) if critic
+                    else (policy.probs(x_t, t, condition), None))
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != x_t.shape:
         raise ValueError(f"policy returned shape {probs.shape}, expected {x_t.shape}")
     if (probs <= 0).any() or (probs >= 1).any():
         raise ValueError("policy emitted a probability outside (0, 1)")
-    return probs
+    return probs, value
 
 
 def sample_reverse_path(
     policy, schedule: NoiseSchedule, n_paths: int, rng, condition=None
 ) -> PathBatch:
     """Draw paths from the reverse process: X_T uniform, then X_{t-1} ~ policy.
-    The batch keeps the last step's probabilities as `x0_probs`."""
+    The batch keeps the last step's probabilities as `x0_probs`, and a critic's `values`."""
     n = policy.n_bits if condition is None else condition.n_bits
     t_steps = schedule.n_steps
     states = np.empty((n_paths, t_steps + 1, n), dtype=np.int8)
     step_logq = np.empty((n_paths, t_steps))
+    values = np.empty((n_paths, t_steps)) if policy.spec.value_head else None
     states[:, t_steps] = rng.integers(0, 2, size=(n_paths, n), dtype=np.int8)
     for t in range(t_steps, 0, -1):
-        probs = _checked_probs(policy, states[:, t], t, condition)
+        probs, value = _checked_probs(policy, states[:, t], t, condition, values is not None)
+        if value is not None:
+            values[:, t - 1] = value
         bits = (rng.random((n_paths, n)) < probs).astype(np.int8)
         states[:, t - 1] = bits
         step_logq[:, t - 1] = bernoulli_logpmf(bits, probs)
     prior = stationary_logprob(states[:, t_steps])
-    return PathBatch(states, step_logq, prior, probs)
+    return PathBatch(states, step_logq, prior, probs, values)
 
 
 def path_log_q(policy, path: PathBatch, condition=None) -> np.ndarray:
@@ -160,7 +168,7 @@ def path_log_q(policy, path: PathBatch, condition=None) -> np.ndarray:
     t_steps = path.n_steps
     total = stationary_logprob(path.states[:, t_steps])
     for t in range(t_steps, 0, -1):
-        probs = _checked_probs(policy, path.states[:, t], t, condition)
+        probs, _ = _checked_probs(policy, path.states[:, t], t, condition, False)
         total = total + bernoulli_logpmf(path.states[:, t - 1], probs)
     return total
 

@@ -103,7 +103,9 @@ def undirected_edges(edges, n_nodes: int) -> np.ndarray:
         hi = np.maximum(edges[:, 0], edges[:, 1])
         if (lo == hi).any():
             raise ValueError("self-loops are not allowed")
-        edges = np.unique(np.column_stack([lo, hi]), axis=0)
+        order = np.lexsort((hi, lo))
+        edges = np.column_stack([lo[order], hi[order]])
+        edges = edges[np.concatenate([[True], (edges[1:] != edges[:-1]).any(axis=1)])]
     edges.setflags(write=False)
     return edges
 

@@ -164,8 +164,8 @@ class GraphCondition:
     adjacency that aggregates each copy's node rows, and the
     variance-preserving pooling row. The aggregation is decided once per
     graph (see `DENSE_NNZ_MULTIPLE`): a dense operator that `node_mix` applies
-    to any number of copies, or a CSR operator kron'd and cached per copy
-    count."""
+    to any number of copies, or a CSR operator kron'd per copy count, cached
+    for the two latest counts: an epoch's rollout rows and its gradient rows."""
 
     graph: Graph
 
@@ -192,10 +192,13 @@ class GraphCondition:
         """The aggregation of each of the `n_copies` blocks of node rows in `x`."""
         if self._dense is not None:
             return node_mix(self._dense, x, n_copies)
-        if n_copies not in self._kron:
-            eye = sp.identity(n_copies, format="csr")
-            self._kron[n_copies] = sp.kron(eye, self._sparse, format="csr")
-        return spmm(self._kron[n_copies], x)
+        op = self._kron.pop(n_copies, None)
+        if op is None:
+            op = sp.kron(sp.identity(n_copies, format="csr"), self._sparse, format="csr")
+        if len(self._kron) == 2:
+            del self._kron[next(iter(self._kron))]
+        self._kron[n_copies] = op
+        return spmm(op, x)
 
 
 def _check_probs_shape(x_t, n_bits):
@@ -246,8 +249,9 @@ class _Policy:
     def init(cls, spec, n_steps: int, seed: int):
         return cls(spec, n_steps, init_params(spec, seed))
 
-    def with_steps(self, n_steps: int):
-        return replace(self, n_steps=n_steps)
+    def sampler(self, n_steps: int):
+        """This policy at `n_steps` diffusion steps without its value head, for inference."""
+        return replace(self, n_steps=n_steps, spec=replace(self.spec, value_head=False))
 
     def _logits(self, P, h, x_t, t):
         logits = self._head(P, h, x_t)

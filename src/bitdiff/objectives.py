@@ -156,20 +156,19 @@ def build_buffer(
     temperature: float,
     cfg: RunConfig,
     normalizer: RewardNormalizer,
-    condition=None,
 ) -> TrajectoryBuffer:
     """Assemble a PPO buffer from paths and their energies H(X_0): normalized
-    rewards, frozen values, lambda-returns, advantages."""
-    t_steps = paths.n_steps
+    rewards, frozen values (those `sample_reverse_path` recorded, zero without
+    a value head), lambda-returns, advantages."""
     raw = rl_rewards(paths, energy, target, schedule, temperature)
     normalizer.update(raw)
     rewards = normalizer.normalize(raw)
 
     values = np.zeros_like(rewards)
-    if getattr(policy.spec, "value_head", False):
-        for k in range(t_steps):
-            t = t_steps - k
-            values[:, k] = policy.value(paths.states[:, t], t, condition)
+    if policy.spec.value_head:
+        if paths.values is None:
+            raise ValueError("the paths of a policy with a value head must carry its values")
+        values = paths.values[:, ::-1]  # episode order: column k is V(X_{T-k})
     returns, adv = td_lambda_targets(rewards, values, cfg.trace_decay)
     return TrajectoryBuffer(paths, returns, normalize_advantages(adv),
                             np.full(paths.n_paths, 1.0 / paths.n_paths))

@@ -24,6 +24,7 @@ import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -64,16 +65,19 @@ TEMPERATURE_FLOOR = 1e-9  # keeps temperature*beta == 1 when annealing reaches z
 
 @dataclass
 class Instance:
-    """One training problem: an energy model plus, for graph problems, the
-    graph the policy is conditioned on."""
+    """One training problem: the energy model `make` builds and, for graph
+    problems, the graph the policy is conditioned on. The model and the
+    conditioning are built on first use: an epoch trains on a few graphs."""
 
-    energy_model: object
+    make: Callable[[], object]
     graph: Graph | None = None
 
     @functools.cached_property
+    def energy_model(self):
+        return self.make()
+
+    @functools.cached_property
     def condition(self) -> GraphCondition | None:
-        """The policy conditioning, built on first use: an epoch trains on a
-        few of the dataset's graphs, so most conditions are never needed."""
         return None if self.graph is None else GraphCondition(self.graph)
 
 
@@ -105,13 +109,15 @@ def build_instances(cfg: RunConfig, instance_text: str) -> list[Instance]:
     stored instance, when given; otherwise from the config, which reads
     `instance_file` here."""
     if cfg.kind == "co":
-        return [Instance(g.co_problem(cfg.problem, cfg.penalty_a, cfg.penalty_b), g)
+        return [Instance(functools.partial(g.co_problem, cfg.problem, cfg.penalty_a,
+                                           cfg.penalty_b), g)
                 for g in load_dataset(cfg.dataset_dir)]
     if cfg.kind == "ea" and not instance_text and cfg.instance_file:
         with open(cfg.instance_file, "r", encoding="utf-8") as fh:
             instance_text = fh.read()
-    return [Instance(build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist,
-                                   cfg.ea_seed, instance_text))]
+    model = build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed,
+                          instance_text)
+    return [Instance(lambda: model)]
 
 
 def build_policy_spec(cfg: RunConfig):
@@ -311,8 +317,8 @@ def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normali
                adam, lr, rng):
     rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
     items = [
-        (build_buffer(policy, paths, energy, target, schedule, temperature, cfg, normalizer,
-                      inst.condition), cfg, inst.condition)
+        (build_buffer(policy, paths, energy, target, schedule, temperature, cfg, normalizer),
+         cfg, inst.condition)
         for inst, target, paths, energy in rollouts
     ]
     # one plan per pass over the buffers, drawn when the pass starts

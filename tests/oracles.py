@@ -74,14 +74,20 @@ def all_paths(n_bits: int, t_steps: int) -> np.ndarray:
 
 
 def teacher_forced_batch(policy, states: np.ndarray, condition=None) -> PathBatch:
-    """PathBatch over given states with exact step log-probs under `policy`."""
+    """PathBatch over given states with exact step log-probs under `policy`,
+    and for a policy with a value head its values V(X_t, t), as the sampler
+    records them."""
     m, t1, n = states.shape
     t_steps = t1 - 1
     step_logq = np.empty((m, t_steps))
+    values = np.empty((m, t_steps)) if policy.spec.value_head else None
     for t in range(t_steps, 0, -1):
         probs = policy.probs(states[:, t], t, condition)
         step_logq[:, t - 1] = bernoulli_logpmf(states[:, t - 1], probs)
-    return PathBatch(states.astype(np.int8), step_logq, stationary_logprob(states[:, t_steps]))
+        if values is not None:
+            values[:, t - 1] = policy.value(states[:, t], t, condition)
+    return PathBatch(states.astype(np.int8), step_logq, stationary_logprob(states[:, t_steps]),
+                     values=values)
 
 
 def exact_joint_kl(policy, target, schedule, temperature: float, condition=None) -> float:
@@ -296,6 +302,15 @@ def brute_force_co_direct(problem: str, graph, penalty_a: float = 1.0,
     if len(sizes) != 1:
         raise RuntimeError(f"energy minimizers disagree on solution size: {sorted(sizes)}")
     return BruteForceResult(best_states, best_e, sizes.pop())
+
+
+def undirected_edges_direct(edges) -> np.ndarray:
+    """The simple-graph edge rule by `np.unique` over rows: each pair as
+    (lo, hi), sorted and deduplicated (index and self-loop checks left out)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if not edges.size:
+        return edges
+    return np.unique(np.column_stack([edges.min(axis=1), edges.max(axis=1)]), axis=0)
 
 
 def non_edges_direct(n_nodes: int, edges) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from bitdiff.diffusion import (
     stationary_logprob,
 )
 from bitdiff.energies import BoltzmannTarget, SpinCouplingModel
+from bitdiff.graphs import gen_ba
+from bitdiff.nets import GnnSpec, GraphCondition, MlpSpec, make_policy
 
 from oracles import (
     all_paths,
@@ -187,6 +190,60 @@ class TestReversePath:
 
         with pytest.raises(ValueError):
             sample_reverse_path(BadPolicy(3, 2), exp_schedule(2), 4, np.random.default_rng(0))
+
+    def test_value_head_policy_emitting_invalid_probability(self):
+        # the probabilities of a forward that also gives values are checked alike
+        class BadCritic(ConstantPolicy):
+            def probs_and_value_from(self, P, x_t, t, condition=None):
+                return np.ones(np.shape(x_t)), np.zeros(len(x_t))
+
+        policy = BadCritic(3, 2)
+        policy.spec = SimpleNamespace(value_head=True)
+        with pytest.raises(ValueError, match="outside"):
+            sample_reverse_path(policy, exp_schedule(2), 4, np.random.default_rng(0))
+
+
+class TestRecordedValues:
+    """For a policy with a value head the sampler records V(X_t, t) from each
+    step's one forward: equal to a separate `value` call on the same rows."""
+
+    @staticmethod
+    def perturbed(spec, n_steps):
+        policy = make_policy(spec, n_steps, seed=43)
+        rng = np.random.default_rng(44)
+        for k, v in policy.params.items():  # off the value head's zero output layer
+            policy.params[k] = v + 0.5 * rng.standard_normal(v.shape)
+        return policy
+
+    def check(self, policy, n_paths, condition=None):
+        paths = sample_reverse_path(policy, exp_schedule(policy.n_steps), n_paths,
+                                    np.random.default_rng(7), condition)
+        assert paths.values.shape == (n_paths, policy.n_steps)
+        assert np.abs(paths.values).min() > 0
+        for t in range(1, policy.n_steps + 1):
+            want = policy.value(paths.states[:, t], t, condition)
+            assert np.array_equal(paths.values[:, t - 1], want), t
+
+    def test_mlp(self):
+        self.check(self.perturbed(MlpSpec(n_bits=5, hidden=(8, 6), value_head=True), 6), 16)
+
+    @pytest.mark.parametrize("n_nodes,attachment,dense", [(12, 4, True), (300, 2, False)],
+                             ids=["dense", "sparse"])
+    def test_gnn_on_both_aggregation_forms(self, n_nodes, attachment, dense):
+        condition = GraphCondition(gen_ba(n_nodes, attachment, seed=41))
+        assert (condition._dense is not None) == dense
+        spec = GnnSpec(n_hidden=8, n_message_passing=2, value_head=True, kernel_start=True)
+        self.check(self.perturbed(spec, 5), 6, condition)
+
+    def test_no_values_without_a_value_head(self):
+        policy = self.perturbed(MlpSpec(n_bits=5, hidden=(8,)), 4)
+        paths = sample_reverse_path(policy, exp_schedule(4), 8, np.random.default_rng(7))
+        assert paths.values is None
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="values shape"):
+            PathBatch(np.zeros((2, 4, 3), dtype=np.int8), np.zeros((2, 3)), np.zeros(2),
+                      values=np.zeros((2, 4)))
 
 
 class TestPathLogQExactness:

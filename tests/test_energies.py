@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitdiff.energies import (
     BoltzmannTarget,
@@ -21,11 +22,17 @@ from bitdiff.energies import (
     write_instance_text,
 )
 
-from bitdiff import energies
+from bitdiff import cli, energies
 from bitdiff.diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
 from bitdiff.graphs import Graph, gen_ba, gen_rb
 
-from oracles import lattice_bonds_direct, mds_energy_direct, neighbors_direct, non_edges_direct
+from oracles import (
+    lattice_bonds_direct,
+    mds_energy_direct,
+    neighbors_direct,
+    non_edges_direct,
+    undirected_edges_direct,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -385,3 +392,95 @@ class TestTextFormats:
     def test_edge_list_roundtrip_self_pairs(self):
         pairs = [(0, 0), (1, 1), (0, 1), (1, 2)]
         assert parse_edge_list(format_edge_list(3, pairs)) == (3, pairs)
+
+
+class TestUndirectedEdges:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_unique_rule(self, seed):
+        # random pairs with repeats and both orientations of each
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        a = rng.integers(0, n, int(rng.integers(1, 40)))
+        b = (a + rng.integers(1, n, len(a))) % n
+        pairs = np.column_stack([a, b])
+        edges = np.concatenate([pairs, pairs[rng.random(len(a)) < 0.5][:, ::-1], pairs[:3]])
+        edges = edges[rng.permutation(len(edges))]
+        got = energies.undirected_edges(edges, n)
+        want = undirected_edges_direct(edges)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)])
+    def test_empty(self, edges):
+        got = energies.undirected_edges(edges, 3)
+        assert got.shape == (0, 2) and got.dtype == np.int64
+        assert np.array_equal(got, undirected_edges_direct(edges))
+
+
+# EA instance text: `kind`, `L`, `J`, `seed` and `bonds` header lines, each
+# missing, malformed or out of range, among bond lines that follow the L = 3
+# or 4 lattice or are random. L stays <= 4 wherever the text can hold a model:
+# `kind ising` allocates its 2 L^2 bonds as it parses, and a valid 5x5
+# instance enumerates for about 44 s. Huge sizes come only under `kind ea`,
+# whose bond-count check rejects them before anything is allocated.
+_SMALL_SIDES = st.one_of(st.sampled_from([3, 4]), st.integers(-2, 4))
+_HUGE_SIDES = st.sampled_from([10**6, 2**31, 2**63, 10**30])
+_INSTANCE_TOKENS = st.one_of(st.sampled_from(["x", "2.5", "nan", "inf", "-inf", "1e999", "-0"]),
+                             st.integers(-3, 40).map(str), st.text(max_size=4))
+_COUPLINGS = st.floats(-3, 3).map(repr)
+_BAD_COUPLINGS = st.sampled_from(["nan", "inf", "-inf", "1e999", "x", ""])
+
+
+@st.composite
+def instance_texts(draw):
+    # hypothesis draws a sampled list's first entries most often: they lead
+    # toward text that parses
+    kind = draw(st.sampled_from(["ea", "ea", "ising", "spin"]))
+    side = draw(st.one_of(_SMALL_SIDES, _HUGE_SIDES) if kind == "ea" else _SMALL_SIDES)
+    if 3 <= side <= 4 and draw(st.sampled_from(["lattice", "lattice", "random"])) == "lattice":
+        body = [f"{i} {j} {draw(_COUPLINGS)}" for i, j in lattice_bonds(side)]
+        edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "coupling", "garble"]))
+        k = draw(st.integers(0, len(body) - 1))
+        body[k:k + 1] = {
+            "none": body[k:k + 1], "drop": [], "repeat": [body[k]] * 2,
+            "coupling": [body[k].rsplit(" ", 1)[0] + " " + draw(_BAD_COUPLINGS)],
+            "garble": [" ".join(draw(st.lists(_INSTANCE_TOKENS, max_size=4)))],
+        }[edit]
+    else:
+        body = [" ".join(draw(st.lists(_INSTANCE_TOKENS, max_size=4)))
+                for _ in range(draw(st.integers(0, 6)))]
+    # each field's value when plain, and when bad
+    fields = {"kind": (st.just(kind), st.sampled_from(["", "EA", "ea ising"])),
+              "L": (st.just(str(side)), _INSTANCE_TOKENS),
+              "J": (_COUPLINGS, _BAD_COUPLINGS),
+              "seed": (st.integers(-5, 5).map(str), _INSTANCE_TOKENS),
+              "bonds": (st.just(str(2 * side * side)),
+                        st.one_of(st.just(str(len(body))), _INSTANCE_TOKENS))}
+    lines = body
+    for name, (plain, bad) in fields.items():
+        form = draw(st.sampled_from(["plain"] * 8 + ["bad", "stray token", "absent"]))
+        if form != "absent":
+            value = draw(bad if form == "bad" else plain)
+            line = f"{name} {value}" + (" 1" if form == "stray token" else "")
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+class TestInstanceText:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(instance_texts())
+    def test_any_text_parses_or_raises_value_error(self, text):
+        try:
+            assert isinstance(read_instance_text(text), (IsingLattice2D, EAInstance))
+        except ValueError:
+            pass
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(instance_texts())
+    def test_oracle_exits_0_or_2(self, tmp_path_factory, text):
+        root = tmp_path_factory.getbasetemp()
+        (root / "fuzz_instance.txt").write_text(text, encoding="utf-8")
+        argv = ["oracle", "--problem", "ea", "--instance", str(root / "fuzz_instance.txt"),
+                "--out", str(root / "fuzz_oracle.json")]
+        assert cli.main(argv) in (0, 2)

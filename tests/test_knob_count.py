@@ -7,7 +7,7 @@ from pathlib import Path
 
 import bitdiff
 
-DEFAULTED_PARAMETERS = 30
+DEFAULTED_PARAMETERS = 29
 
 
 def test_defaulted_parameter_count():

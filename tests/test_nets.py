@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bitdiff import autodiff as ad
 from bitdiff import nets
@@ -375,4 +376,13 @@ class TestAggregationForms:
                 policy.probs_and_value_from(policy.params, x_t, 2, cond)
                 policy.value_from(ad.leaves(policy.params), x_t, 2, cond)
         assert conds["dense"]._kron == {}
-        assert sorted(conds["sparse"]._kron) == [1, 16, 30]
+        assert list(conds["sparse"]._kron) == [16, 30]  # the two latest copy counts
+
+    def test_sparse_cache_keeps_the_two_latest_copy_counts(self):
+        cond = GraphCondition(self._graph("sparse"))
+        rng = np.random.default_rng(47)
+        for copies, cached in ((3, [3]), (5, [3, 5]), (3, [5, 3]), (7, [3, 7]), (5, [7, 5])):
+            x = rng.standard_normal((copies * cond.n_bits, 4))
+            fresh = sp.kron(sp.identity(copies, format="csr"), cond._sparse, format="csr")
+            assert np.array_equal(cond.aggregate(x, copies), fresh @ x)
+            assert list(cond._kron) == cached

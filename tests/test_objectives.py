@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,29 @@ class TestPpo:
         exact = exact_policy_gradient(policy, target, sched, temp)
         assert rel_err(grads_to_vec(grads), grads_to_vec(exact)) < 1e-6
 
+    def test_buffer_takes_the_recorded_values(self):
+        policy, sched, target, temp = self._setup(seed=2)
+        rng = np.random.default_rng(10)
+        for k in ("wv2", "bv2"):  # off the value head's zero output
+            policy.params[k] = rng.standard_normal(policy.params[k].shape)
+        paths = sample_reverse_path(policy, sched, 6, np.random.default_rng(9))
+        cfg = RunConfig()
+        buf = build_buffer(policy, paths, target.energy(paths.x0), target, sched, temp, cfg,
+                           identity_normalizer())
+        rewards = rl_rewards(paths, target.energy(paths.x0), target, sched, temp)
+        values = np.column_stack([policy.value(paths.states[:, 2 - k], 2 - k) for k in range(2)])
+        assert np.abs(values).min() > 0
+        want, _ = td_lambda_targets(rewards, values, cfg.trace_decay)
+        assert np.array_equal(buf.returns, want)
+
+    def test_buffer_refuses_value_head_paths_without_values(self):
+        policy, sched, target, temp = self._setup()
+        paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(5))
+        paths.values = None
+        with pytest.raises(ValueError, match="value head"):
+            build_buffer(policy, paths, target.energy(paths.x0), target, sched, temp,
+                         RunConfig(), identity_normalizer())
+
     def test_stale_buffer_ratio_guard(self):
         policy, sched, target, temp = self._setup(seed=7)
         paths = sample_reverse_path(policy, sched, 4, np.random.default_rng(8))
@@ -462,7 +486,7 @@ class TestRecordsInT:
             records[name].append(ad.activation_records())
             n_bytes[name].append(ad.activation_bytes())
 
-        for t_steps in (8, 32, 128):
+        for t_steps in (8, 32, 128, 512):
             policy = make_policy(4, t_steps, seed=1, value_head=True)
             sched = exp_schedule(t_steps)
             target = small_target(4)
@@ -477,8 +501,29 @@ class TestRecordsInT:
         for counts in (records, n_bytes):
             assert len(set(counts["fkl_mc"])) == 1, counts
             assert len(set(counts["ppo"])) == 1, counts
-            d8, d32, d128 = counts["diffuco"]
+            d8, d32, d128, d512 = counts["diffuco"]
             assert (d32 - d8) * 4 == d128 - d32 > 0, counts
+            assert (d128 - d32) * 4 == d512 - d128, counts
+
+    def test_tracemalloc_peak_holds_the_counted_bytes(self):
+        # numpy reports its buffers to tracemalloc, and outside an Arena each
+        # tape array is its own allocation: the peak around one gradient call
+        # holds at least the bytes `activation_bytes` counts for its tape
+        m, tau, t_steps = 64, 4, 16
+        policy = make_policy(6, t_steps, seed=3, hidden=(32, 32))
+        sched = exp_schedule(t_steps)
+        target = small_target(6)
+        paths = sample_reverse_path(policy, sched, m, np.random.default_rng(4))
+        log_w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).log_w
+        k_idx = np.tile(np.arange(tau), (m, 1))
+        ad.reset_activation_records()
+        tracemalloc.start()
+        try:
+            fkl_mc_grad(policy, paths, log_w, np.arange(m), k_idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= ad.activation_bytes() > m * tau * 32 * 8, (peak, ad.activation_bytes())
 
 
 class TestDiffuco:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import bitdiff.objectives
 import bitdiff.train
 from bitdiff import cli
-from bitdiff import config
+from bitdiff import config, nets
 from bitdiff.config import ConfigError, RunConfig, parse_config
 from bitdiff.diffusion import exp_schedule, sample_reverse_path
 from bitdiff.energies import CoProblem, EAInstance, IsingLattice2D, write_instance_text
@@ -312,6 +312,29 @@ class TestTraining:
         train(cfg)
         n_rollouts = 2 if kind == "co" else 1
         assert rows == [cfg.n_paths] * n_rollouts
+
+    def test_only_the_drawn_graphs_build_their_problems(self, tmp_path, monkeypatch):
+        # an epoch trains on n_instances of the dataset's graphs; the others
+        # never build their CoProblem or GraphCondition
+        ds = tmp_path / "dataset"
+        ds.mkdir()
+        for i in range(12):
+            (ds / f"graph_{i:05d}.txt").write_text(Graph(3 + i % 4, [(0, 1), (1, 2)]).to_text())
+        cfg = dataclasses.replace(
+            parse_config(co_cfg(ds, tmp_path / "run", objective="rkl_rl", epochs=2)),
+            n_instances=2)
+        built, made = [], []
+        build_instances = bitdiff.train.build_instances
+        monkeypatch.setattr(bitdiff.train, "build_instances",
+                            lambda *args: built.extend(build_instances(*args)) or built)
+        co_problem = Graph.co_problem
+        monkeypatch.setattr(Graph, "co_problem",
+                            lambda self, *args: made.append(self) or co_problem(self, *args))
+        train(cfg)
+        problems = [inst for inst in built if "energy_model" in vars(inst)]
+        assert problems == [inst for inst in built if "condition" in vars(inst)]
+        assert 2 <= len(problems) <= cfg.epochs * cfg.n_instances < len(built)
+        assert sorted(map(id, made)) == sorted(id(inst.graph) for inst in problems)
 
     def test_single_edge_mis_reaches_optimum(self, tmp_path):
         ds = write_single_edge_dataset(tmp_path)
@@ -956,6 +979,27 @@ class TestCheckpointLayout:
             assert [k for k in a.files if k != "meta"] == [k for k in b.files if k != "meta"]
             assert all(a[k].tobytes() == b[k].tobytes() for k in a.files if k != "meta")
         assert load_checkpoint(half)[6] == trained_text
+
+    @pytest.mark.parametrize("kind,method", [("ising", "snis"), ("ising", "nmcmc"),
+                                             ("co", "solve")])
+    def test_inference_never_evaluates_the_value_head(self, tmp_path, monkeypatch, kind,
+                                                      method):
+        # an rkl_rl checkpoint holds a value head; estimate and solve sample
+        # with the policy's critic-free view
+        ckpt = Path(train(parse_config(run_text(kind, tmp_path, tmp_path / "run",
+                                                objective="rkl_rl")))["checkpoint"])
+        assert load_checkpoint(ckpt)[0].spec.value_head
+
+        def refuse(*args):
+            raise AssertionError("inference evaluated the value head")
+
+        monkeypatch.setattr(nets._Policy, "_value", refuse)
+        argv = read_command(kind, tmp_path, ckpt, tmp_path / "out.json")
+        if method == "nmcmc":
+            argv[argv.index("snis")] = "nmcmc"
+            argv[argv.index("--n-samples"):argv.index("--out")] = ["--chains", "4",
+                                                                   "--chain-steps", "1500"]
+        assert cli.main(argv) == 0
 
     def test_estimate_rejects_a_co_checkpoint(self, trained, tmp_path, capsys):
         out = tmp_path / "out.json"

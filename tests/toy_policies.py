@@ -29,9 +29,6 @@ class ConstantPolicy:
     def probs_from(self, P, x_t, t, condition=None):
         return self.probs(x_t, t, condition)
 
-    def with_steps(self, n_steps):
-        return ConstantPolicy(self.n_bits, n_steps, self.value)
-
 
 class KernelPolicy:
     """The exact reverse of the beta=0 forward process, plus two bias
@@ -65,9 +62,6 @@ class KernelPolicy:
 
     def probs(self, x_t, t, condition=None):
         return self.probs_from(self.params, x_t, t, condition)
-
-    def with_steps(self, n_steps):
-        raise NotImplementedError("KernelPolicy is tied to its schedule")
 
 
 class LogitTablePolicy:
