@@ -26,12 +26,9 @@ __all__ = [
     "sweep_energies",
     "enumerate_observables",
     "lattice_bonds",
-    "undirected_edges",
     "write_instance_text",
     "read_instance_text",
     "build_lattice",
-    "parse_edge_list",
-    "format_edge_list",
 ]
 
 
@@ -86,27 +83,11 @@ def lattice_bonds(side_length: int) -> np.ndarray:
     return np.stack([np.repeat(site, 2), np.column_stack([right, down]).ravel()], axis=1)
 
 
-def _checked_edges(edges, n_nodes: int) -> np.ndarray:
+def checked_edges(edges, n_nodes: int) -> np.ndarray:
     """Edges as an (M, 2) int64 array, every index in 0..n_nodes-1."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
         raise ValueError("edge index out of range")
-    return edges
-
-
-def undirected_edges(edges, n_nodes: int) -> np.ndarray:
-    """The simple-graph edge rule: each pair as (lo, hi), sorted and
-    deduplicated, read-only; self-loops are rejected."""
-    edges = _checked_edges(edges, n_nodes)
-    if edges.size:
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        if (lo == hi).any():
-            raise ValueError("self-loops are not allowed")
-        order = np.lexsort((hi, lo))
-        edges = np.column_stack([lo[order], hi[order]])
-        edges = edges[np.concatenate([[True], (edges[1:] != edges[:-1]).any(axis=1)])]
-    edges.setflags(write=False)
     return edges
 
 
@@ -123,7 +104,7 @@ class SpinCouplingModel:
     couplings: np.ndarray
 
     def __post_init__(self):
-        edges = _checked_edges(self.edges, self.n_sites)
+        edges = checked_edges(self.edges, self.n_sites)
         couplings = np.asarray(self.couplings, dtype=np.float64).reshape(-1)
         if len(edges) != len(couplings):
             raise ValueError(f"expected {len(edges)} couplings, got {len(couplings)}")
@@ -193,7 +174,8 @@ CO_PROBLEMS = ("mis", "mds", "maxcl", "maxcut")
 class CoProblem:
     """Penalty-form energy of a combinatorial problem on a graph.
 
-    `kind` is one of 'mis', 'mds', 'maxcl', 'maxcut'. The energy functions are
+    `kind` is one of 'mis', 'mds', 'maxcl', 'maxcut', on a `graphs.Graph`
+    whose edges and adjacency are read as they are. The energy functions are
     multilinear in x, so `energy` accepts relaxed states in [0, 1]^N and then
     returns the exact expectation under the product distribution with those
     marginals. Edge sums count each undirected pair once; MaxCl penalizes
@@ -206,8 +188,7 @@ class CoProblem:
     """
 
     kind: str
-    n_nodes: int
-    edges: np.ndarray
+    graph: object
     penalty_a: float = 1.0
     penalty_b: float = 1.1
     _neighbor_idx: np.ndarray = field(init=False, repr=False)
@@ -216,21 +197,16 @@ class CoProblem:
     def __post_init__(self):
         if self.kind not in CO_PROBLEMS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        edges = undirected_edges(self.edges, self.n_nodes)
         if self.kind in ("mis", "mds", "maxcl") and not self.penalty_a < self.penalty_b:
             raise ValueError("penalty_a must be < penalty_b")
-        object.__setattr__(self, "edges", edges)
-
-        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        adj[edges[:, 0], edges[:, 1]] = True
-        adj |= adj.T
-        # row i: node i's neighbours, ascending, padded with n_nodes (energy's column of ones)
+        n, adj = self.graph.n_nodes, self.graph.adjacency
+        # row i: node i's neighbours, ascending, padded with n (energy's column of ones)
         degree = adj.sum(axis=1)
-        neighbor_idx = np.full((self.n_nodes, degree.max(initial=0)), self.n_nodes, dtype=np.int64)
+        neighbor_idx = np.full((n, degree.max(initial=0)), n, dtype=np.int64)
         neighbor_idx[np.arange(neighbor_idx.shape[1]) < degree[:, None]] = np.nonzero(adj)[1]
         object.__setattr__(self, "_neighbor_idx", neighbor_idx)
         if self.kind == "maxcl":
-            a, b = np.triu_indices(self.n_nodes, 1)
+            a, b = np.triu_indices(n, 1)
             keep = ~adj[a, b]
             non_edges = np.column_stack([a[keep], b[keep]])
         else:
@@ -239,7 +215,7 @@ class CoProblem:
 
     @property
     def n_sites(self) -> int:
-        return self.n_nodes
+        return self.graph.n_nodes
 
     def energy(self, x) -> np.ndarray:
         # Rows stay C-contiguous (gathers use np.take), so each row sums
@@ -247,19 +223,19 @@ class CoProblem:
         # F-ordered array whose rows add sequentially, and a fractional row's
         # energy would then depend on the batch it came in.
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n_nodes:
-            raise ValueError(f"state has {x.shape[-1]} bits, expected {self.n_nodes}")
+        if x.shape[-1] != self.n_sites:
+            raise ValueError(f"state has {x.shape[-1]} bits, expected {self.n_sites}")
         A, B = self.penalty_a, self.penalty_b
         total = x.sum(axis=-1)
         if self.kind in ("mis", "maxcl"):
             # MIS penalizes chosen pairs that are edges, MaxCl pairs that are not
-            e = self.edges if self.kind == "mis" else self._non_edges
+            e = self.graph.edges if self.kind == "mis" else self._non_edges
             pen = 0.0
             if len(e):
                 pen = (np.take(x, e[:, 0], axis=-1) * np.take(x, e[:, 1], axis=-1)).sum(axis=-1)
             return -A * total + B * pen
         if self.kind == "maxcut":
-            e = self.edges
+            e = self.graph.edges
             if not len(e):
                 return np.zeros(x.shape[:-1])
             xi, xj = np.take(x, e[:, 0], axis=-1), np.take(x, e[:, 1], axis=-1)
@@ -272,7 +248,7 @@ class CoProblem:
         prod = np.ones(x.shape)
         for column in self._neighbor_idx.T:
             prod *= np.take(comp, column, axis=-1)
-        pen = np.cumsum(comp[..., :-1] * prod, axis=-1)[..., -1] if self.n_nodes else 0.0
+        pen = np.cumsum(comp[..., :-1] * prod, axis=-1)[..., -1] if self.n_sites else 0.0
         return A * total + B * pen
 
 
@@ -388,94 +364,56 @@ def enumerate_observables(target: BoltzmannTarget, *,
 
 
 # ---------------------------------------------------------------------------
-# text formats
+# EA instance text
 
 
-def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Parse the edge-list format: an `N M` header, then M lines `i j` or
-    `i j 1` (0-indexed nodes). Graphs are unweighted, so a third column other
-    than 1 is an error rather than a weight to drop."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'N M'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad edge line: {ln!r}")
-        if len(parts) == 3 and float(parts[2]) != 1.0:
-            raise ValueError(f"edge weights are not supported; the third column must be 1 "
-                             f"in line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge index out of range in line {ln!r}")
-        pairs.append((i, j))
-    return n, pairs
-
-
-def format_edge_list(n: int, pairs) -> str:
-    rows = [f"{n} {len(pairs)}"]
-    for i, j in pairs:
-        rows.append(f"{i} {j} 1")
+def write_instance_text(model: EAInstance) -> str:
+    """Serialize an EA instance to structured text (instance files hold EA
+    instances only)."""
+    if not isinstance(model, EAInstance):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    rows = ["kind ea", f"L {model.side_length}", f"seed {model.rng_seed}",
+            f"bonds {len(model.couplings)}"]
+    for (i, j), cij in zip(model.edges, model.couplings):
+        rows.append(f"{i} {j} {cij:.17g}")
     return "\n".join(rows) + "\n"
 
 
-def write_instance_text(model) -> str:
-    """Serialize an Ising lattice or EA instance to structured text."""
-    if isinstance(model, IsingLattice2D):
-        return f"kind ising\nL {model.side_length}\nJ {model.coupling:.17g}\n"
-    if isinstance(model, EAInstance):
-        rows = ["kind ea", f"L {model.side_length}", f"seed {model.rng_seed}",
-                f"bonds {len(model.couplings)}"]
-        for (i, j), cij in zip(model.edges, model.couplings):
-            rows.append(f"{i} {j} {cij:.17g}")
-        return "\n".join(rows) + "\n"
-    raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def read_instance_text(text: str):
-    """Inverse of write_instance_text. Raises ValueError on malformed text."""
+def read_instance_text(text: str) -> EAInstance:
+    """Inverse of write_instance_text. Raises ValueError on malformed text,
+    and on any `kind` but `ea` before building anything."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     fields = {}
     body = []
     for ln in lines:
         parts = ln.split()
-        if parts[0] in ("kind", "L", "J", "seed", "bonds"):
+        if parts[0] in ("kind", "L", "seed", "bonds"):
             if len(parts) != 2:
                 raise ValueError(f"header line {ln!r} must be '<field> <value>'")
             fields[parts[0]] = parts[1]
         else:
             body.append(parts)
-    kind = fields.get("kind")
-    missing = {"ising": {"L"}, "ea": {"L", "bonds"}}.get(kind, set()) - set(fields)
+    if fields.get("kind") != "ea":
+        raise ValueError(f"instance kind {fields.get('kind')!r} is not an EA instance")
+    missing = {"L", "bonds"} - set(fields)
     if missing:
-        raise ValueError(f"{kind} instance text lacks the {sorted(missing)} field(s)")
-    if kind == "ising":
-        return IsingLattice2D(int(fields["L"]), float(fields.get("J", 1.0)))
-    if kind == "ea":
-        L = int(fields["L"])
-        n_bonds = int(fields["bonds"])
-        if n_bonds != 2 * L * L:
-            raise ValueError(f"an L={L} lattice has {2 * L * L} bonds, not {n_bonds}")
-        if len(body) != n_bonds:
-            raise ValueError(f"expected {n_bonds} bond lines, found {len(body)}")
-        expected = lattice_bonds(L)
-        couplings = np.empty(n_bonds)
-        for k, parts in enumerate(body):
-            if len(parts) != 3:
-                raise ValueError(f"bond line {' '.join(parts)!r} must be 'i j J'")
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            if (i, j) != tuple(expected[k]):
-                raise ValueError(f"bond {k} is ({i},{j}), expected {tuple(expected[k])}")
-            couplings[k] = w
-        return EAInstance(L, couplings, int(fields.get("seed", 0)))
-    raise ValueError(f"unknown instance kind {kind!r}")
+        raise ValueError(f"ea instance text lacks the {sorted(missing)} field(s)")
+    L = int(fields["L"])
+    n_bonds = int(fields["bonds"])
+    if n_bonds != 2 * L * L:
+        raise ValueError(f"an L={L} lattice has {2 * L * L} bonds, not {n_bonds}")
+    if len(body) != n_bonds:
+        raise ValueError(f"expected {n_bonds} bond lines, found {len(body)}")
+    expected = lattice_bonds(L)
+    couplings = np.empty(n_bonds)
+    for k, parts in enumerate(body):
+        if len(parts) != 3:
+            raise ValueError(f"bond line {' '.join(parts)!r} must be 'i j J'")
+        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        if (i, j) != tuple(expected[k]):
+            raise ValueError(f"bond {k} is ({i},{j}), expected {tuple(expected[k])}")
+        couplings[k] = w
+    return EAInstance(L, couplings, int(fields.get("seed", 0)))
 
 
 def build_lattice(kind: str, side_length: int | None, coupling: float, ea_dist: str,
@@ -492,8 +430,6 @@ def build_lattice(kind: str, side_length: int | None, coupling: float, ea_dist: 
         maker = EAInstance.normal if ea_dist == "normal" else EAInstance.uniform
         return maker(side_length, ea_seed)
     model = read_instance_text(instance_text)
-    if not isinstance(model, EAInstance):
-        raise ValueError(f"instance text holds a {type(model).__name__}, not an EA instance")
     if side_length is not None and model.side_length != side_length:
         raise ValueError(f"instance holds an L = {model.side_length} lattice, "
                          f"but lattice_size = {side_length}")

@@ -6,23 +6,75 @@ Generators are pure functions of their seed. The brute-force solver sweeps all
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import (CO_PROBLEMS, MAX_ENUMERATION_BITS, CoProblem, format_edge_list,
-                       parse_edge_list, sweep_energies, undirected_edges)
+from .energies import CO_PROBLEMS, MAX_ENUMERATION_BITS, CoProblem, checked_edges, sweep_energies
 
 __all__ = ["Graph", "gen_ba", "gen_rb", "BruteForceResult", "brute_force_co", "is_feasible",
-           "solution_size"]
+           "solution_size", "undirected_edges", "parse_edge_list", "format_edge_list"]
 
 RB_CROSS_DENSITY = 0.25  # cross-edge count per ordered clique pair = round(density*(1-p)*k^2)
 
 
+def undirected_edges(edges, n_nodes: int) -> np.ndarray:
+    """The simple-graph edge rule: each pair as (lo, hi), sorted and
+    deduplicated, read-only; self-loops are rejected."""
+    edges = checked_edges(edges, n_nodes)
+    if edges.size:
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        if (lo == hi).any():
+            raise ValueError("self-loops are not allowed")
+        order = np.lexsort((hi, lo))
+        edges = np.column_stack([lo[order], hi[order]])
+        edges = edges[np.concatenate([[True], (edges[1:] != edges[:-1]).any(axis=1)])]
+    edges.setflags(write=False)
+    return edges
+
+
+def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse the edge-list format: an `N M` header, then M lines `i j` or
+    `i j 1` (0-indexed nodes). Graphs are unweighted, so a third column other
+    than 1 is an error rather than a weight to drop."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty edge list")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError("header must be 'N M'")
+    n, m = int(head[0]), int(head[1])
+    if len(lines) - 1 != m:
+        raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
+    pairs = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad edge line: {ln!r}")
+        if len(parts) == 3 and float(parts[2]) != 1.0:
+            raise ValueError(f"edge weights are not supported; the third column must be 1 "
+                             f"in line {ln!r}")
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge index out of range in line {ln!r}")
+        pairs.append((i, j))
+    return n, pairs
+
+
+def format_edge_list(n: int, pairs) -> str:
+    rows = [f"{n} {len(pairs)}"]
+    for i, j in pairs:
+        rows.append(f"{i} {j} 1")
+    return "\n".join(rows) + "\n"
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: node count plus a deduplicated edge array."""
+    """Simple undirected graph: node count plus a deduplicated edge array.
+    `CoProblem` and `is_feasible` read the edges and the adjacency from here."""
 
     n_nodes: int
     edges: np.ndarray
@@ -31,6 +83,14 @@ class Graph:
         if not 0 <= self.n_nodes <= np.iinfo(np.int64).max:  # edges hold int64 indices
             raise ValueError(f"node count must be in 0..2^63-1, got {self.n_nodes}")
         object.__setattr__(self, "edges", undirected_edges(self.edges, self.n_nodes))
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        """Symmetric read-only boolean (N, N) matrix, built on first use."""
+        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
+        adj[self.edges[:, 0], self.edges[:, 1]] = adj[self.edges[:, 1], self.edges[:, 0]] = True
+        adj.setflags(write=False)
+        return adj
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)
@@ -47,7 +107,7 @@ class Graph:
         return cls(*parse_edge_list(text))
 
     def co_problem(self, kind: str, penalty_a: float, penalty_b: float) -> CoProblem:
-        return CoProblem(kind, self.n_nodes, self.edges, penalty_a, penalty_b)
+        return CoProblem(kind, self, penalty_a, penalty_b)
 
 
 def gen_ba(n_nodes: int, attachment: int, seed: int) -> Graph:
@@ -111,27 +171,21 @@ def gen_rb(n_cliques: int, clique_size: int, interconnect: float, seed: int) -> 
 # read from the graph's adjacency and never from the energy
 
 
-def _adjacency(graph: Graph) -> np.ndarray:
-    adj = np.zeros((graph.n_nodes, graph.n_nodes), dtype=np.float32)
-    adj[graph.edges[:, 0], graph.edges[:, 1]] = adj[graph.edges[:, 1], graph.edges[:, 0]] = 1.0
-    return adj
-
-
 def is_feasible(problem: str, graph: Graph, x):
     """Whether each row is an independent set (mis), a dominating set (mds)
     or a clique (maxcl); every row is feasible for maxcut."""
-    x, adj = np.asarray(x, dtype=bool), _adjacency(graph)
+    x, adj = np.asarray(x, dtype=bool), graph.adjacency
     # mis, maxcl and maxcut forbid a chosen pair that `adj` links: an edge, a
     # non-adjacent pair, and no pair
     if problem == "maxcl":
-        adj = 1.0 - adj - np.eye(graph.n_nodes, dtype=np.float32)
+        adj = ~adj ^ np.eye(graph.n_nodes, dtype=bool)
     elif problem == "maxcut":
         adj = np.zeros_like(adj)
     elif problem not in ("mis", "mds"):
         raise ValueError(f"unknown problem kind {problem!r}")
     # the nodes `adj` links to a chosen node, by a BLAS product: numpy's boolean
     # matmul has no BLAS kernel and took 14x as long at 300 nodes and 30 rows
-    linked = x.astype(np.float32) @ adj > 0
+    linked = x.astype(np.float32) @ adj.astype(np.float32) > 0
     if problem == "mds":
         return (x | linked).all(-1)
     return ~(x & linked).any(-1)
@@ -178,11 +232,13 @@ def brute_force_co(
     best_e = math.inf
     kept = []
     for states, e in sweep_energies(co):
+        if not np.isfinite(e).all():
+            raise FloatingPointError("energy is not finite")
         best_e = min(best_e, float(e.min()))
         near = e <= best_e + 1e-9
         kept.append((states[near], e[near]))
     best_states = np.vstack([states[e <= best_e + 1e-9] for states, e in kept])
     sizes = np.unique(solution_size(problem, graph, best_states))
     if len(sizes) != 1:
-        raise RuntimeError(f"energy minimizers disagree on solution size: {sizes.tolist()}")
+        raise FloatingPointError(f"energy minimizers disagree on solution size: {sizes.tolist()}")
     return BruteForceResult(best_states, best_e, int(sizes[0]))

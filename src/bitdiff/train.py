@@ -239,21 +239,6 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng):
-    """Fresh on-policy paths for each instance in batch order, each batch
-    scored once: a list of (instance, tempered target, paths, energies), and
-    the batch sums of the mean energy and the entropy estimate."""
-    rollouts, energy_acc, ent_acc = [], 0.0, 0.0
-    for inst in inst_batch:
-        target = BoltzmannTarget(inst.energy_model, beta_eff)
-        paths = sample_reverse_path(policy, schedule, cfg.n_paths, rng, inst.condition)
-        energy = target.energy(paths.x0)
-        rollouts.append((inst, target, paths, energy))
-        energy_acc += float(np.mean(energy))
-        ent_acc += -float(paths.log_q.mean())
-    return rollouts, energy_acc, ent_acc
-
-
 def _mean_grads(per_instance: list) -> dict:
     """Mean of per-instance gradient dicts, summed in instance order."""
     total = per_instance[0]
@@ -262,8 +247,7 @@ def _mean_grads(per_instance: list) -> dict:
     return {k: v / len(per_instance) for k, v in total.items()}
 
 
-def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, adam, lr, rng):
-    rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
+def _epoch_diffuco(policy, rollouts, schedule, temperature, cfg, normalizer, adam, lr, rng):
     grads, loss_acc = [], 0.0
     with Arena():
         for inst, target, paths, energy in rollouts:
@@ -273,9 +257,7 @@ def _epoch_diffuco(policy, inst_batch, schedule, beta_eff, temperature, cfg, ada
             loss_acc += loss
             grads.append(g)
     adam_step(policy.params, _mean_grads(grads), adam, lr())
-    n = len(inst_batch)
-    return {"loss": loss_acc / n, "mean_energy": energy_acc / n,
-            "entropy": ent_acc / n, "ess": None}
+    return loss_acc / len(rollouts), None
 
 
 def _minibatch_updates(policy, grad, items, plans, adam, lr) -> float:
@@ -298,8 +280,7 @@ def _minibatch_updates(policy, grad, items, plans, adam, lr) -> float:
     return loss_acc / max(1, n_updates * len(items))
 
 
-def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
-    rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
+def _epoch_fkl(policy, rollouts, schedule, temperature, cfg, normalizer, adam, lr, rng):
     # each rollout is scored once: its log-weights give the ESS here and
     # every minibatch's self-normalized weights in fkl_mc_grad
     items, ess_acc = [], 0.0
@@ -308,14 +289,11 @@ def _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng):
         ess_acc += effective_sample_size(samples)
         items.append((paths, samples.log_w, inst.condition))
     plans = [minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)]
-    n = len(inst_batch)
-    return {"loss": _minibatch_updates(policy, fkl_mc_grad, items, plans, adam, lr),
-            "mean_energy": energy_acc / n, "entropy": ent_acc / n, "ess": ess_acc / n}
+    return (_minibatch_updates(policy, fkl_mc_grad, items, plans, adam, lr),
+            ess_acc / len(rollouts))
 
 
-def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normalizer,
-               adam, lr, rng):
-    rollouts, energy_acc, ent_acc = _rollouts(policy, inst_batch, schedule, beta_eff, cfg, rng)
+def _epoch_ppo(policy, rollouts, schedule, temperature, cfg, normalizer, adam, lr, rng):
     items = [
         (build_buffer(policy, paths, energy, target, schedule, temperature, cfg, normalizer),
          cfg, inst.condition)
@@ -324,9 +302,13 @@ def _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature, cfg, normali
     # one plan per pass over the buffers, drawn when the pass starts
     plans = (minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)
              for _ in range(cfg.epochs_per_buffer))
-    n = len(inst_batch)
-    return {"loss": _minibatch_updates(policy, ppo_minibatch_grad, items, plans, adam, lr),
-            "mean_energy": energy_acc / n, "entropy": ent_acc / n, "ess": None}
+    return _minibatch_updates(policy, ppo_minibatch_grad, items, plans, adam, lr), None
+
+
+# Each objective's epoch body: it takes the epoch's rollouts, (instance, tempered
+# target, paths, energies) in batch order, and returns (mean loss, mean ESS or
+# None). Looked up by name every epoch, so a wrapper set on the module is called.
+_EPOCH_BODIES = {"diffuco": "_epoch_diffuco", "fkl_mc": "_epoch_fkl", "rkl_rl": "_epoch_ppo"}
 
 
 def train(cfg: RunConfig | None, resume: str | None = None, stop_after: int | None = None) -> dict:
@@ -381,17 +363,20 @@ def train(cfg: RunConfig | None, resume: str | None = None, stop_after: int | No
             metrics.flush()
         for epoch in range(start_epoch, end_epoch):
             temperature = max(anneal_temperature(cfg, epoch), TEMPERATURE_FLOOR)
-            beta_eff = 1.0 / temperature
-            inst_batch = _select_instances(instances, cfg.n_instances, rng)
+            # fresh on-policy paths for each instance in batch order, each batch scored once
+            rollouts, energy_acc, ent_acc = [], 0.0, 0.0
+            for inst in _select_instances(instances, cfg.n_instances, rng):
+                target = BoltzmannTarget(inst.energy_model, 1.0 / temperature)
+                paths = sample_reverse_path(policy, schedule, cfg.n_paths, rng, inst.condition)
+                energy = target.energy(paths.x0)
+                rollouts.append((inst, target, paths, energy))
+                energy_acc += float(np.mean(energy))
+                ent_acc += -float(paths.log_q.mean())
             lr = lambda: lr_sched.lr(adam.step)
-            if cfg.objective == "diffuco":
-                row = _epoch_diffuco(policy, inst_batch, schedule, beta_eff,
-                                     temperature, cfg, adam, lr, rng)
-            elif cfg.objective == "fkl_mc":
-                row = _epoch_fkl(policy, inst_batch, schedule, beta_eff, cfg, adam, lr, rng)
-            else:
-                row = _epoch_ppo(policy, inst_batch, schedule, beta_eff, temperature,
-                                 cfg, normalizer, adam, lr, rng)
+            loss, ess = globals()[_EPOCH_BODIES[cfg.objective]](
+                policy, rollouts, schedule, temperature, cfg, normalizer, adam, lr, rng)
+            n = len(rollouts)
+            row = {"loss": loss, "mean_energy": energy_acc / n, "entropy": ent_acc / n, "ess": ess}
             if not math.isfinite(row["loss"]):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}; last-good checkpoint kept"

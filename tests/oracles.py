@@ -218,10 +218,10 @@ def mds_energy_direct(co, x) -> np.ndarray:
     """The MDS energy A * |set| + B * sum_i (1-x_i) prod_{j in N(i)} (1-x_j),
     one node at a time, in node order."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    neighbors = neighbors_direct(co.n_nodes, co.edges)
+    neighbors = neighbors_direct(co.n_sites, co.graph.edges)
     comp = 1.0 - x
     pen = np.zeros(x.shape[:-1])
-    for i in range(co.n_nodes):
+    for i in range(co.n_sites):
         term = comp[..., i]
         if len(neighbors[i]):
             term = term * np.take(comp, neighbors[i], axis=-1).prod(axis=-1)

@@ -3,7 +3,7 @@ import pytest
 
 from bitdiff.decode import conditional_expectation
 from bitdiff.energies import CoProblem, all_states
-from bitdiff.graphs import gen_ba, is_feasible
+from bitdiff.graphs import Graph, gen_ba, is_feasible
 
 from oracles import conditional_expectation_direct
 
@@ -24,25 +24,25 @@ def ba_marginals(seed: int, n_rows: int):
 
 class TestConditionalExpectation:
     def test_binary_input_is_fixed_point(self):
-        co = CoProblem("mis", 3, [(0, 1), (1, 2)])
+        co = CoProblem("mis", Graph(3, [(0, 1), (1, 2)]))
         v = np.array([1.0, 0.0, 1.0])
         out = conditional_expectation(v, co.energy)
         assert np.array_equal(out, [1, 0, 1])
 
     def test_hand_traced_single_edge_mis(self):
-        co = CoProblem("mis", 2, [(0, 1)], 1.0, 1.1)
+        co = CoProblem("mis", Graph(2, [(0, 1)]), 1.0, 1.1)
         out = conditional_expectation(np.array([0.9, 0.9]), co.energy)
         assert np.array_equal(out, [1, 0])
 
     def test_tie_breaks(self):
         # equal marginals: the stable sort fixes the lower index first, and a
         # tie in energy resolves toward bit value 1
-        co = CoProblem("mis", 2, [], 1.0, 1.1)  # no edges: all-ones optimal
+        co = CoProblem("mis", Graph(2, []), 1.0, 1.1)  # no edges: all-ones optimal
         out = conditional_expectation(np.array([0.5, 0.5]), co.energy)
         assert np.array_equal(out, [1, 1])
 
     def test_invalid_marginals(self):
-        co = CoProblem("mis", 2, [(0, 1)])
+        co = CoProblem("mis", Graph(2, [(0, 1)]))
         with pytest.raises(ValueError):
             conditional_expectation(np.array([0.5, 1.5]), co.energy)
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestConditionalExpectation:
             n = int(rng.integers(3, 9))
             g = gen_ba(n, 2, seed=trial)
             kind = ("mis", "mds", "maxcl", "maxcut")[trial % 4]
-            co = CoProblem(kind, n, g.edges, 1.0, 1.1)
+            co = CoProblem(kind, g, 1.0, 1.1)
             v = rng.uniform(0, 1, n)
             out = conditional_expectation(v, co.energy)
             assert co.energy(out.astype(np.float64)) <= co.energy(v) + 1e-12
@@ -66,7 +66,7 @@ class TestConditionalExpectation:
         for trial in range(50):
             n = int(rng.integers(3, 8))
             g = gen_ba(n, 1, seed=trial + 1000)
-            co = CoProblem("mis", n, g.edges, 1.0, 1.1)
+            co = CoProblem("mis", g, 1.0, 1.1)
             v = rng.uniform(0, 1, n)
             states = all_states(n).astype(np.float64)
             probs = np.prod(np.where(states == 1, v, 1 - v), axis=1)
@@ -82,13 +82,13 @@ class TestConditionalExpectation:
             n = int(rng.integers(3, 13))
             g = gen_ba(n, int(rng.integers(1, min(4, n))), seed=trial)
             kind = kinds[trial % 3]
-            co = CoProblem(kind, n, g.edges, 1.0, 1.1)
+            co = CoProblem(kind, g, 1.0, 1.1)
             v = rng.uniform(0, 1, n)
             out = conditional_expectation(v, co.energy)
             assert is_feasible(kind, g, out), (kind, trial)
 
     def test_determinism(self):
-        co = CoProblem("mds", 6, [(0, 1), (1, 2), (3, 4)], 1.0, 1.1)
+        co = CoProblem("mds", Graph(6, [(0, 1), (1, 2), (3, 4)]), 1.0, 1.1)
         v = np.array([0.3, 0.7, 0.7, 0.2, 0.9, 0.5])
         a = conditional_expectation(v, co.energy)
         b = conditional_expectation(v.copy(), co.energy)
@@ -129,7 +129,7 @@ class TestBatchedMatchesDirect:
             assert np.array_equal(out, bits)
 
     def test_non_finite_energy_in_any_row_raises(self):
-        co = CoProblem("mis", 3, [(0, 1), (1, 2)])
+        co = CoProblem("mis", Graph(3, [(0, 1), (1, 2)]))
         v = np.full((4, 3), 0.5)
 
         def energy(x):
@@ -140,6 +140,6 @@ class TestBatchedMatchesDirect:
             conditional_expectation(v, energy)
 
     def test_rejects_higher_rank_marginals(self):
-        co = CoProblem("mis", 2, [(0, 1)])
+        co = CoProblem("mis", Graph(2, [(0, 1)]))
         with pytest.raises(ValueError):
             conditional_expectation(np.full((2, 2, 2), 0.5), co.energy)

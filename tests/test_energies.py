@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,14 @@ from bitdiff.energies import (
     all_states,
     as_bits,
     enumerate_observables,
-    format_edge_list,
     lattice_bonds,
-    parse_edge_list,
     read_instance_text,
     write_instance_text,
 )
 
-from bitdiff import cli, energies
+from bitdiff import cli, energies, graphs
 from bitdiff.diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
-from bitdiff.graphs import Graph, gen_ba, gen_rb
+from bitdiff.graphs import Graph, format_edge_list, gen_ba, gen_rb, parse_edge_list
 
 from oracles import (
     lattice_bonds_direct,
@@ -139,36 +138,36 @@ class TestEAEnergy:
 
 class TestCoEnergies:
     def test_mis_single_edge(self):
-        co = CoProblem("mis", 2, [(0, 1)], 1.0, 1.1)
+        co = CoProblem("mis", Graph(2, [(0, 1)]), 1.0, 1.1)
         assert co.energy(np.array([1, 0])) == pytest.approx(-1.0)
         assert co.energy(np.array([1, 1])) == pytest.approx(-0.9)
 
     def test_maxcut_single_edge(self):
-        co = CoProblem("maxcut", 2, [(0, 1)])
+        co = CoProblem("maxcut", Graph(2, [(0, 1)]))
         assert co.energy(np.array([1, 0])) == pytest.approx(-1.0)
         assert co.energy(np.array([0, 0])) == pytest.approx(0.0)
 
     def test_mds_single_edge(self):
-        co = CoProblem("mds", 2, [(0, 1)], 1.0, 1.1)
+        co = CoProblem("mds", Graph(2, [(0, 1)]), 1.0, 1.1)
         assert co.energy(np.array([0, 0])) == pytest.approx(2.2)
         assert co.energy(np.array([1, 0])) == pytest.approx(1.0)
 
     def test_maxcl_excludes_self_pairs(self):
-        co = CoProblem("maxcl", 3, [(0, 1)], 1.0, 1.1)
+        co = CoProblem("maxcl", Graph(3, [(0, 1)]), 1.0, 1.1)
         # non-edges among distinct pairs: (0,2), (1,2)
         assert co.energy(np.array([1, 1, 0])) == pytest.approx(-2.0)
         assert co.energy(np.array([1, 1, 1])) == pytest.approx(-3.0 + 2 * 1.1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            CoProblem("tsp", 2, [(0, 1)])
+            CoProblem("tsp", Graph(2, [(0, 1)]))
 
     def test_multilinear_matches_expectation(self):
         # relaxed evaluation equals the exact product-distribution expectation
         rng = np.random.default_rng(5)
         for kind in ("mis", "mds", "maxcl", "maxcut"):
             edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
-            co = CoProblem(kind, 4, edges, 1.0, 1.1)
+            co = CoProblem(kind, Graph(4, edges), 1.0, 1.1)
             v = rng.uniform(0, 1, 4)
             states = all_states(4).astype(np.float64)
             probs = np.prod(np.where(states == 1, v, 1 - v), axis=1)
@@ -178,7 +177,7 @@ class TestCoEnergies:
     def test_mis_matches_quadratic_form(self):
         # x^T Q x with -A on the diagonal (x_i^2 = x_i) and B on each edge
         edges = [(0, 1), (1, 2)]
-        co = CoProblem("mis", 3, edges, 1.0, 1.1)
+        co = CoProblem("mis", Graph(3, edges), 1.0, 1.1)
         q = -np.eye(3)
         for i, j in edges:
             q[i, j] = 1.1
@@ -191,15 +190,15 @@ class TestCoEnergies:
         n = int(rng.integers(2, 12))
         pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        co = CoProblem("maxcl", n, pairs)
-        want = neighbors_direct(n, co.edges)
+        co = CoProblem("maxcl", Graph(n, pairs))
+        want = neighbors_direct(n, co.graph.edges)
         width = max(len(ref) for ref in want)
         assert co._neighbor_idx.dtype == np.int64 and co._neighbor_idx.shape == (n, width)
         for got, ref in zip(co._neighbor_idx, want):
             # each row ends in padding: n, the column of ones `energy` appends
             assert np.array_equal(got[:len(ref)], ref) and (got[len(ref):] == n).all()
         assert co._non_edges.dtype == np.int64
-        assert np.array_equal(co._non_edges, non_edges_direct(n, co.edges))
+        assert np.array_equal(co._non_edges, non_edges_direct(n, co.graph.edges))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mds_energy_matches_node_loop(self, seed):
@@ -240,7 +239,7 @@ class TestCoEnergies:
 
     def test_mis_requires_ordered_penalties(self):
         with pytest.raises(ValueError):
-            CoProblem("mis", 2, [(0, 1)], penalty_a=1.1, penalty_b=1.0)
+            CoProblem("mis", Graph(2, [(0, 1)]), penalty_a=1.1, penalty_b=1.0)
 
 
 def stay_put(states) -> PathBatch:
@@ -375,13 +374,6 @@ class TestTextFormats:
         with pytest.raises(ValueError, match="third column must be 1"):
             parse_edge_list(f"3 2\n0 1 {weight}\n1 2\n")
 
-    def test_instance_roundtrip_ising(self):
-        lat = IsingLattice2D(4, 1.5)
-        back = read_instance_text(write_instance_text(lat))
-        assert isinstance(back, IsingLattice2D)
-        assert (back.side_length, back.coupling) == (lat.side_length, lat.coupling)
-        assert np.array_equal(back.couplings, lat.couplings)
-
     def test_instance_roundtrip_ea(self):
         ea = EAInstance.uniform(3, seed=9)
         back = read_instance_text(write_instance_text(ea))
@@ -405,7 +397,7 @@ class TestUndirectedEdges:
         pairs = np.column_stack([a, b])
         edges = np.concatenate([pairs, pairs[rng.random(len(a)) < 0.5][:, ::-1], pairs[:3]])
         edges = edges[rng.permutation(len(edges))]
-        got = energies.undirected_edges(edges, n)
+        got = graphs.undirected_edges(edges, n)
         want = undirected_edges_direct(edges)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
@@ -413,17 +405,17 @@ class TestUndirectedEdges:
 
     @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)])
     def test_empty(self, edges):
-        got = energies.undirected_edges(edges, 3)
+        got = graphs.undirected_edges(edges, 3)
         assert got.shape == (0, 2) and got.dtype == np.int64
         assert np.array_equal(got, undirected_edges_direct(edges))
 
 
-# EA instance text: `kind`, `L`, `J`, `seed` and `bonds` header lines, each
+# EA instance text: `kind`, `L`, `seed` and `bonds` header lines, each
 # missing, malformed or out of range, among bond lines that follow the L = 3
-# or 4 lattice or are random. L stays <= 4 wherever the text can hold a model:
-# `kind ising` allocates its 2 L^2 bonds as it parses, and a valid 5x5
-# instance enumerates for about 44 s. Huge sizes come only under `kind ea`,
-# whose bond-count check rejects them before anything is allocated.
+# or 4 lattice or are random. L stays <= 4 wherever the text can hold a model,
+# since a valid 5x5 instance enumerates for about 44 s. Huge sizes come under
+# any `kind`: a kind other than `ea` is refused, and the bond-count check
+# rejects a huge `ea`, before anything is allocated.
 _SMALL_SIDES = st.one_of(st.sampled_from([3, 4]), st.integers(-2, 4))
 _HUGE_SIDES = st.sampled_from([10**6, 2**31, 2**63, 10**30])
 _INSTANCE_TOKENS = st.one_of(st.sampled_from(["x", "2.5", "nan", "inf", "-inf", "1e999", "-0"]),
@@ -437,7 +429,7 @@ def instance_texts(draw):
     # hypothesis draws a sampled list's first entries most often: they lead
     # toward text that parses
     kind = draw(st.sampled_from(["ea", "ea", "ising", "spin"]))
-    side = draw(st.one_of(_SMALL_SIDES, _HUGE_SIDES) if kind == "ea" else _SMALL_SIDES)
+    side = draw(st.one_of(_SMALL_SIDES, _HUGE_SIDES))
     if 3 <= side <= 4 and draw(st.sampled_from(["lattice", "lattice", "random"])) == "lattice":
         body = [f"{i} {j} {draw(_COUPLINGS)}" for i, j in lattice_bonds(side)]
         edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "coupling", "garble"]))
@@ -453,7 +445,6 @@ def instance_texts(draw):
     # each field's value when plain, and when bad
     fields = {"kind": (st.just(kind), st.sampled_from(["", "EA", "ea ising"])),
               "L": (st.just(str(side)), _INSTANCE_TOKENS),
-              "J": (_COUPLINGS, _BAD_COUPLINGS),
               "seed": (st.integers(-5, 5).map(str), _INSTANCE_TOKENS),
               "bonds": (st.just(str(2 * side * side)),
                         st.one_of(st.just(str(len(body))), _INSTANCE_TOKENS))}
@@ -472,9 +463,24 @@ class TestInstanceText:
     @given(instance_texts())
     def test_any_text_parses_or_raises_value_error(self, text):
         try:
-            assert isinstance(read_instance_text(text), (IsingLattice2D, EAInstance))
+            assert isinstance(read_instance_text(text), EAInstance)
         except ValueError:
             pass
+
+    def test_other_kind_is_refused_before_anything_is_built(self, tmp_path, capsys):
+        text = "kind ising\nL 1000000\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="not an EA instance"):
+                read_instance_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        (tmp_path / "ising.txt").write_text(text, encoding="utf-8")
+        assert cli.main(["oracle", "--problem", "ea", "--instance",
+                         str(tmp_path / "ising.txt")]) == 2
+        assert "not an EA instance" in capsys.readouterr().err
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(instance_texts())

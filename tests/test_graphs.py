@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitdiff import cli
+from bitdiff import cli, graphs
 from bitdiff.energies import all_states
 from bitdiff.graphs import Graph, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
 
@@ -43,6 +45,22 @@ class TestGraph:
         back = Graph.from_text(g.to_text())
         assert back.n_nodes == g.n_nodes
         assert np.array_equal(back.edges, g.edges)
+
+    def test_problems_and_checks_read_one_adjacency(self, monkeypatch):
+        # the edge rule runs once, when the graph is built; its adjacency is
+        # built once, on first use, and every reader shares it
+        g = gen_ba(12, 3, seed=1)
+        rule_calls, builds = [], []
+        monkeypatch.setattr(graphs, "undirected_edges", lambda *a: rule_calls.append(a))
+        build = Graph.adjacency.func
+        counted = functools.cached_property(lambda graph: builds.append(graph) or build(graph))
+        counted.__set_name__(Graph, "adjacency")
+        monkeypatch.setattr(Graph, "adjacency", counted)
+        for kind in ("mis", "mds", "maxcl", "maxcut"):
+            assert g.co_problem(kind, 1.0, 1.1).graph is g
+            is_feasible(kind, g, np.ones(12))
+        assert rule_calls == [] and len(builds) == 1 and builds[0] is g
+        assert g.adjacency is g.__dict__["adjacency"] and not g.adjacency.flags.writeable
 
 
 # graph text: an `N M` header (M often the data-line count) over edge lines of

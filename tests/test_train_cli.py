@@ -1,5 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +18,8 @@ from bitdiff import cli
 from bitdiff import config, nets
 from bitdiff.config import ConfigError, RunConfig, parse_config
 from bitdiff.diffusion import exp_schedule, sample_reverse_path
-from bitdiff.energies import CoProblem, EAInstance, IsingLattice2D, write_instance_text
-from bitdiff.graphs import Graph
+from bitdiff.energies import CO_PROBLEMS, CoProblem, EAInstance, IsingLattice2D, write_instance_text
+from bitdiff.graphs import Graph, gen_ba
 from bitdiff.nets import GraphCondition
 from bitdiff.train import load_checkpoint, load_dataset, train
 
@@ -254,6 +260,56 @@ class TestTraining:
         train(cfg, resume=str(ckpt))
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == Path(
             full["metrics"]).read_bytes()
+
+    def test_killed_runs_resume_to_the_uninterrupted_bytes(self, tmp_path):
+        # `bitdiff train` in a subprocess, killed by SIGKILL at seeded random
+        # instants and resumed (restarted from its config while it has no
+        # checkpoint) until it ends, leaves the metrics and checkpoint of an
+        # uninterrupted run; about 10 s on 2 vCPUs
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(bitdiff.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        log, starts = open(tmp_path / "stderr.txt", "ab"), []
+
+        def start(name):
+            ckpt = tmp_path / name / "checkpoint.npz"
+            source = ["--resume", str(ckpt)] if ckpt.exists() else \
+                ["--config", str(tmp_path / f"{name}.cfg")]
+            starts.append(source[0])
+            return subprocess.Popen([sys.executable, "-m", "bitdiff.cli", "train", *source],
+                                    env=env, stdout=subprocess.DEVNULL, stderr=log)
+
+        for name in ("full", "killed"):
+            (tmp_path / f"{name}.cfg").write_text(ISING_CFG.format(
+                objective="rkl_rl", epochs=100, seed=4, out_dir=tmp_path / name))
+        with log:
+            began = time.perf_counter()
+            assert start("full").wait(timeout=300) == 0
+            wall = time.perf_counter() - began
+            rng, kills = np.random.default_rng(12), 0
+            while True:
+                proc = start("killed")
+                try:
+                    code = proc.wait(timeout=rng.uniform(0.05, 0.45) * wall if kills < 6 else 300)
+                    break
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+                    kills += 1
+        assert code == 0, (tmp_path / "stderr.txt").read_text()
+        assert kills >= 3 and starts.count("--resume") >= 2, starts
+        assert (tmp_path / "killed" / "metrics.csv").read_bytes() == \
+            (tmp_path / "full" / "metrics.csv").read_bytes()
+        saved = []
+        for name in ("full", "killed"):
+            with np.load(tmp_path / name / "checkpoint.npz", allow_pickle=False) as blob:
+                arrays = {k: blob[k] for k in blob.files}
+            meta = json.loads(str(arrays.pop("meta")))
+            meta["config"].pop("out_dir")
+            saved.append((meta, arrays))
+        (meta_full, full), (meta_killed, killed) = saved
+        assert meta_killed == meta_full and full.keys() == killed.keys()
+        assert all(full[k].dtype == killed[k].dtype and np.array_equal(full[k], killed[k])
+                   for k in full)
 
     def test_failed_checkpoint_save_keeps_the_previous_one(self, tmp_path, monkeypatch):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=1, seed=0,
@@ -526,7 +582,7 @@ class TestCli:
 
     def test_exit_code_ea_oracle_on_ising_instance(self, tmp_path, capsys):
         inst = tmp_path / "ising.txt"
-        inst.write_text(write_instance_text(IsingLattice2D(3)))
+        inst.write_text("kind ising\nL 3\nJ 1\n")
         assert cli.main(["oracle", "--problem", "ea", "--instance", str(inst)]) == 2
         assert "not an EA instance" in capsys.readouterr().err
 
@@ -623,6 +679,16 @@ class TestCli:
     def test_exit_code_co_oracle_without_graph(self, capsys, problem):
         assert cli.main(["oracle", "--problem", problem]) == 2
         assert "requires --graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("penalties", [["--penalty-a", "0"], ["--penalty-b", "inf"]],
+                             ids=["tied_minimizers", "non_finite_energy"])
+    def test_exit_code_degenerate_penalties(self, tmp_path, capsys, penalties):
+        # penalties whose energy minimizers are not one solution size: found
+        # by the argv fuzz below as a RuntimeError traceback
+        graph = tmp_path / "g.txt"
+        graph.write_text(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]).to_text())
+        assert cli.main(["oracle", "--problem", "mis", "--graph", str(graph), *penalties]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_exit_code_failed_allocation(self, tmp_path, capsys):
         # the first array of 10^15 chains' paths cannot be allocated, so the
@@ -799,6 +865,104 @@ anneal_h = 10
         assert len(saves) == 3 + 1
         *_, text = load_checkpoint(tmp_path / "r" / "checkpoint.npz")
         assert text == first
+
+
+# `oracle` and `gen-graphs` argv: each option absent or given a value its
+# type parses (`--flag=value`, so "-inf" is no flag), in any order, and now and
+# then one junk token. Every size is bounded, so no draw enumerates or
+# allocates much: a lattice side of 5 enumerates 2^25 states (about 44 s), so
+# sides come from {-1, 0, 1, 2, 3, 6, 7}, where 6 and 7 pass the 26-bit cap
+# and are refused; counts stay <= 3, nodes <= 20, and RB cliques and sizes
+# <= 4, which keeps gen-graphs' 1,000 redraws short when no size fits
+_ARGV_FLOATS = st.one_of(st.floats(0, 3), st.floats()).map(repr)
+_ARGV_SEEDS = st.one_of(st.integers(-2, 9), st.sampled_from([2**63, 2**70])).map(str)
+_ARGV_JUNK = st.sampled_from(["", "x", "nan", "-1", "--", "-h", "--count", "--bogus=1"])
+
+
+def _argv(draw, command: str, required: dict, optional: dict) -> list:
+    options = list(required.items()) + [opt for opt in optional.items() if opt[0] not in required
+                                        and draw(st.sampled_from([False, False, True]))]
+    argv = [flag if values is None else f"{flag}={draw(values)}"
+            for flag, values in draw(st.permutations(options))]
+    if draw(st.sampled_from([False] * 7 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_ARGV_JUNK))
+    return [command, *argv]
+
+
+@st.composite
+def oracle_argv(draw, root: Path):
+    def files(*names):
+        return st.sampled_from([str(root / n) for n in (*names, "missing.txt", "")])
+
+    graphs, instances = files("g6.txt", "g16.txt", "weighted.txt", "ea3.txt"), \
+        files("ea3.txt", "ising.txt", "g6.txt")
+    problem = draw(st.sampled_from(["ising", "ea", *CO_PROBLEMS]))
+    return _argv(draw, "oracle", {
+        "--problem": st.just(problem),
+        "--out": st.sampled_from([str(root / "o.json"), str(root), str(root / "no" / "o.json")]),
+        **({} if problem in ("ising", "ea") else {"--graph": graphs}),
+    }, {
+        "--lattice-size": st.sampled_from(["-1", "0", "1", "2", "3", "6", "7"]),
+        "--coupling": _ARGV_FLOATS, "--beta": _ARGV_FLOATS,
+        "--ea-seed": _ARGV_SEEDS, "--ea-dist": st.sampled_from(["normal", "uniform"]),
+        "--instance": instances, "--graph": graphs,
+        "--penalty-a": _ARGV_FLOATS, "--penalty-b": _ARGV_FLOATS, "--allow-large": None,
+    })
+
+
+@st.composite
+def gen_graphs_argv(draw, root: Path):
+    return _argv(draw, "gen-graphs", {
+        "--kind": st.sampled_from(["ba", "rb"]),
+        "--out": st.sampled_from([str(root / "ds"), str(root / "g6.txt" / "ds")]),
+        "--count": st.sampled_from(["2", "1", "3", "0", "-1"]),
+    }, {
+        "--seed": _ARGV_SEEDS, "--problem": st.sampled_from(["mis", ""]),
+        **{flag: st.sampled_from([*map(str, range(5, 21)), "0", "-2"])
+           for flag in ("--min-nodes", "--max-nodes")},
+        "--ba-m": st.sampled_from(["2", "1", "3", "4", "0", "-1", "20"]),
+        **{flag: st.sampled_from(["2", "3", "4", "1", "-1"])
+           for flag in ("--rb-min-cliques", "--rb-max-cliques", "--rb-min-k", "--rb-max-k")},
+        "--rb-min-p": _ARGV_FLOATS, "--rb-max-p": _ARGV_FLOATS,
+    })
+
+
+def argv_fuzz_root(tmp_path_factory) -> Path:
+    root = tmp_path_factory.getbasetemp() / "argv_fuzz"
+    if not root.exists():
+        root.mkdir()
+        (root / "ea3.txt").write_text(write_instance_text(EAInstance.normal(3, seed=0)))
+        (root / "ising.txt").write_text("kind ising\nL 3\nJ 1\n")
+        (root / "g6.txt").write_text(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]).to_text())
+        (root / "g16.txt").write_text(gen_ba(16, 3, seed=2).to_text())
+        (root / "weighted.txt").write_text("2 1\n0 1 2.5\n")
+    return root
+
+
+class TestArgvFuzz:
+    """Any argv exits 0, 2, 3 or 4, by return or by `SystemExit`, and never
+    with a traceback."""
+
+    @staticmethod
+    def exits_cleanly(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_oracle(self, tmp_path_factory, data):
+        self.exits_cleanly(data.draw(oracle_argv(argv_fuzz_root(tmp_path_factory))))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_gen_graphs(self, tmp_path_factory, data):
+        self.exits_cleanly(data.draw(gen_graphs_argv(argv_fuzz_root(tmp_path_factory))))
 
 
 def run_text(kind: str, root: Path, out_dir: Path, objective="fkl_mc", epochs=1) -> str:
