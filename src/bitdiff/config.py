@@ -113,8 +113,8 @@ class RunConfig:
             raise ConfigError("train.anneal_h must be > 0")
         if self.ea_dist not in ("normal", "uniform"):
             raise ConfigError("problem.ea_dist must be normal or uniform")
-        if not self.penalty_a < self.penalty_b:
-            raise ConfigError("penalty_a must be < penalty_b")
+        if not 0 < self.penalty_a < self.penalty_b:
+            raise ConfigError("penalties must satisfy 0 < penalty_a < penalty_b")
         if not 0 < self.clip < 1:
             raise ConfigError("ppo.clip must be in (0, 1)")
         if not 0 <= self.value_weight <= 1:

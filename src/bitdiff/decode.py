@@ -4,7 +4,7 @@ The energy functions here are multilinear, so evaluating one on a fractional
 vector gives the exact expected energy under the product distribution with
 those marginals. Fixing coordinates one at a time to the better endpoint can
 therefore never increase the (expected) energy, which yields the
-better-than-average guarantee and, for the penalty-form problems with A < B,
+better-than-average guarantee and, for the penalty-form problems with 0 < A < B,
 a constraint-feasible output.
 
 Decoding takes one marginal vector (N,) or a matrix (M, N) of M independent

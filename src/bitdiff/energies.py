@@ -197,8 +197,8 @@ class CoProblem:
     def __post_init__(self):
         if self.kind not in CO_PROBLEMS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind in ("mis", "mds", "maxcl") and not self.penalty_a < self.penalty_b:
-            raise ValueError("penalty_a must be < penalty_b")
+        if self.kind in ("mis", "mds", "maxcl") and not 0 < self.penalty_a < self.penalty_b:
+            raise ValueError("penalties must satisfy 0 < penalty_a < penalty_b")
         n, adj = self.graph.n_nodes, self.graph.adjacency
         # row i: node i's neighbours, ascending, padded with n (energy's column of ones)
         degree = adj.sum(axis=1)

@@ -129,8 +129,12 @@ def gen_ba(n_nodes: int, attachment: int, seed: int) -> Graph:
         chosen: list[int] = []
         weights = degree[:v].copy()
         for _ in range(m):
+            # the inverse CDF that `rng.choice(v, p=p)` draws by, one double
+            # per draw, without that call's per-call checks
             p = weights / weights.sum()
-            u = int(rng.choice(v, p=p))
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            u = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(u)
             weights[u] = 0.0
         for u in chosen:

@@ -17,7 +17,7 @@ from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PathBatch, bernoulli_logpmf, path_log_p_hat, stationary_logprob
 from bitdiff.energies import int_to_bits
-from bitdiff.graphs import BruteForceResult
+from bitdiff.graphs import BruteForceResult, Graph
 from bitdiff.unbiased import AutocorrResult, ConvergenceError
 
 
@@ -311,6 +311,28 @@ def undirected_edges_direct(edges) -> np.ndarray:
     if not edges.size:
         return edges
     return np.unique(np.column_stack([edges.min(axis=1), edges.max(axis=1)]), axis=0)
+
+
+def gen_ba_direct(n_nodes: int, attachment: int, seed: int) -> Graph:
+    """`graphs.gen_ba` with each attachment drawn by `Generator.choice`."""
+    m, n = attachment, n_nodes
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
+    degree = np.zeros(n, dtype=np.float64)
+    degree[: m + 1] = m
+    for v in range(m + 1, n):
+        chosen: list[int] = []
+        weights = degree[:v].copy()
+        for _ in range(m):
+            p = weights / weights.sum()
+            u = int(rng.choice(v, p=p))
+            chosen.append(u)
+            weights[u] = 0.0
+        for u in chosen:
+            edges.append((u, v))
+            degree[u] += 1
+        degree[v] = m
+    return Graph(n, np.array(edges, dtype=np.int64))
 
 
 def non_edges_direct(n_nodes: int, edges) -> np.ndarray:

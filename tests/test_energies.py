@@ -241,6 +241,12 @@ class TestCoEnergies:
         with pytest.raises(ValueError):
             CoProblem("mis", Graph(2, [(0, 1)]), penalty_a=1.1, penalty_b=1.0)
 
+    @pytest.mark.parametrize("kind", ["mis", "mds", "maxcl"])
+    @pytest.mark.parametrize("reward", [0.0, -1.0, float("nan")])
+    def test_penalty_forms_require_a_positive_reward(self, kind, reward):
+        with pytest.raises(ValueError, match="0 < penalty_a"):
+            CoProblem(kind, Graph(2, [(0, 1)]), penalty_a=reward, penalty_b=1.1)
+
 
 def stay_put(states) -> PathBatch:
     """One-step paths with X_1 = X_0: every path has the same noising term."""

@@ -8,7 +8,12 @@ from bitdiff import cli, graphs
 from bitdiff.energies import all_states
 from bitdiff.graphs import Graph, brute_force_co, gen_ba, gen_rb, is_feasible, solution_size
 
-from oracles import brute_force_co_direct, is_feasible_direct, solution_size_direct
+from oracles import (
+    brute_force_co_direct,
+    gen_ba_direct,
+    is_feasible_direct,
+    solution_size_direct,
+)
 
 
 def star(n_leaves):
@@ -133,6 +138,13 @@ class TestBarabasiAlbert:
         for s in range(10):
             g = gen_ba(9, 3, seed=s)
             assert len(g.edges) == 3 * 4 // 2 + 3 * (9 - 3 - 1)  # no attachment repeated
+
+    def test_matches_choice_draws(self):
+        # seeds 0-143 cover every (n, m) with n in 5..40 and m in 1..4
+        for seed in range(200):
+            n, m = 5 + seed % 36, 1 + seed // 36 % 4
+            assert np.array_equal(gen_ba(n, m, seed).edges,
+                                  gen_ba_direct(n, m, seed).edges), (n, m, seed)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,10 @@ anneal_h = 20
 """
 
 
+# a 6-node path plus a leaf whose MIS has 3 nodes
+PATH_PLUS_LEAF = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)])
+
+
 def write_single_edge_dataset(root: Path) -> Path:
     ds = root / "dataset"
     ds.mkdir()
@@ -163,6 +167,8 @@ class TestConfig:
         "[model]\nhidden =\n",
         "[model]\nn_hidden = 0\n",
         "[train]\nn_instances = 0\n",
+        "[problem]\npenalty_a = 0\n",
+        "[problem]\npenalty_a = -1\n",
     ])
     def test_out_of_range_values_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -680,15 +686,24 @@ class TestCli:
         assert cli.main(["oracle", "--problem", problem]) == 2
         assert "requires --graph" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("penalties", [["--penalty-a", "0"], ["--penalty-b", "inf"]],
-                             ids=["tied_minimizers", "non_finite_energy"])
+    @pytest.mark.parametrize("penalties", [["--penalty-b", "inf"]], ids=["non_finite_energy"])
     def test_exit_code_degenerate_penalties(self, tmp_path, capsys, penalties):
-        # penalties whose energy minimizers are not one solution size: found
-        # by the argv fuzz below as a RuntimeError traceback
+        # a non-finite energy: found by the argv fuzz below as a traceback
         graph = tmp_path / "g.txt"
-        graph.write_text(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]).to_text())
+        graph.write_text(PATH_PLUS_LEAF.to_text())
         assert cli.main(["oracle", "--problem", "mis", "--graph", str(graph), *penalties]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["mis", "mds", "maxcl"])
+    @pytest.mark.parametrize("reward", ["0", "-1"], ids=["zero", "negative"])
+    def test_exit_code_non_positive_reward(self, tmp_path, capsys, problem, reward):
+        # with A <= 0 the empty set can tie or beat every feasible optimum:
+        # A = -1 gave the MIS of this graph as size 0
+        graph = tmp_path / "g.txt"
+        graph.write_text(PATH_PLUS_LEAF.to_text())
+        assert cli.main(["oracle", "--problem", problem, "--graph", str(graph),
+                         f"--penalty-a={reward}"]) == 2
+        assert "0 < penalty_a < penalty_b" in capsys.readouterr().err
 
     def test_exit_code_failed_allocation(self, tmp_path, capsys):
         # the first array of 10^15 chains' paths cannot be allocated, so the
@@ -927,16 +942,111 @@ def gen_graphs_argv(draw, root: Path):
     })
 
 
+# `estimate` and `solve` argv read an untrained 3x3 lattice checkpoint or an
+# untrained GNN checkpoint; the size options are always given, so no draw
+# takes the defaults' 100,000 samples or 8 chains x 2,000 steps: at most 64
+# samples, 4 chains x 200 steps and 8 solve samples per graph
+_ARGV_CHECKPOINTS = ["g6.txt", "missing.npz", ""]
+
+
+def _argv_files(root: Path, valid: str, *others: str):
+    """One of the files under `root`, `valid` half the time."""
+    return st.sampled_from([str(root / n) for n in ([valid] * len(others) + list(others))])
+
+
+@st.composite
+def estimate_argv(draw, root: Path):
+    return _argv(draw, "estimate", {
+        "--checkpoint": _argv_files(root, "ising/checkpoint.npz", "co/checkpoint.npz",
+                                    *_ARGV_CHECKPOINTS),
+        "--n-samples": st.sampled_from(["64", "1", "2", "17", "0", "-1"]),
+        "--chains": st.sampled_from(["4", "1", "2", "0", "-1"]),
+        "--chain-steps": st.sampled_from(["200", "1", "2", "50", "0", "-1"]),
+    }, {
+        "--method": st.sampled_from(["snis", "nmcmc", "snis", "nmcmc", "mcmc"]),
+        "--seed": _ARGV_SEEDS,
+        "--out": _argv_files(root, "e.json", "", "no/e.json"),
+    })
+
+
+@st.composite
+def solve_argv(draw, root: Path):
+    return _argv(draw, "solve", {
+        "--checkpoint": _argv_files(root, "co/checkpoint.npz", "ising/checkpoint.npz",
+                                    *_ARGV_CHECKPOINTS),
+        "--dataset": _argv_files(root, "dataset", "ds16", "missing", "g6.txt", "ising"),
+        "--n-samples": st.sampled_from(["8", "1", "2", "0", "-1"]),
+    }, {
+        "--ce": None, "--no-ce": None,
+        "--steps-multiplier": st.sampled_from(["1", "2", "3", "0", "-1"]),
+        "--seed": _ARGV_SEEDS,
+        "--out": _argv_files(root, "s.json", "", "no/s.json"),
+    })
+
+
 def argv_fuzz_root(tmp_path_factory) -> Path:
     root = tmp_path_factory.getbasetemp() / "argv_fuzz"
     if not root.exists():
         root.mkdir()
         (root / "ea3.txt").write_text(write_instance_text(EAInstance.normal(3, seed=0)))
         (root / "ising.txt").write_text("kind ising\nL 3\nJ 1\n")
-        (root / "g6.txt").write_text(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]).to_text())
+        (root / "g6.txt").write_text(PATH_PLUS_LEAF.to_text())
         (root / "g16.txt").write_text(gen_ba(16, 3, seed=2).to_text())
         (root / "weighted.txt").write_text("2 1\n0 1 2.5\n")
+        (root / "ds16").mkdir()
+        (root / "ds16" / "graph_00000.txt").write_text((root / "g16.txt").read_text())
+        train(parse_config(ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0,
+                                            out_dir=root / "ising")))
+        train(parse_config(co_cfg(write_single_edge_dataset(root), root / "co", epochs=0)))
     return root
+
+
+COLD_START_SCRIPT = """
+import json, sys
+import numpy as np
+from bitdiff import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.sparse" not in sys.modules
+from bitdiff.graphs import gen_ba
+from bitdiff.nets import GraphCondition
+graph = gen_ba(300, 4, 0)
+cond = GraphCondition(graph)
+assert cond._dense is None and "scipy.sparse" in sys.modules
+a, b = graph.edges.T
+adj = np.zeros((300, 300))
+adj[a, b] = adj[b, a] = 1.0
+x = np.random.default_rng(0).standard_normal((600, 5))
+want = np.kron(np.eye(2), adj / np.sqrt(adj.sum(axis=1))[:, None]) @ x
+np.testing.assert_allclose(cond.aggregate(x, 2), want, rtol=1e-12, atol=1e-12)
+"""
+
+
+class TestColdStart:
+    def test_dense_commands_never_import_scipy_sparse(self, tmp_path):
+        # scipy.sparse costs about 0.15 s and 14 MB at import, so only a
+        # sparse-form graph may load it; a fresh process runs every command on
+        # lattices and dense-form graphs first, then builds one sparse-form
+        # graph; about 0.4 s on 2 vCPUs
+        (tmp_path / "ising.cfg").write_text(ISING_CFG.format(
+            objective="fkl_mc", epochs=1, seed=0, out_dir=tmp_path / "ising"))
+        (tmp_path / "co.cfg").write_text(co_cfg(tmp_path / "ba", tmp_path / "co",
+                                                objective="fkl_mc", epochs=1))
+        commands = [
+            ["oracle", "--problem", "ising", "--lattice-size", "3"],
+            ["train", "--config", str(tmp_path / "ising.cfg")],
+            ["estimate", "--checkpoint", str(tmp_path / "ising" / "checkpoint.npz"),
+             "--method", "snis", "--n-samples", "64"],
+            ["gen-graphs", "--kind", "ba", "--count", "2", "--out", str(tmp_path / "ba")],
+            ["train", "--config", str(tmp_path / "co.cfg")],
+            ["solve", "--checkpoint", str(tmp_path / "co" / "checkpoint.npz"),
+             "--dataset", str(tmp_path / "ba"), "--n-samples", "4", "--ce"],
+        ]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(bitdiff.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestArgvFuzz:
@@ -963,6 +1073,16 @@ class TestArgvFuzz:
     @given(st.data())
     def test_gen_graphs(self, tmp_path_factory, data):
         self.exits_cleanly(data.draw(gen_graphs_argv(argv_fuzz_root(tmp_path_factory))))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_estimate(self, tmp_path_factory, data):
+        self.exits_cleanly(data.draw(estimate_argv(argv_fuzz_root(tmp_path_factory))))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_solve(self, tmp_path_factory, data):
+        self.exits_cleanly(data.draw(solve_argv(argv_fuzz_root(tmp_path_factory))))
 
 
 def run_text(kind: str, root: Path, out_dir: Path, objective="fkl_mc", epochs=1) -> str:
