@@ -117,6 +117,8 @@ def cmd_train(args) -> int:
 def cmd_solve(args) -> int:
     if args.n_samples < 1:
         raise ConfigError(f"--n-samples must be >= 1, got {args.n_samples}")
+    if args.steps_multiplier < 1:
+        raise ConfigError(f"--steps-multiplier must be >= 1, got {args.steps_multiplier}")
     policy, cfg, *_ = load_checkpoint(args.checkpoint)
     if cfg.kind != "co":
         raise ConfigError("solve requires a checkpoint trained on a co problem")
@@ -329,7 +331,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, MemoryError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+        # a failed Python allocation raises MemoryError without text
+        text = str(err) or ("out of memory" if isinstance(err, MemoryError) else "")
+        print(f"config error: {text}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

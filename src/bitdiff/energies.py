@@ -23,6 +23,7 @@ __all__ = [
     "CO_PROBLEMS",
     "BoltzmannTarget",
     "ExactObservables",
+    "WeightSums",
     "sweep_energies",
     "enumerate_observables",
     "lattice_bonds",
@@ -293,6 +294,42 @@ class ExactObservables:
     probabilities: np.ndarray | None
 
 
+@dataclass
+class WeightSums:
+    """Running sums over weighted samples, folded in block by block: the count,
+    the largest log-weight so far (`shift`), and sum w, sum w * H and sum w^2
+    with w = exp(log_w - shift). Memory does not grow with the sample count."""
+
+    n_samples: int = 0
+    shift: float = -math.inf
+    sum_w: float = 0.0
+    sum_wh: float = 0.0
+    sum_w2: float = 0.0
+
+    def add(self, energy: np.ndarray, log_w: np.ndarray) -> WeightSums:
+        """Fold in one block of energies H and their log-weights; returns self."""
+        if not np.isfinite(log_w).all():
+            raise FloatingPointError("non-finite log-weight")
+        m = float(log_w.max())
+        if m > self.shift:
+            scale = math.exp(self.shift - m)
+            self.sum_w *= scale
+            self.sum_wh *= scale
+            self.sum_w2 *= scale * scale
+            self.shift = m
+        w = np.exp(log_w - self.shift)
+        self.sum_w += float(w.sum())
+        self.sum_wh += float((w * energy).sum())
+        self.sum_w2 += float(w @ w)
+        self.n_samples += len(w)
+        return self
+
+    @property
+    def log_sum(self) -> float:
+        """log(sum exp(log_w)), the log of the unshifted weight sum."""
+        return self.shift + math.log(self.sum_w)
+
+
 MAX_ENUMERATION_BITS = 26  # a sweep visits all 2^N states
 SWEEP_CHUNK_BITS = 16  # log2 of the states a sweep passes to one energy call
 
@@ -312,9 +349,9 @@ def enumerate_observables(target: BoltzmannTarget, *,
                           with_probabilities: bool = True) -> ExactObservables:
     """Exact observables of a Boltzmann target by sweeping all 2^N states.
 
-    Uses a streaming log-sum-exp over fixed-size chunks processed in ascending
-    state order, so the result is deterministic regardless of how callers might
-    shard the work. N is capped at MAX_ENUMERATION_BITS.
+    Folds fixed-size chunks, in ascending state order, into one `WeightSums`
+    (a streaming log-sum-exp), so the result is deterministic regardless of
+    how callers might shard the work. N is capped at MAX_ENUMERATION_BITS.
     """
     n = target.n_sites
     if n > MAX_ENUMERATION_BITS:
@@ -322,29 +359,15 @@ def enumerate_observables(target: BoltzmannTarget, *,
     beta = target.beta
 
     probs = np.empty(1 << n, dtype=np.float64) if with_probabilities else None
-
-    # running log-sum-exp state: logsumexp so far = shift + log(acc_w)
-    shift = -np.inf
-    acc_w = 0.0  # sum of exp(logw - shift)
-    acc_wh = 0.0  # sum of H * exp(logw - shift)
-    start = 0
+    sums = WeightSums()
     for _, e in sweep_energies(target.model):
         logw = -beta * e
-        m = float(logw.max())
-        if m > shift:
-            scale = math.exp(shift - m) if math.isfinite(shift) else 0.0
-            acc_w *= scale
-            acc_wh *= scale
-            shift = m
-        w = np.exp(logw - shift)
-        acc_w += float(w.sum())
-        acc_wh += float((w * e).sum())
         if probs is not None:
-            probs[start: start + len(e)] = logw  # normalized after the sweep
-        start += len(e)
+            probs[sums.n_samples: sums.n_samples + len(e)] = logw  # normalized after the sweep
+        sums.add(e, logw)
 
-    log_z = shift + math.log(acc_w)
-    u = acc_wh / acc_w
+    log_z = sums.log_sum
+    u = sums.sum_wh / sums.sum_w
     if probs is not None:
         np.exp(probs - log_z, out=probs)
 
@@ -352,15 +375,8 @@ def enumerate_observables(target: BoltzmannTarget, *,
     # at beta = 0 F diverges and the distribution is uniform over all 2^n states
     f = None if beta == 0.0 else -log_z / beta
     s = n * math.log(2) if f is None else beta * (u - f)
-    return ExactObservables(
-        beta=beta,
-        log_z=log_z,
-        z=z,
-        internal_energy=u,
-        entropy=s,
-        free_energy=f,
-        probabilities=probs,
-    )
+    return ExactObservables(beta=beta, log_z=log_z, z=z, internal_energy=u, entropy=s,
+                            free_energy=f, probabilities=probs)
 
 
 # ---------------------------------------------------------------------------

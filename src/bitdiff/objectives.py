@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .autodiff import minimum, tsum
 from .config import RunConfig
 from .diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_log_p_hat
 from .nets import bernoulli_entropy, bernoulli_log_q
-from .unbiased import WeightedSamples, self_normalize, snis_weights_from_logs
+from .energies import WeightSums
+from .unbiased import self_normalize
 
 __all__ = [
     "RewardNormalizer",
@@ -250,13 +252,18 @@ def ppo_minibatch_grad(
     return stats["loss"], grads, stats
 
 
+class ImportanceWeights(NamedTuple):
+    log_w: np.ndarray  # raw log p_hat - log q of each path
+    sums: WeightSums  # the rollout's weight sums, for its ESS
+
+
 def fkl_importance_weights(
     paths: PathBatch, energy: np.ndarray, target, schedule: NoiseSchedule
-) -> WeightedSamples:
-    """Self-normalized weights of sampled paths, whose energies H(X_0) are
-    `energy`: softmax of log p_hat - log q."""
-    return snis_weights_from_logs(
-        energy, path_log_p_hat(target, schedule, paths, energy), paths.log_q)
+) -> ImportanceWeights:
+    """Log importance weights log p_hat - log q of sampled paths, whose
+    energies H(X_0) are `energy`, and their weight sums."""
+    log_w = path_log_p_hat(target, schedule, paths, energy) - paths.log_q
+    return ImportanceWeights(log_w, WeightSums().add(energy, log_w))
 
 
 def fkl_mc_grad(
@@ -275,7 +282,7 @@ def fkl_mc_grad(
     path. The loss is -T * sum_i w_i * mean_k log q(X_{t-1} | X_t), t = T - k,
     with the weights treated as constants. Returns (loss, grads, weights).
     """
-    weights = self_normalize(log_w[path_idx])[0]
+    weights = self_normalize(log_w[path_idx])
     _, _, rt, x_t, x_prev, tau = _gather_rows(paths, path_idx, k_idx)
     wrow = np.repeat(weights, tau) / tau
 

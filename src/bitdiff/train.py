@@ -85,8 +85,7 @@ def load_dataset(dataset_dir: str) -> list[Graph]:
     root = Path(dataset_dir)
     manifest = root / "manifest.json"
     if manifest.exists():
-        with open(manifest, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = json.loads(manifest.read_text(encoding="utf-8"))
         files = meta.get("files") if isinstance(meta, dict) else None
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
             raise ConfigError(f"{manifest} must be an object whose 'files' is a list of "
@@ -96,11 +95,7 @@ def load_dataset(dataset_dir: str) -> list[Graph]:
         paths = sorted(root.glob("graph_*.txt"))
     if not paths:
         raise ConfigError(f"no graphs found in {dataset_dir}")
-    graphs = []
-    for p in paths:
-        with open(p, "r", encoding="utf-8") as fh:
-            graphs.append(Graph.from_text(fh.read()))
-    return graphs
+    return [Graph.from_text(p.read_text(encoding="utf-8")) for p in paths]
 
 
 def build_instances(cfg: RunConfig, instance_text: str) -> list[Instance]:
@@ -113,8 +108,7 @@ def build_instances(cfg: RunConfig, instance_text: str) -> list[Instance]:
                                            cfg.penalty_b), g)
                 for g in load_dataset(cfg.dataset_dir)]
     if cfg.kind == "ea" and not instance_text and cfg.instance_file:
-        with open(cfg.instance_file, "r", encoding="utf-8") as fh:
-            instance_text = fh.read()
+        instance_text = Path(cfg.instance_file).read_text(encoding="utf-8")
     model = build_lattice(cfg.kind, cfg.lattice_size, cfg.coupling, cfg.ea_dist, cfg.ea_seed,
                           instance_text)
     return [Instance(lambda: model)]
@@ -285,9 +279,9 @@ def _epoch_fkl(policy, rollouts, schedule, temperature, cfg, normalizer, adam, l
     # every minibatch's self-normalized weights in fkl_mc_grad
     items, ess_acc = [], 0.0
     for inst, target, paths, energy in rollouts:
-        samples = fkl_importance_weights(paths, energy, target, schedule)
-        ess_acc += effective_sample_size(samples)
-        items.append((paths, samples.log_w, inst.condition))
+        log_w, sums = fkl_importance_weights(paths, energy, target, schedule)
+        ess_acc += effective_sample_size(sums)
+        items.append((paths, log_w, inst.condition))
     plans = [minibatch_plan(cfg.n_paths, cfg.t_steps, cfg.path_minibatch, cfg.t_minibatch, rng)]
     return (_minibatch_updates(policy, fkl_mc_grad, items, plans, adam, lr),
             ess_acc / len(rollouts))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import path_log_p_hat, sample_reverse_path
+from .energies import WeightSums
 
 __all__ = [
-    "WeightedSamples",
     "self_normalize",
     "snis_weights_from_logs",
     "snis_sample",
@@ -36,36 +36,16 @@ class ConvergenceError(RuntimeError):
     """A Markov chain did not satisfy its convergence criterion in budget."""
 
 
-@dataclass
-class WeightedSamples:
-    """Sampled paths' terminal energies with self-normalized importance weights."""
-
-    energy: np.ndarray  # H(X_0), (M,)
-    log_w: np.ndarray  # raw log p_hat - log q, (M,)
-    weights: np.ndarray  # normalized, sums to 1
-    log_z_hat: float  # logsumexp(log_w) - log M
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.weights)
+def self_normalize(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w) / sum(exp(log_w)), shifted by the largest log-weight so
+    neither overflows."""
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
 
 
-def self_normalize(log_w: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(log_w) / sum(exp(log_w)) and log(sum(exp(log_w))), shifted by the
-    largest log-weight so neither overflows."""
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    total = w.sum()
-    return w / total, shift + math.log(total)
-
-
-def snis_weights_from_logs(energy, log_p_hat, log_q) -> WeightedSamples:
+def snis_weights_from_logs(energy, log_p_hat, log_q) -> WeightSums:
     log_w = np.asarray(log_p_hat, dtype=np.float64) - np.asarray(log_q, dtype=np.float64)
-    if not np.isfinite(log_w).all():
-        raise FloatingPointError("non-finite importance log-weight")
-    weights, log_total = self_normalize(log_w)
-    return WeightedSamples(np.asarray(energy, dtype=np.float64), log_w, weights,
-                           log_total - math.log(len(log_w)))
+    return WeightSums().add(np.asarray(energy, dtype=np.float64), log_w)
 
 
 # Proposal paths drawn per sampler call, by both `snis_sample` and
@@ -85,21 +65,24 @@ def _scored_paths(policy, target, schedule, n_paths: int, rng):
     return energy, path_log_p_hat(target, schedule, paths, energy), paths.log_q
 
 
-def snis_sample(policy, target, schedule, n_samples: int, rng) -> WeightedSamples:
-    """Draw paths from the model in blocks of PROPOSAL_ROWS and keep only
-    their energies and log-weights, so large sample counts stay memory-bounded."""
+def snis_sample(policy, target, schedule, n_samples: int, rng) -> WeightSums:
+    """Draw paths from the model in blocks of PROPOSAL_ROWS and fold each block
+    into running weight sums, so memory stays one block's at any sample count."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    sizes = [min(PROPOSAL_ROWS, n_samples - start) for start in range(0, n_samples, PROPOSAL_ROWS)]
-    blocks = [_scored_paths(policy, target, schedule, size, rng) for size in sizes]
-    return snis_weights_from_logs(*map(np.concatenate, zip(*blocks)))
+    sums = WeightSums()
+    while sums.n_samples < n_samples:
+        size = min(PROPOSAL_ROWS, n_samples - sums.n_samples)
+        energy, log_p_hat, log_q = _scored_paths(policy, target, schedule, size, rng)
+        sums.add(energy, log_p_hat - log_q)
+    return sums
 
 
-def effective_sample_size(samples: WeightedSamples) -> float:
+def effective_sample_size(sums: WeightSums) -> float:
     """Effective sample size per sample, (sum w)^2 / (M * sum w^2), in [1/M, 1]."""
-    m = samples.n_samples
-    ess = 1.0 / (m * float(samples.weights @ samples.weights))
-    # the bounds hold exactly for normalized weights; guard float roundoff only
+    m = sums.n_samples
+    ess = sums.sum_w * sums.sum_w / (m * sums.sum_w2)
+    # the bounds hold exactly for exact sums; guard float roundoff only
     return min(1.0, max(1.0 / m, ess))
 
 
@@ -111,15 +94,15 @@ class ObservableEstimates:
     ess_per_sample: float
 
 
-def observable_estimates(samples: WeightedSamples, target) -> ObservableEstimates:
-    """Free energy from log Z-hat, internal energy as the weighted mean of the
-    samples' energies, entropy from the identity S = beta * (U - F)."""
+def observable_estimates(sums: WeightSums, target) -> ObservableEstimates:
+    """Free energy from log Z-hat = log(mean w), internal energy as the weighted
+    mean of the samples' energies, entropy from the identity S = beta * (U - F)."""
     if target.beta <= 0:
         raise ValueError("observable estimates require beta > 0")
-    f = -samples.log_z_hat / target.beta
-    u = float(samples.weights @ samples.energy)
+    f = -(sums.log_sum - math.log(sums.n_samples)) / target.beta
+    u = sums.sum_wh / sums.sum_w
     s = target.beta * (u - f)
-    return ObservableEstimates(f, u, s, effective_sample_size(samples))
+    return ObservableEstimates(f, u, s, effective_sample_size(sums))
 
 
 def nmcmc_run(policy, target, schedule, n_chains: int, n_steps: int,
@@ -247,15 +230,9 @@ def estimate_from_series(series: np.ndarray, acceptance: np.ndarray) -> NmcmcEst
     else:
         # constant series: the estimate is exact, the error bar undefined
         est, stderr, tau, burn_in = float(series.mean()), None, None, 0
-    return NmcmcEstimate(
-        estimate=est,
-        stderr=stderr,
-        tau=tau,
-        burn_in=burn_in,
-        acceptance_rate=float(np.mean(np.asarray(acceptance)[live])),
-        n_chains_used=int(live.sum()),
-        n_flagged=n_flagged,
-    )
+    return NmcmcEstimate(estimate=est, stderr=stderr, tau=tau, burn_in=burn_in,
+                         acceptance_rate=float(np.mean(np.asarray(acceptance)[live])),
+                         n_chains_used=int(live.sum()), n_flagged=n_flagged)
 
 
 def nmcmc_estimate(policy, target, schedule, *, n_chains: int, n_steps: int,

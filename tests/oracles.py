@@ -16,7 +16,7 @@ import numpy as np
 from bitdiff import autodiff as ad
 from bitdiff.autodiff import tsum
 from bitdiff.diffusion import PathBatch, bernoulli_logpmf, path_log_p_hat, stationary_logprob
-from bitdiff.energies import int_to_bits
+from bitdiff.energies import int_to_bits, sweep_energies
 from bitdiff.graphs import BruteForceResult, Graph
 from bitdiff.unbiased import AutocorrResult, ConvergenceError
 
@@ -432,3 +432,40 @@ def conditional_expectation_direct(v, energy_fn) -> np.ndarray:
             raise FloatingPointError("non-finite energy during rounding")
         work[i] = 1.0 if e1 <= e0 else 0.0
     return work.astype(np.int8)
+
+
+def snis_one_shot_direct(energy, log_w) -> tuple[float, float, float]:
+    """log Z-hat = log(mean w), the weighted mean energy U and the ESS per
+    sample of w = exp(log_w), all M weights normalized in one pass: the
+    reference for folding blocks into `bitdiff.energies.WeightSums`."""
+    energy = np.asarray(energy, dtype=np.float64)
+    log_w = np.asarray(log_w, dtype=np.float64)
+    m = len(log_w)
+    shift = log_w.max()
+    w = np.exp(log_w - shift)
+    total = w.sum()
+    weights = w / total
+    log_z_hat = shift + math.log(total) - math.log(m)
+    ess = 1.0 / (m * float(weights @ weights))
+    return log_z_hat, float(weights @ energy), min(1.0, max(1.0 / m, ess))
+
+
+def enumeration_sums_direct(target) -> tuple[float, float]:
+    """log Z and U of a Boltzmann target from a running log-sum-exp over the
+    enumeration sweep's chunks, written out inline: the reference for
+    `bitdiff.energies.enumerate_observables`."""
+    shift = -np.inf
+    acc_w = 0.0  # sum of exp(logw - shift)
+    acc_wh = 0.0  # sum of H * exp(logw - shift)
+    for _, e in sweep_energies(target.model):
+        logw = -target.beta * e
+        m = float(logw.max())
+        if m > shift:
+            scale = math.exp(shift - m) if math.isfinite(shift) else 0.0
+            acc_w *= scale
+            acc_wh *= scale
+            shift = m
+        w = np.exp(logw - shift)
+        acc_w += float(w.sum())
+        acc_wh += float((w * e).sum())
+    return shift + math.log(acc_w), acc_wh / acc_w

@@ -26,6 +26,7 @@ from bitdiff.diffusion import NoiseSchedule, PathBatch, forward_step_logp, path_
 from bitdiff.graphs import Graph, format_edge_list, gen_ba, gen_rb, parse_edge_list
 
 from oracles import (
+    enumeration_sums_direct,
     lattice_bonds_direct,
     mds_energy_direct,
     neighbors_direct,
@@ -345,6 +346,32 @@ class TestEnumeration:
         a = enumerate_observables(t, with_probabilities=False)
         assert a.log_z == pytest.approx(b.log_z, abs=1e-12)
         assert a.internal_energy == pytest.approx(b.internal_energy, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk_bits", [16, 3])
+    @pytest.mark.parametrize("target", [
+        BoltzmannTarget(IsingLattice2D(3), 0.0),
+        BoltzmannTarget(IsingLattice2D(3), 0.44),
+        BoltzmannTarget(IsingLattice2D(3), 2.0),
+        BoltzmannTarget(EAInstance.normal(4, seed=0), 1.0),
+    ], ids=["ising3_beta0", "ising3_beta0.44", "ising3_beta2", "ea4_beta1"])
+    def test_equals_inline_accumulator(self, monkeypatch, target, chunk_bits):
+        # the running WeightSums does the inline log-sum-exp's arithmetic in
+        # its order, on one chunk (16 bits) and on many (3 bits)
+        monkeypatch.setattr(energies, "SWEEP_CHUNK_BITS", chunk_bits)
+        want = enumeration_sums_direct(target)
+        for with_probabilities in (False, True):
+            obs = enumerate_observables(target, with_probabilities=with_probabilities)
+            assert (obs.log_z, obs.internal_energy) == want
+
+    def test_overflowing_log_weight_is_a_numerical_failure(self, capsys):
+        # -beta * H overflows at beta = 1e308; the sums refuse it rather than
+        # report NaN observables with exit code 0
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite log-weight"):
+                enumerate_observables(BoltzmannTarget(IsingLattice2D(3), 1e308))
+            assert cli.main(["oracle", "--problem", "ising", "--lattice-size", "3",
+                             "--beta", "1e308"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_cap_enforced(self):
         lat = IsingLattice2D(6)  # 36 sites

@@ -23,6 +23,7 @@ from bitdiff.objectives import (
     td_lambda_targets,
 )
 from bitdiff.train import anneal_temperature
+from bitdiff.unbiased import effective_sample_size, self_normalize
 
 from oracles import (
     all_paths,
@@ -375,8 +376,9 @@ class TestFklMc:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         paths = sample_reverse_path(policy, sched, 64, np.random.default_rng(0))
-        w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).weights
-        assert np.allclose(w, 1.0 / 64, atol=1e-12)
+        log_w, sums = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
+        assert np.allclose(self_normalize(log_w), 1.0 / 64, atol=1e-12)
+        assert effective_sample_size(sums) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_weight_softmax(self):
         logw = np.array([0.0, math.log(3.0)])
@@ -398,8 +400,10 @@ class TestFklMc:
         target = BoltzmannTarget(Tilt(), math.log(3.0))
         paths.states[0, 0, 0] = 1
         paths.states[1, 0, 0] = 0
-        w = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).weights
-        assert np.allclose(w, [0.25, 0.75], atol=1e-12)
+        log_w, sums = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
+        assert np.allclose(self_normalize(log_w), [0.25, 0.75], atol=1e-12)
+        # (1/4 + 3/4)^2 / (2 * (1/16 + 9/16)) = 0.8
+        assert effective_sample_size(sums) == pytest.approx(0.8, rel=1e-12)
 
     def test_full_batch_equals_direct_weighted_gradient(self):
         n_bits, t_steps = 2, 3

@@ -715,6 +715,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
 
+    def test_exit_code_memory_error_without_text(self, monkeypatch, capsys):
+        # a failed Python allocation raises a MemoryError that carries no text
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_oracle", out_of_memory)
+        assert cli.main(["oracle", "--problem", "ising"]) == 2
+        assert capsys.readouterr().err == "config error: out of memory\n"
+
+    def test_snis_memory_does_not_grow_with_the_sample_count(self, tmp_path):
+        # 10^13 samples under a 192 MB address-space cap: the running sums keep
+        # the child drawing blocks; a list of 3.9e10 block sizes ran out of
+        # memory and exited 2 after about 2 s (2 vCPUs). About 4 s of wall time.
+        out = train(parse_config(ISING_CFG.format(objective="fkl_mc", epochs=0, seed=0,
+                                                  out_dir=tmp_path / "ising0")))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(bitdiff.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (192 << 20, 192 << 20))\n"
+                 "from bitdiff import cli\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.Popen([sys.executable, "-c", child, "estimate", "--checkpoint",
+                                 out["checkpoint"], "--method", "snis",
+                                 "--n-samples", "10000000000000"],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            code = proc.wait(timeout=3)
+        except subprocess.TimeoutExpired:
+            code = None
+        finally:
+            proc.kill()
+            _, err = proc.communicate()
+        assert code is None, err.decode()
+
     def test_exit_code_convergence(self, tmp_path):
         cfg = parse_config(ISING_CFG.format(objective="fkl_mc", epochs=3, seed=0,
                                             out_dir=tmp_path / "ising3"))
@@ -766,16 +800,23 @@ class TestCli:
             assert "config error" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("n_samples", ["0", "-3"])
-    def test_exit_code_non_positive_solve_samples(self, tmp_path, capsys, n_samples):
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-samples", "0"), ("--n-samples", "-3"),
+        ("--steps-multiplier", "0"), ("--steps-multiplier", "-1"),
+    ], ids=["0", "-3", "steps_multiplier_0", "steps_multiplier_-1"])
+    def test_exit_code_non_positive_solve_samples(self, tmp_path, capsys, flag, value):
         ds = write_single_edge_dataset(tmp_path)
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(co_cfg(ds, tmp_path / "run", epochs=0))
         assert cli.main(["train", "--config", str(cfg_file)]) == 0
         for ce in ("--ce", "--no-ce"):
             assert cli.main(["solve", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
-                             "--dataset", str(ds), "--n-samples", n_samples, ce]) == 2
-            assert "--n-samples must be >= 1" in capsys.readouterr().err
+                             "--dataset", str(ds), flag, value, ce]) == 2
+            assert f"config error: {flag} must be >= 1, got {value}\n" == capsys.readouterr().err
+        # the flag is checked before the checkpoint is read
+        assert cli.main(["solve", "--checkpoint", str(tmp_path / "missing.npz"),
+                         "--dataset", str(ds), flag, value]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifest", [
         "{}", "[]", '"graph_00000.txt"', '{"files": "graph_00000.txt"}',

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bitdiff.energies import (
     BoltzmannTarget,
     IsingLattice2D,
     SpinCouplingModel,
+    WeightSums,
     all_states,
     enumerate_observables,
 )
@@ -27,11 +29,12 @@ from bitdiff.unbiased import (
     nmcmc_estimate,
     nmcmc_run,
     observable_estimates,
+    self_normalize,
     snis_sample,
     snis_weights_from_logs,
 )
 
-from oracles import all_paths, autocorr_time_direct, teacher_forced_batch
+from oracles import all_paths, autocorr_time_direct, snis_one_shot_direct, teacher_forced_batch
 from toy_policies import ConstantPolicy, KernelPolicy
 
 
@@ -51,18 +54,20 @@ class TestSnisWeights:
         policy = KernelPolicy(n_bits, sched)
         target = BoltzmannTarget(SpinCouplingModel(n_bits, [], []), 0.0)
         paths = sample_reverse_path(policy, sched, 32, np.random.default_rng(0))
-        ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
-        assert np.allclose(ws.weights, 1 / 32, atol=1e-12)
-        assert ws.log_z_hat == pytest.approx(n_bits * math.log(2), abs=1e-12)
+        log_w, sums = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
+        assert np.allclose(self_normalize(log_w), 1 / 32, atol=1e-12)
+        assert sums.log_sum - math.log(32) == pytest.approx(n_bits * math.log(2), abs=1e-12)
+        assert effective_sample_size(sums) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_sample(self):
         policy = ConstantPolicy(2, 1, 0.5)
         sched = NoiseSchedule(np.array([0.5]))
         target = BoltzmannTarget(SpinCouplingModel(2, [(0, 1)], [1.0]), 0.5)
         paths = sample_reverse_path(policy, sched, 1, np.random.default_rng(1))
-        ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
-        assert ws.weights[0] == 1.0
-        assert ws.log_z_hat == pytest.approx(ws.log_w[0])
+        log_w, sums = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
+        assert self_normalize(log_w)[0] == 1.0
+        assert sums.n_samples == 1 and sums.sum_w == 1.0
+        assert sums.log_sum == pytest.approx(log_w[0])
 
     def test_z_estimate_unbiased_vs_enumeration(self):
         # uniform-policy proposal on the open 2-spin chain: the mean of Z-hat
@@ -98,9 +103,49 @@ class TestSnisWeights:
 
     def test_extreme_log_weight_spread(self):
         log_w = np.array([0.0, -700.0, 350.0, -350.0])
-        ws = snis_weights_from_logs(np.zeros(4), log_w, np.zeros(4))
-        assert ws.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.isfinite(ws.log_z_hat)
+        sums = snis_weights_from_logs(np.zeros(4), log_w, np.zeros(4))
+        assert self_normalize(log_w).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(sums.log_sum)
+        assert sums.log_sum == pytest.approx(350.0, rel=1e-12)
+
+
+def fold(energy, log_w, cuts) -> WeightSums:
+    sums = WeightSums()
+    for e, lw in zip(np.split(energy, cuts), np.split(log_w, cuts)):
+        assert sums.add(e, lw) is sums
+    return sums
+
+
+class TestWeightSums:
+    """Folding blocks into WeightSums matches normalizing all M weights at once."""
+
+    @pytest.mark.parametrize("order", ["shuffled", "rising", "falling"])
+    @pytest.mark.parametrize("spread", [1.0, 700.0])
+    def test_fold_matches_one_shot(self, order, spread):
+        # rising log-weights rescale the sums at every block, falling ones never
+        rng = np.random.default_rng(int(spread) + len(order))
+        for _ in range(300):
+            m = int(rng.integers(1, 80))
+            log_w = rng.uniform(-spread, spread, m)
+            if order != "shuffled":
+                log_w = np.sort(log_w)[:: 1 if order == "rising" else -1]
+            energy = rng.normal(0.0, 10.0, m)
+            n_cuts = int(rng.integers(0, m))
+            random_cuts = np.sort(rng.choice(np.arange(1, m), n_cuts, replace=False))
+            log_z, u, ess = snis_one_shot_direct(energy, log_w)
+            # random blocks, one-sample blocks and a single block
+            for cuts in (random_cuts, np.arange(1, m), []):
+                sums = fold(energy, log_w, cuts)
+                assert sums.n_samples == m
+                assert sums.log_sum - math.log(m) == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+                assert sums.sum_wh / sums.sum_w == pytest.approx(u, rel=1e-12, abs=1e-12)
+                assert effective_sample_size(sums) == pytest.approx(ess, rel=1e-12)
+
+    def test_non_finite_block_raises(self):
+        sums = WeightSums().add(np.zeros(2), np.zeros(2))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(FloatingPointError):
+                sums.add(np.zeros(2), np.array([0.0, bad]))
 
 
 class TestSnisExpectation:
@@ -116,9 +161,9 @@ class TestSnisExpectation:
         model = SpinCouplingModel(n_bits, [(0, 1)], [1.0])
         target = BoltzmannTarget(model, 0.0)
         paths = sample_reverse_path(policy, sched, 50, np.random.default_rng(3))
-        ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
+        sums = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).sums
         want = float(model.energy(paths.x0).mean())
-        assert float(ws.weights @ ws.energy) == pytest.approx(want, abs=1e-10)
+        assert sums.sum_wh / sums.sum_w == pytest.approx(want, abs=1e-10)
 
     def test_energy_matches_enumeration_within_3_sigma(self):
         chain = SpinCouplingModel(2, [(0, 1)], [1.0])
@@ -131,8 +176,8 @@ class TestSnisExpectation:
         estimates = []
         for _ in range(reps):
             paths = sample_reverse_path(policy, sched, m, rng)
-            ws = fkl_importance_weights(paths, target.energy(paths.x0), target, sched)
-            estimates.append(observable_estimates(ws, target).internal_energy)
+            sums = fkl_importance_weights(paths, target.energy(paths.x0), target, sched).sums
+            estimates.append(observable_estimates(sums, target).internal_energy)
         estimates = np.array(estimates)
         stderr = estimates.std(ddof=1) / math.sqrt(reps)
         assert abs(estimates.mean() - exact.internal_energy) < 3 * stderr
@@ -198,28 +243,49 @@ class TestObservableEstimates:
         policy = ConstantPolicy(4, 2, 0.5)
         sched = exp_schedule(2)
         target = BoltzmannTarget(SpinCouplingModel(4, [(0, 1)], [1.0]), 0.5)
-        ws = snis_sample(policy, target, sched, 2500, np.random.default_rng(7))
-        assert ws.n_samples == 2500
-        assert ws.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        sums = snis_sample(policy, target, sched, 2500, np.random.default_rng(7))
+        assert sums.n_samples == 2500
+        # the largest weight is exp(0) = 1, every other one lies in (0, 1]
+        assert 1.0 <= sums.sum_w <= 2500 and sums.sum_w2 <= sums.sum_w
 
     def test_snis_sample_draws_proposal_blocks(self):
         # 556 samples are drawn as blocks of 256, 256 and 44 rows on one stream
         policy = ConstantPolicy(4, 2, 0.3)
         sched = exp_schedule(2)
         target = BoltzmannTarget(SpinCouplingModel(4, [(0, 1), (1, 2)], [1.0, -0.5]), 0.5)
-        ws = snis_sample(policy, target, sched, 2 * PROPOSAL_ROWS + 44, np.random.default_rng(3))
+        sums = snis_sample(policy, target, sched, 2 * PROPOSAL_ROWS + 44, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         blocks = [sample_reverse_path(policy, sched, n, rng)
                   for n in (PROPOSAL_ROWS, PROPOSAL_ROWS, 44)]
         energies = [target.energy(b.x0) for b in blocks]
-        want = snis_weights_from_logs(
-            np.concatenate(energies),
-            np.concatenate([path_log_p_hat(target, sched, b, e) for b, e in zip(blocks, energies)]),
-            np.concatenate([b.log_q for b in blocks]),
-        )
-        assert np.array_equal(ws.energy, want.energy)
-        assert np.array_equal(ws.log_w, want.log_w)
-        assert np.array_equal(ws.weights, want.weights)
+        log_w = [path_log_p_hat(target, sched, b, e) - b.log_q for b, e in zip(blocks, energies)]
+        want = WeightSums()
+        for e, lw in zip(energies, log_w):
+            want.add(e, lw)
+        assert sums == want
+        log_z, u, ess = snis_one_shot_direct(np.concatenate(energies), np.concatenate(log_w))
+        assert sums.log_sum - math.log(sums.n_samples) == pytest.approx(log_z, rel=1e-12)
+        assert sums.sum_wh / sums.sum_w == pytest.approx(u, rel=1e-12)
+        assert effective_sample_size(sums) == pytest.approx(ess, rel=1e-12)
+
+    def test_snis_sample_memory_flat_in_sample_count(self):
+        # the running sums replace per-sample arrays: drawing 100 blocks peaks
+        # within one block's scores (energy, log p_hat, log q) of drawing 10
+        policy = ConstantPolicy(16, 2, 0.5)
+        sched = exp_schedule(2)
+        target = BoltzmannTarget(IsingLattice2D(4), 0.3)
+        # a first call pays one-time allocations (about 0.8 MB) outside the trace
+        snis_sample(policy, target, sched, PROPOSAL_ROWS, np.random.default_rng(0))
+        peaks = []
+        for n_blocks in (10, 100):
+            rng = np.random.default_rng(9)
+            tracemalloc.start()
+            try:
+                snis_sample(policy, target, sched, n_blocks * PROPOSAL_ROWS, rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 3 * 8 * PROPOSAL_ROWS
 
 
 class TestNmcmc:
@@ -301,8 +367,8 @@ class TestOneEnergyEvaluationPerSample:
 
     def test_snis_estimate(self, rows):
         policy, sched, target = self.problem()
-        ws = snis_sample(policy, target, sched, 20000, np.random.default_rng(20))
-        observable_estimates(ws, target)
+        sums = snis_sample(policy, target, sched, 20000, np.random.default_rng(20))
+        observable_estimates(sums, target)
         assert sum(rows) == 20000
 
     def test_nmcmc_estimate(self, rows):
