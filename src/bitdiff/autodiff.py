@@ -11,7 +11,7 @@ Every binary op builds its node through `_node`.
 
 The pointwise ops and reductions are module functions (`tanh`, `tsum`, ...)
 that dispatch on their argument, so the same forward code runs traced (Tensor
-inputs) or untraced (ndarray inputs).
+inputs, float64) or untraced (ndarray inputs, float64 or float32).
 
 Every non-leaf Tensor counts as one stored activation record; the running
 count (`activation_records`) is the measure behind the training-memory
@@ -27,7 +27,8 @@ untraced `affine` and `node_mix` their results, into one reused block instead
 of fresh arrays, so a loop of gradient calls or of policy forwards stops
 mapping and faulting new pages per call. Such arrays are valid only until the
 arena's next tape starts; `collect_grads` returns copies, which stay valid.
-Outside any arena every op allocates fresh arrays.
+Its arrays are of the arena's `dtype`: float64, or float32 in the arena of a
+float32 inference policy. Outside any arena every op allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -92,18 +93,19 @@ def _held(mask: np.ndarray) -> np.ndarray:
 class Arena:
     """Bump allocator of one tape at a time, and the context that makes it
     active: `__enter__` starts a tape, `__exit__` restores the outer arena.
-    Arrays are cut from one float64 block at 64-byte aligned offsets; a tape
-    that outgrows the block gets fresh arrays for the rest, and the next tape
-    gets a block of the size the last one needed at its fullest. `rewind`
-    gives back what a tape took since a `mark`. `blocks` counts the blocks
-    allocated so far."""
+    Arrays of `dtype` (float64 unless set otherwise) are cut from one byte
+    block at 64-byte aligned offsets; a tape that outgrows the block gets
+    fresh arrays for the rest, and the next tape gets a block of the size the
+    last one needed at its fullest. `rewind` gives back what a tape took since
+    a `mark`. `blocks` counts the blocks allocated so far."""
 
-    ALIGN = 8  # float64 items in 64 bytes
+    ALIGN = 64  # bytes
 
     def __init__(self):
-        self._block = np.empty(0)  # starts 64-byte aligned
-        self._used = 0  # items the current tape holds, aligned
-        self._peak = 0  # the most items it held before a rewind
+        self.dtype = np.dtype(np.float64)
+        self._block = np.empty(0, np.uint8)
+        self._used = 0  # bytes the current tape holds, aligned
+        self._peak = 0  # the most bytes it held before a rewind
         self._outer = None
         self.blocks = 0
 
@@ -120,8 +122,8 @@ class Arena:
     def new_tape(self) -> None:
         need = max(self._used, self._peak)
         if need > self._block.size:
-            raw = np.empty(need + self.ALIGN)
-            self._block = raw[-raw.ctypes.data // 8 % self.ALIGN:]
+            raw = np.empty(need + self.ALIGN, np.uint8)
+            self._block = raw[-raw.ctypes.data % self.ALIGN:]
             self.blocks += 1
         self._used = self._peak = 0
 
@@ -135,20 +137,20 @@ class Arena:
         self._used = mark
 
     def take(self, shape: tuple) -> np.ndarray:
-        """An uninitialized float64 array of `shape`."""
-        n = math.prod(shape)
+        """An uninitialized array of `shape` and the arena's `dtype`."""
+        n = math.prod(shape) * self.dtype.itemsize
         start = self._used
         self._used = start + -(-n // self.ALIGN) * self.ALIGN
         if self._used > self._block.size:
-            return np.empty(shape)
-        return self._block[start:start + n].reshape(shape)
+            return np.empty(shape, self.dtype)
+        return np.ndarray(shape, self.dtype, self._block, start)
 
 
 _ARENA: Arena | None = None
 
 
 def scratch(shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array: from the active arena, else fresh."""
+    """An uninitialized array: from the active arena, else fresh float64."""
     return np.empty(shape) if _ARENA is None else _ARENA.take(shape)
 
 
@@ -248,6 +250,10 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={not self._parents})"
@@ -353,7 +359,7 @@ def node_mix(op, x, n_copies: int):
     stacked in `x`: block c of the result is op @ block c of `x`. The product
     and its VJP, by `op.T`, are each one batched matmul into `scratch`."""
     k, n = op.shape
-    data = as_array(x)
+    data = x.data if isinstance(x, Tensor) else x
     width = data.shape[1]
     out = scratch((n_copies * k, width))
     np.matmul(op, data.reshape(n_copies, n, width), out=out.reshape(n_copies, k, width))

@@ -329,7 +329,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's warnings stay off stderr: every non-finite result meets an
+        # explicit check that raises, and the error below is the one line printed
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError, MemoryError) as err:
         # a failed Python allocation raises MemoryError without text
         text = str(err) or ("out of memory" if isinstance(err, MemoryError) else "")

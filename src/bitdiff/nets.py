@@ -12,6 +12,12 @@ for graph-conditioned combinatorial problems. Both expose the same surface:
 Diffusion time enters the network as the scalar t / n_steps; `t` may be a
 single int or a per-row array. Outputs are clipped to
 [PROB_CLIP, 1 - PROB_CLIP] so downstream logs never see 0 or 1.
+
+Training runs in float64. ``sampler()`` is the inference policy: its
+parameters are float32 copies, so its untraced forward runs in float32 up to
+the head's logits, which the sigmoid takes to float64. The draw and its
+log-probability then use the same float64 probabilities, so the path
+distribution is exactly normalized and its log q exact.
 """
 
 from __future__ import annotations
@@ -192,14 +198,16 @@ class GraphCondition:
         return self.graph.n_nodes
 
     def aggregate(self, x, n_copies: int):
-        """The aggregation of each of the `n_copies` blocks of node rows in `x`."""
+        """The aggregation of each of the `n_copies` blocks of node rows in `x`,
+        in the dtype of `x`."""
         if self._dense is not None:
-            return node_mix(self._dense, x, n_copies)
+            return node_mix(self._dense.astype(x.dtype, copy=False), x, n_copies)
         op = self._kron.pop(n_copies, None)
-        if op is None:
+        if op is None or op.dtype != x.dtype:
             import scipy.sparse as sp
 
-            op = sp.kron(sp.identity(n_copies, format="csr"), self._sparse, format="csr")
+            op = sp.kron(sp.identity(n_copies, x.dtype, format="csr"),
+                         self._sparse.astype(x.dtype, copy=False), format="csr")
         if len(self._kron) == 2:
             del self._kron[next(iter(self._kron))]
         self._kron[n_copies] = op
@@ -243,6 +251,8 @@ class _Policy:
             exp_schedule(self.n_steps).betas if self.spec.kernel_start else None
         )
         self._arena = ad.Arena()
+        # the untraced forward runs in the parameters' dtype
+        self._arena.dtype = self.params["w_out"].dtype
 
     def _scope(self, P):
         """The policy's arena, or a no-op context when `P` holds tape leaves."""
@@ -255,8 +265,11 @@ class _Policy:
         return cls(spec, n_steps, init_params(spec, seed))
 
     def sampler(self, n_steps: int):
-        """This policy at `n_steps` diffusion steps without its value head, for inference."""
-        return replace(self, n_steps=n_steps, spec=replace(self.spec, value_head=False))
+        """This policy at `n_steps` diffusion steps without its value head, for
+        inference: float32 copies of the parameters (see the module docstring)."""
+        spec = replace(self.spec, value_head=False)
+        params = {k: self.params[k].astype(np.float32) for k in param_shapes(spec)}
+        return replace(self, n_steps=n_steps, spec=spec, params=params)
 
     def _logits(self, P, h, x_t, t):
         logits = self._head(P, h, x_t)
@@ -266,7 +279,9 @@ class _Policy:
 
     def _probs(self, P, h, x_t, t):
         """Per-bit probabilities: the sigmoid of the logits, refused if
-        non-finite, then clipped to [PROB_CLIP, 1 - PROB_CLIP]."""
+        non-finite, then clipped to [PROB_CLIP, 1 - PROB_CLIP]. Untraced, the
+        sigmoid takes float32 logits to float64 first, so that the clip, the
+        draw and its log-probability are float64 on the same logits."""
         out = sigmoid(self._logits(P, h, x_t, t))
         if not np.isfinite(ad.as_array(out)).all():
             raise FloatingPointError("policy forward produced non-finite activations")
@@ -325,9 +340,8 @@ class MlpPolicy(_Policy):
 
     def _trunk(self, P, x_t, t, condition):
         x_t = _check_probs_shape(x_t, self.spec.n_bits)
-        h = np.concatenate(
-            [x_t.astype(np.float64), _tfrac_column(t, x_t.shape[0], self.n_steps)], axis=1
-        )
+        h = np.concatenate([x_t, _tfrac_column(t, x_t.shape[0], self.n_steps)], axis=1,
+                           dtype=P["w_out"].dtype)
         for k in range(len(self.spec.hidden)):
             h = affine(h, P[f"w{k}"], P[f"b{k}"], squash=True)
         return h
@@ -360,10 +374,10 @@ class GnnPolicy(_Policy):
             raise ValueError("GnnPolicy requires a GraphCondition")
         x_t = _check_probs_shape(x_t, condition.n_bits)
         m, n = x_t.shape
-        flat_x = x_t.astype(np.float64).reshape(m * n, 1)
         t = np.asarray(t, dtype=np.float64)
         tcol = _tfrac_column(np.repeat(t, n) if t.ndim else t, m * n, self.n_steps)
-        inp = np.concatenate([flat_x, tcol], axis=1)
+        inp = np.concatenate([x_t.reshape(m * n, 1), tcol], axis=1,
+                             dtype=P["w_out"].dtype)
         h = affine(inp, P["w_embed"], P["b_embed"], squash=True)
         traced = isinstance(h, ad.Tensor)
         # untraced, each round's arrays but `h` go back to the arena

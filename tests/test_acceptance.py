@@ -388,6 +388,30 @@ class TestCriterion6Nmcmc:
 
 
 @pytest.mark.slow
+class TestFloat32SamplerBounds:
+    """The float32 inference policy of the criterion-5 fkl_mc model, with no
+    extra training, meets criterion 5's SNIS bounds and criterion 6's NMCMC
+    bounds: its proposal is exactly normalized and its log q exact."""
+
+    def test_snis_and_nmcmc(self, ising4_fkl_policy, ising4_exact):
+        target, exact = ising4_exact
+        sampler = ising4_fkl_policy.sampler(ising4_fkl_policy.n_steps)
+        sched = exp_schedule(sampler.n_steps)
+        est = observable_estimates(
+            snis_sample(sampler, target, sched, 100000, np.random.default_rng(123)), target)
+        rel_f = abs(est.free_energy / exact.free_energy - 1)
+        rel_u = abs(est.internal_energy / exact.internal_energy - 1)
+        rel_s = abs(est.entropy / exact.entropy - 1)
+        assert rel_f < 0.02 and rel_u < 0.05 and rel_s < 0.05 and est.ess_per_sample > 0.01, \
+            (rel_f, rel_u, rel_s, est.ess_per_sample)
+        res = nmcmc_estimate(sampler, target, sched, n_chains=16, n_steps=3000,
+                             rng=np.random.default_rng(7))
+        err = abs(res.estimate - exact.internal_energy)
+        assert err < 3 * res.stderr and res.acceptance_rate > 0.05 and res.tau is not None, \
+            (err, res.stderr, res.acceptance_rate, res.tau)
+
+
+@pytest.mark.slow
 class TestCriterion9CoDeskScale:
     def test_rkl_and_fkl_solution_quality(self, tmp_path, ba_mis_datasets):
         graphs = [Graph.from_text(p.read_text(encoding="utf-8"))

@@ -259,8 +259,10 @@ class TestPathLogQExactness:
             )
         sched = exp_schedule(t_steps)
         states = all_paths(n_bits, t_steps)
-        batch = teacher_forced_batch(policy, states)
-        assert np.exp(batch.log_q).sum() == pytest.approx(1.0, abs=1e-10)
+        # the float64 policy and its float32 inference sampler
+        for q in (policy, policy.sampler(t_steps)):
+            batch = teacher_forced_batch(q, states)
+            assert np.exp(batch.log_q).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPathLogPHat:

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from bitdiff import autodiff as ad
 from bitdiff import nets
 from bitdiff.autodiff import tsum
-from bitdiff.diffusion import PROB_CLIP, exp_schedule, sample_reverse_path
+from bitdiff.diffusion import PROB_CLIP, exp_schedule, path_log_q, sample_reverse_path
 from bitdiff.graphs import Graph, gen_ba
 from bitdiff.nets import (
     GnnPolicy,
@@ -20,7 +20,15 @@ from bitdiff.nets import (
     param_shapes,
 )
 
-from oracles import backward_direct, finite_diff_grads, grads_to_vec, rel_err
+from oracles import (
+    all_paths,
+    backward_direct,
+    finite_diff_grads,
+    grads_to_vec,
+    rel_err,
+    sigmoid_direct,
+    teacher_forced_batch,
+)
 
 
 def perturb(policy, scale=0.3, seed=0):
@@ -386,3 +394,71 @@ class TestAggregationForms:
             fresh = sp.kron(sp.identity(copies, format="csr"), cond._sparse, format="csr")
             assert np.array_equal(cond.aggregate(x, copies), fresh @ x)
             assert list(cond._kron) == cached
+
+
+class TestSamplerPrecision:
+    """`sampler()` is the inference policy: float32 copies of the parameters,
+    an untraced forward in float32, and the head's logits taken back to
+    float64 before the sigmoid, so that the draw and its log q use the same
+    float64 probabilities. Its paths' teacher-forced log q equals their
+    sampling log q, and differs from the float64 policy's by float32 rounding."""
+
+    # BA (nodes, attachment) and the DENSE_NNZ_MULTIPLE that forces each form
+    GRAPHS = {"dense": (12, 4, 10**9), "sparse": (300, 2, 0)}
+
+    def _policy_and_condition(self, kind, monkeypatch):
+        if kind == "mlp":
+            spec = MlpSpec(n_bits=9, hidden=(16, 16), kernel_start=True)
+            return perturb(make_policy(spec, 8, seed=51), 0.5, seed=52), None
+        n_nodes, attachment, multiple = self.GRAPHS[kind]
+        monkeypatch.setattr(nets, "DENSE_NNZ_MULTIPLE", multiple)
+        cond = GraphCondition(gen_ba(n_nodes, attachment, seed=41))
+        assert (cond._dense is not None) == (kind == "dense")
+        spec = GnnSpec(n_hidden=8, n_message_passing=2, kernel_start=True)
+        return perturb(make_policy(spec, 5, seed=53), 0.5, seed=54), cond
+
+    @pytest.mark.parametrize("kind", ["mlp", "dense", "sparse"])
+    def test_teacher_forced_log_q_equals_sampling_log_q(self, kind, monkeypatch):
+        policy, cond = self._policy_and_condition(kind, monkeypatch)
+        sampler = policy.sampler(policy.n_steps)
+        paths = sample_reverse_path(sampler, exp_schedule(policy.n_steps), 64,
+                                    np.random.default_rng(55), cond)
+        assert np.abs(path_log_q(sampler, paths, cond) - paths.log_q).max() <= 1e-9
+        assert np.abs(path_log_q(policy, paths, cond) - paths.log_q).max() <= 1e-4
+
+    def test_probabilities_are_the_float64_sigmoid_of_float32_logits(self):
+        spec = MlpSpec(n_bits=5, hidden=(8, 6))
+        policy = perturb(make_policy(spec, 4, seed=58), 1.5, seed=59)
+        p32 = {k: v.astype(np.float32) for k, v in policy.params.items()}
+        x_t = np.random.default_rng(60).integers(0, 2, (40, 5)).astype(np.int8)
+        h = np.concatenate([x_t, np.full((40, 1), 3 / 4)], axis=1).astype(np.float32)
+        for k in range(2):
+            h = np.tanh(h @ p32[f"w{k}"] + p32[f"b{k}"])
+        logits = (h @ p32["w_out"] + p32["b_out"]).astype(np.float64)
+        want = np.clip(sigmoid_direct(logits), PROB_CLIP, 1 - PROB_CLIP)
+        got = policy.sampler(4).probs(x_t, 3)
+        assert got.dtype == np.float64
+        assert np.abs(got / want - 1).max() <= 1e-12
+
+    def test_log_q_near_the_clip_stays_close_to_float64(self):
+        # weights large enough that some probabilities reach the clip; a float32
+        # sigmoid and clip would put 1 - p there at 1.19e-7, not 1e-7, and move
+        # the log q of paths against such a bit by about 0.2
+        policy = perturb(make_policy(MlpSpec(n_bits=3, hidden=(6,)), 2, seed=56), 4.0, seed=57)
+        sampler = policy.sampler(2)
+        states = all_paths(3, 2)
+        probs = sampler.probs(states[:, 1], 1)
+        assert probs.dtype == np.float64
+        assert (probs == 1 - PROB_CLIP).any() or (probs == PROB_CLIP).any()
+        got = teacher_forced_batch(sampler, states).log_q
+        want = teacher_forced_batch(policy, states).log_q
+        assert np.abs(got - want).max() <= 1e-4
+
+    def test_source_parameters_untouched(self):
+        policy = perturb(make_policy(MlpSpec(n_bits=4, hidden=(8,), value_head=True), 3), 0.5)
+        before = {k: v.copy() for k, v in policy.params.items()}
+        sampler = policy.sampler(6)
+        sampler.probs(np.zeros((5, 4), dtype=np.int8), 2)
+        assert {v.dtype for v in sampler.params.values()} == {np.dtype(np.float32)}
+        for k, v in policy.params.items():
+            assert v.dtype == np.float64 and np.array_equal(v, before[k]), k

@@ -694,6 +694,24 @@ class TestCli:
         assert cli.main(["oracle", "--problem", "mis", "--graph", str(graph), *penalties]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,line", [
+        (["--problem", "ising", "--lattice-size", "3", "--beta", "1e308"],
+         "numerical failure: non-finite log-weight"),
+        (["--problem", "mis", "--graph", "{graph}", "--penalty-b", "inf"],
+         "numerical failure: energy is not finite"),
+    ], ids=["overflowing_log_weight", "non_finite_energy"])
+    def test_numerical_failure_prints_one_stderr_line(self, tmp_path, argv, line):
+        # in a child process, whose stderr numpy's RuntimeWarning would reach
+        graph = tmp_path / "g.txt"
+        graph.write_text(PATH_PLUS_LEAF.to_text())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(bitdiff.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "bitdiff.cli", "oracle",
+                               *(a.format(graph=graph) for a in argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == line + "\n"
+
     @pytest.mark.parametrize("problem", ["mis", "mds", "maxcl"])
     @pytest.mark.parametrize("reward", ["0", "-1"], ids=["zero", "negative"])
     def test_exit_code_non_positive_reward(self, tmp_path, capsys, problem, reward):
@@ -1343,8 +1361,10 @@ class TestCheckpointLayout:
 
 def solve_instances_direct(checkpoint, dataset, n_samples: int, seed: int) -> list:
     """`solve --ce` instance entries assembled graph by graph: a separate t = 1
-    forward for the marginals and the one-row decoding reference."""
+    forward for the marginals and the one-row decoding reference. It draws from
+    the float32 inference policy, as `solve` does."""
     policy, cfg, *_ = load_checkpoint(checkpoint)
+    policy = policy.sampler(policy.n_steps)
     problem = cfg.problem
     schedule = exp_schedule(policy.n_steps)
     rng = np.random.default_rng(seed)
