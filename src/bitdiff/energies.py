@@ -26,6 +26,7 @@ __all__ = [
     "WeightSums",
     "sweep_energies",
     "enumerate_observables",
+    "transfer_matrix_observables",
     "lattice_bonds",
     "write_instance_text",
     "read_instance_text",
@@ -279,7 +280,7 @@ class BoltzmannTarget:
 
 @dataclass(frozen=True)
 class ExactObservables:
-    """Exact partition function and thermodynamic observables from enumeration.
+    """Exact partition function and thermodynamic observables.
 
     `free_energy` is None at beta = 0, where F diverges; entropy and internal
     energy are still defined (uniform distribution over states).
@@ -370,13 +371,60 @@ def enumerate_observables(target: BoltzmannTarget, *,
     u = sums.sum_wh / sums.sum_w
     if probs is not None:
         np.exp(probs - log_z, out=probs)
+    return _exact_observables(beta, n, log_z, u, probs)
 
+
+def _exact_observables(beta: float, n: int, log_z: float, u: float, probs) -> ExactObservables:
+    """F, S and Z from log Z and U of an n-site model at `beta`."""
     z = math.exp(log_z) if log_z < 700 else math.inf
     # at beta = 0 F diverges and the distribution is uniform over all 2^n states
     f = None if beta == 0.0 else -log_z / beta
     s = n * math.log(2) if f is None else beta * (u - f)
     return ExactObservables(beta=beta, log_z=log_z, z=z, internal_energy=u, entropy=s,
                             free_energy=f, probabilities=probs)
+
+
+MAX_TRANSFER_SIDE = 10  # each lattice row costs three products of 2^L x 2^L matrices
+
+
+def transfer_matrix_observables(model, beta: float) -> ExactObservables:
+    """Exact observables of a periodic LxL lattice (`IsingLattice2D` or
+    `EAInstance`) by the row-to-row transfer matrix: Z = tr(T_0 ... T_{L-1}),
+    T_i[a, b] = exp(-beta * E_i[a, b]) with E_i row i's bonds in state a plus
+    its bonds down to state b of the next row. The product is rescaled to a
+    largest entry of 1 after each factor; its beta-derivative dA <- dA T + A D,
+    D = -E (.) T, gives U = -tr(dA) / tr(A). FloatingPointError for a
+    non-finite log-weight and for a product entry that underflows (beta times
+    a row's energy range near 700). `probabilities` is None."""
+    L = model.side_length
+    if L > MAX_TRANSFER_SIDE:
+        raise ValueError(f"transfer matrix capped at side length {MAX_TRANSFER_SIDE}, got {L}")
+    if not np.array_equal(model.edges, lattice_bonds(L)):
+        raise ValueError("the transfer matrix needs the periodic lattice's bonds")
+    row = spins(int_to_bits(np.arange(1 << L), L))  # (2^L, L): each row state's spins
+    right_pairs = row * np.roll(row, -1, axis=1)  # sigma_j sigma_{j+1}, wrapping
+    a, da, log_scale = np.eye(len(row)), np.zeros((len(row), len(row))), 0.0
+    # couplings hold (right, down) per site, sites row-major
+    for right, down in model.couplings.reshape(L, L, 2).transpose(0, 2, 1):
+        e = -(right_pairs @ right)[:, None] - (row * down) @ row.T
+        log_w = -beta * e
+        if not np.isfinite(log_w).all():
+            raise FloatingPointError("non-finite log-weight")
+        shift = float(log_w.max())
+        t = np.exp(log_w - shift)
+        a, da = a @ t, da @ t + a @ (-e * t)
+        # every entry of the exact product is positive; at 2^52 times float64's
+        # smallest normal, an entry's underflowed terms stop mattering
+        if not a.min() >= 2.0 ** -970:
+            raise FloatingPointError(f"transfer-matrix product underflows at beta = {beta}")
+        scale = a.max()
+        a, da = a / scale, da / scale
+        log_scale += shift + math.log(scale)
+    trace = float(np.trace(a))
+    u = 0.0 - float(np.trace(da)) / trace  # not -x: U = 0.0, never -0.0
+    if not math.isfinite(u):
+        raise FloatingPointError("non-finite log-weight")
+    return _exact_observables(beta, L * L, log_scale + math.log(trace), u, None)
 
 
 # ---------------------------------------------------------------------------

@@ -469,3 +469,26 @@ def enumeration_sums_direct(target) -> tuple[float, float]:
         acc_w += float(w.sum())
         acc_wh += float((w * e).sum())
     return shift + math.log(acc_w), acc_wh / acc_w
+
+
+def kaufman_log_z(side_length: int, coupling: float, beta: float) -> float:
+    """log Z of the ferromagnet (coupling > 0, beta > 0) on a periodic LxL
+    torus in closed form (Kaufman 1949; the finite-torus form of Beale 1996,
+    PRL 76, 78): Z = 1/2 (2 sinh 2K)^(L^2/2) (Z_1 + Z_2 + Z_3 + Z_4), K = beta J,
+    Z_1, Z_2 = prod over odd k of 2 cosh, 2 sinh (L gamma_k / 2), Z_3, Z_4 the
+    same over even k, with cosh gamma_k = cosh 2K coth 2K - cos(pi k / L) and
+    gamma_0 = 2K + log tanh K, whose sign makes Z_4 negative above T_c."""
+    L, K = side_length, beta * coupling
+    k = np.arange(2 * L)
+    gamma = np.arccosh(math.cosh(2 * K) / math.tanh(2 * K) - np.cos(np.pi * k / L))
+    gamma[0] = 2 * K + math.log(math.tanh(K))
+    x = L * gamma / 2
+    # each term as (sign, log |term|); log 2cosh x = logaddexp(x, -x), and
+    # log |2 sinh x| = |x| + log1p(-exp(-2|x|))
+    log_cosh = np.logaddexp(x, -x)
+    log_sinh = np.abs(x) + np.log1p(-np.exp(-2 * np.abs(x)))
+    terms = [(1.0, log_cosh[1::2].sum()), (1.0, log_sinh[1::2].sum()),
+             (1.0, log_cosh[0::2].sum()), (float(np.sign(x[0])), log_sinh[0::2].sum())]
+    top = max(log for _, log in terms)
+    bracket = sum(sign * math.exp(log - top) for sign, log in terms)
+    return -math.log(2) + L * L / 2 * math.log(2 * math.sinh(2 * K)) + top + math.log(bracket)

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bitdiff.energies import (
     enumerate_observables,
     lattice_bonds,
     read_instance_text,
+    transfer_matrix_observables,
     write_instance_text,
 )
 
@@ -27,6 +29,7 @@ from bitdiff.graphs import Graph, format_edge_list, gen_ba, gen_rb, parse_edge_l
 
 from oracles import (
     enumeration_sums_direct,
+    kaufman_log_z,
     lattice_bonds_direct,
     mds_energy_direct,
     neighbors_direct,
@@ -385,6 +388,125 @@ class TestEnumeration:
         assert obs.log_z == pytest.approx(500.0 + math.log(2 + 2 * math.exp(-1000.0)), rel=1e-12)
 
 
+# ferromagnet and antiferromagnet, EA of both coupling distributions, and an
+# EA instance read from its file
+TRANSFER_MODELS = {
+    "ising3": IsingLattice2D(3), "ising4": IsingLattice2D(4),
+    "anti3": IsingLattice2D(3, -0.7), "anti4": IsingLattice2D(4, -0.7),
+    "ea_normal3": EAInstance.normal(3, seed=11), "ea_normal4": EAInstance.normal(4, seed=12),
+    "ea_uniform3": EAInstance.uniform(3, seed=13), "ea_uniform4": EAInstance.uniform(4, seed=14),
+    "ea_file4": read_instance_text((DATA / "ea4_uniform_seed2.txt").read_text()),
+}
+
+
+class TestTransferMatrix:
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.4407, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("name", sorted(TRANSFER_MODELS))
+    def test_matches_enumeration(self, name, beta):
+        model = TRANSFER_MODELS[name]
+        want = enumerate_observables(BoltzmannTarget(model, beta), with_probabilities=False)
+        got = transfer_matrix_observables(model, beta)
+        assert got.probabilities is None
+        assert got.log_z == pytest.approx(want.log_z, rel=1e-12)
+        assert got.free_energy == pytest.approx(want.free_energy, rel=1e-12)
+        # U is about 0 at beta = 0, and S = beta (U - F) cancels at large beta:
+        # both take an absolute floor on the energy scale
+        floor = 1e-12 * model.n_sites * np.abs(model.couplings).max() * max(1.0, beta)
+        assert got.internal_energy == pytest.approx(want.internal_energy, rel=1e-12, abs=floor)
+        assert got.entropy == pytest.approx(want.entropy, rel=1e-12, abs=floor)
+
+    @pytest.mark.parametrize("argv,model", [
+        (["--problem", "ising", "--lattice-size", "3", "--beta", "0"], IsingLattice2D(3)),
+        (["--problem", "ising", "--lattice-size", "6", "--coupling", "-0.7", "--beta", "1"],
+         IsingLattice2D(6, -0.7)),
+        (["--problem", "ea", "--instance", str(DATA / "ea4_uniform_seed2.txt")],
+         TRANSFER_MODELS["ea_file4"]),
+    ], ids=["ising3_beta0", "anti6", "ea_file4"])
+    def test_oracle_prints_the_function_output(self, tmp_path, argv, model):
+        out = tmp_path / "o.json"
+        assert cli.main(["oracle", *argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        obs = transfer_matrix_observables(model, payload["beta"])
+        n = model.n_sites
+        want = {"log_z": obs.log_z, "F": obs.free_energy, "U": obs.internal_energy,
+                "S": obs.entropy, "F_per_site": None if obs.free_energy is None
+                else obs.free_energy / n, "U_per_site": obs.internal_energy / n,
+                "S_per_site": obs.entropy / n, "n_sites": n}
+        assert {k: payload[k] for k in want} == want
+        if payload["beta"] == 0:  # the 3x3 ferromagnet's derivative trace is exactly 0
+            assert math.copysign(1.0, payload["U"]) == 1.0
+
+    def test_side_above_the_cap_is_refused_before_any_matrix(self, capsys):
+        cap = energies.MAX_TRANSFER_SIDE
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"capped at side length {cap}, got {cap + 1}"):
+                transfer_matrix_observables(EAInstance.normal(cap + 1, seed=0), 1.0)
+            assert cli.main(["oracle", "--problem", "ising", "--lattice-size", str(cap + 1)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one 2^11 x 2^11 matrix alone is 32 MiB
+        assert capsys.readouterr().err == (f"config error: transfer matrix capped at side "
+                                           f"length {cap}, got {cap + 1}\n")
+
+    def test_other_bond_order_is_refused(self):
+        model = SimpleNamespace(side_length=3, edges=lattice_bonds(3)[::-1],
+                                couplings=np.ones(18))
+        with pytest.raises(ValueError, match="periodic lattice's bonds"):
+            transfer_matrix_observables(model, 1.0)
+
+    def test_overflowing_coupling_is_a_numerical_failure(self, capsys):
+        # a row's energy sums to -inf, so its log-weight is not finite
+        assert cli.main(["oracle", "--problem", "ising", "--coupling", "1e308"]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite log-weight\n"
+
+    def test_underflowing_product_is_a_numerical_failure(self, capsys):
+        # at beta = 300 this instance's product loses entries that carry Z:
+        # without the underflow check log Z reads 3 % low, with exit code 0
+        model = TRANSFER_MODELS["ea_file4"]
+        assert math.isfinite(enumerate_observables(BoltzmannTarget(model, 300.0),
+                                                   with_probabilities=False).log_z)
+        with pytest.raises(FloatingPointError, match="underflows at beta = 300.0"):
+            transfer_matrix_observables(model, 300.0)
+        assert cli.main(["oracle", "--problem", "ea", "--instance",
+                         str(DATA / "ea4_uniform_seed2.txt"), "--beta", "300"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: transfer-matrix product underflows at beta = 300.0\n")
+
+    @pytest.mark.parametrize("side", [5, 6, 7, 8])
+    def test_ea_gauge_invariance(self, side):
+        # J_b -> J_b tau_i tau_j with tau in {-1, +1}^N relabels states
+        # (sigma -> tau sigma) and so leaves Z and U unchanged
+        model = EAInstance.normal(side, seed=side)
+        tau = np.random.default_rng(side).choice([-1.0, 1.0], model.n_sites)
+        i, j = model.edges.T
+        gauged = EAInstance(side, model.couplings * tau[i] * tau[j], rng_seed=side)
+        for beta in (0.4407, 1.0, 3.0):
+            want, got = (transfer_matrix_observables(m, beta) for m in (model, gauged))
+            assert got.log_z == pytest.approx(want.log_z, rel=1e-12)
+            assert got.internal_energy == pytest.approx(want.internal_energy, rel=1e-12)
+
+
+class TestKaufman:
+    """The ferromagnetic torus's closed form against enumeration where it
+    reaches, then against the transfer matrix past it."""
+
+    @pytest.mark.parametrize("coupling", [1.0, 0.5])
+    @pytest.mark.parametrize("side", [3, 4])
+    def test_matches_enumeration(self, side, coupling):
+        for beta in (0.1, 0.4407, 1.0, 5.0):
+            target = BoltzmannTarget(IsingLattice2D(side, coupling), beta)
+            want = enumerate_observables(target, with_probabilities=False).log_z
+            assert kaufman_log_z(side, coupling, beta) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("side", range(5, energies.MAX_TRANSFER_SIDE + 1))
+    def test_matches_transfer_matrix(self, side):
+        for beta in (0.1, 0.4407, 1.0, 5.0):
+            want = transfer_matrix_observables(IsingLattice2D(side), beta).log_z
+            assert kaufman_log_z(side, 1.0, beta) == pytest.approx(want, rel=1e-12)
+
+
 class TestTextFormats:
     def test_edge_list_roundtrip(self):
         text = format_edge_list(4, [(0, 1), (1, 2)])
@@ -446,7 +568,7 @@ class TestUndirectedEdges:
 # EA instance text: `kind`, `L`, `seed` and `bonds` header lines, each
 # missing, malformed or out of range, among bond lines that follow the L = 3
 # or 4 lattice or are random. L stays <= 4 wherever the text can hold a model,
-# since a valid 5x5 instance enumerates for about 44 s. Huge sizes come under
+# which keeps every oracle call short. Huge sizes come under
 # any `kind`: a kind other than `ea` is refused, and the bond-count check
 # rejects a huge `ea`, before anything is allocated.
 _SMALL_SIDES = st.one_of(st.sampled_from([3, 4]), st.integers(-2, 4))

@@ -943,11 +943,11 @@ anneal_h = 10
 
 # `oracle` and `gen-graphs` argv: each option absent or given a value its
 # type parses (`--flag=value`, so "-inf" is no flag), in any order, and now and
-# then one junk token. Every size is bounded, so no draw enumerates or
-# allocates much: a lattice side of 5 enumerates 2^25 states (about 44 s), so
-# sides come from {-1, 0, 1, 2, 3, 6, 7}, where 6 and 7 pass the 26-bit cap
-# and are refused; counts stay <= 3, nodes <= 20, and RB cliques and sizes
-# <= 4, which keeps gen-graphs' 1,000 redraws short when no size fits
+# then one junk token. Every size is bounded, so no draw computes or
+# allocates much: lattice sides come from {-1, 0, 1, 2, 3, 6, 7, 11}, where 6
+# and 7 take the transfer matrix (2^L x 2^L) and 11 passes its cap of 10 and is
+# refused; counts stay <= 3, nodes <= 20, and RB cliques and sizes <= 4, which
+# keeps gen-graphs' 1,000 redraws short when no size fits
 _ARGV_FLOATS = st.one_of(st.floats(0, 3), st.floats()).map(repr)
 _ARGV_SEEDS = st.one_of(st.integers(-2, 9), st.sampled_from([2**63, 2**70])).map(str)
 _ARGV_JUNK = st.sampled_from(["", "x", "nan", "-1", "--", "-h", "--count", "--bogus=1"])
@@ -976,7 +976,7 @@ def oracle_argv(draw, root: Path):
         "--out": st.sampled_from([str(root / "o.json"), str(root), str(root / "no" / "o.json")]),
         **({} if problem in ("ising", "ea") else {"--graph": graphs}),
     }, {
-        "--lattice-size": st.sampled_from(["-1", "0", "1", "2", "3", "6", "7"]),
+        "--lattice-size": st.sampled_from(["-1", "0", "1", "2", "3", "6", "7", "11"]),
         "--coupling": _ARGV_FLOATS, "--beta": _ARGV_FLOATS,
         "--ea-seed": _ARGV_SEEDS, "--ea-dist": st.sampled_from(["normal", "uniform"]),
         "--instance": instances, "--graph": graphs,
